@@ -14,7 +14,8 @@ import json
 from pathlib import Path
 from typing import Optional, Union
 
-import jsonschema
+from jsonschema.exceptions import best_match
+from jsonschema.validators import validator_for
 
 from .errors import ConfigError
 from .features import METHOD_TAGS, FeatureParams
@@ -217,10 +218,14 @@ def default_config() -> dict:
     return copy.deepcopy(DEFAULT_CONFIG)
 
 
+# CONFIG_SCHEMA is a constant, so it is checked against the meta-schema by
+# the test suite rather than on every load (that check dominated load time).
+_VALIDATOR = validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
+
+
 def validate_config(doc: dict) -> None:
-    try:
-        jsonschema.validate(doc, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
+    exc = best_match(_VALIDATOR.iter_errors(doc))
+    if exc is not None:
         path = "$" + "".join(
             f"[{p!r}]" if isinstance(p, str) else f"[{p}]" for p in exc.absolute_path
         )

@@ -1,9 +1,14 @@
 import json
 
 import pytest
+from jsonschema.validators import validator_for
 
 from grainsort import ConfigError
 from grainsort import config as cfgmod
+
+
+def test_schema_is_valid_against_its_meta_schema():
+    validator_for(cfgmod.CONFIG_SCHEMA).check_schema(cfgmod.CONFIG_SCHEMA)
 
 
 def test_defaults_validate():
