@@ -24,6 +24,7 @@ from . import dataset as ds
 from . import evaluation, features, radar, svm
 from .errors import (
     ConfigError,
+    ConvergenceError,
     DataError,
     DimensionMismatchError,
     GrainsortError,
@@ -249,17 +250,35 @@ def _evaluate_method(cfg, ascans, method_tag, kernel, classifier):
 
 
 def _grid_search(cfg, ascans, method_tag, classifier):
-    """Flat (C, gamma) grid; returns best report by macro ACC plus the scan."""
+    """Flat (C, gamma) grid; returns best report by macro ACC plus the scan.
+
+    A point whose solver runs out of updates in some fold is kept in the scan
+    as ``"converged": false`` with its KKT violation and left out of the
+    selection; the search fails only when no point converged.
+    """
     best = None
+    failure = None
     scan = []
     for c_val in cfg["grid"]["C"]:
         for gamma in cfg["grid"]["gamma"]:
             kernel = cfgmod.kernel_spec(cfg, c=c_val, gamma=gamma)
-            report = _evaluate_method(cfg, ascans, method_tag, kernel, classifier)
+            try:
+                report = _evaluate_method(cfg, ascans, method_tag, kernel, classifier)
+            except ConvergenceError as exc:
+                failure = exc
+                scan.append({
+                    "C": c_val,
+                    "gamma": gamma,
+                    "converged": False,
+                    "kkt_violation": exc.model.diagnostics.final_violation,
+                })
+                continue
             acc = report.metric("ACC")[0]
             scan.append({"C": c_val, "gamma": gamma, "macro_acc": acc})
             if best is None or acc > best[0]:
                 best = (acc, kernel, report)
+    if best is None:
+        raise failure
     return best[2], best[1], scan
 
 

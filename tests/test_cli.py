@@ -311,6 +311,40 @@ class TestEvaluate:
         )
         assert result.exit_code == 4, result.output
 
+    def test_grid_search_survives_non_converging_point(self, runner, tmp_path):
+        hard = dict(
+            svm={"max_passes": 1},
+            scene={"scatterers_per_scene": 30, "gain_jitter_db": 6.0},
+            dataset={"per_class_counts": [20, 20, 20], "snr_db": [-30.0]},
+        )
+        config = _write_config(
+            tmp_path, grid={"C": [1.0, 1000.0], "gamma": [0.001]}, **hard
+        )
+        out = tmp_path / "grid_out"
+        result = runner.invoke(
+            cli,
+            ["evaluate", "--config", str(config), "--out", str(out),
+             "--method", "FOS", "--grid"],
+        )
+        assert result.exit_code == 0, result.output
+        summary = json.loads((out / "summary.json").read_text())
+        payload = summary["results"]["snr-30"]["FOS"]
+        assert payload["best_kernel"] == {"C": 1.0, "gamma": 0.001}
+        good, bad = payload["grid_scan"]
+        assert set(good) == {"C", "gamma", "macro_acc"}
+        assert bad["C"] == 1000.0 and bad["converged"] is False
+        assert bad["kkt_violation"] > 1e-3 and "macro_acc" not in bad
+
+        config = _write_config(
+            tmp_path, grid={"C": [1000.0], "gamma": [0.001]}, **hard
+        )
+        result = runner.invoke(
+            cli,
+            ["evaluate", "--config", str(config), "--out", str(tmp_path / "none"),
+             "--method", "FOS", "--grid"],
+        )
+        assert result.exit_code == 4, result.output
+
     def test_grid_search_reports_best_kernel(self, runner, simulated):
         config, dataset, tmp_path = simulated
         cfg = json.loads(Path(config).read_text())
