@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -171,19 +171,6 @@ class MetricsReport:
     def metric(self, name: str) -> Tuple[float, float]:
         i = METRIC_NAMES.index(name)
         return float(self.mean[i]), float(self.std[i])
-
-
-PredictorFactory = Callable[[np.ndarray, np.ndarray], Callable[[np.ndarray], np.ndarray]]
-
-
-def _svm_factory(kernel: svm.KernelSpec, n_classes: int, tol: float, max_passes: int) -> PredictorFactory:
-    def factory(X_train, y_train):
-        model = svm.train_multiclass(
-            X_train, y_train, kernel, n_classes=n_classes, tol=tol, max_passes=max_passes
-        )
-        return lambda X_test: np.asarray(svm.predict(model, X_test))
-
-    return factory
 
 
 def cross_validate(

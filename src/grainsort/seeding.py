@@ -1,8 +1,8 @@
 """Named random streams derived from one master seed.
 
-Every stochastic subsystem (scene synthesis, measurement noise, fold
-shuffling) draws from its own stream so re-running one stage never perturbs
-another.  Stream identity is hashed into the ``spawn_key`` of a
+Dataset records and fold shuffling each draw from their own stream so
+re-running one stage never perturbs another (inside one record the radar
+model splits scene, noise and jitter further by spawn key).  Stream identity is hashed into the ``spawn_key`` of a
 ``numpy.random.SeedSequence``, which is stable across platforms and runs.
 """
 
@@ -12,8 +12,6 @@ import hashlib
 
 import numpy as np
 
-SCENE_STREAM = "scene"
-NOISE_STREAM = "noise"
 FOLD_STREAM = "folds"
 RECORD_STREAM = "record"
 
