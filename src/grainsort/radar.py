@@ -11,13 +11,14 @@ explicitly.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from .errors import AliasingError, DimensionMismatchError, InvalidParameterError
-from .seeding import record_seed
+from .seeding import RECORD_STREAM, record_seed
 
 SPEED_OF_LIGHT = 2.99792458e8
 
@@ -63,9 +64,6 @@ class RadarParams:
     @property
     def bandwidth(self) -> float:
         return self.f_stop - self.f_start
-
-    def frequencies(self) -> np.ndarray:
-        return np.linspace(self.f_start, self.f_stop, self.n_freq)
 
 
 def range_resolution(params: RadarParams) -> float:
@@ -354,6 +352,11 @@ def backscatter(
     Additive complex white Gaussian noise is scaled so that the mean signal
     power over the sweep exceeds the noise power by snr_db decibels; None
     means noiseless.
+
+    The sweep is uniform, f_n = f_start + n * df, so with L = ceil(sqrt(N))
+    and n = q * L + r each phasor splits into a coarse and a fine factor,
+    exp(-4j pi f_n R / c) = C[q] * F[r].  The N x n_scatterers exponential
+    becomes two tables of about sqrt(N) rows each and one complex product.
     """
     r_max = max_unambiguous_range(params)
     if np.any(cloud.ranges >= r_max):
@@ -362,9 +365,17 @@ def backscatter(
             f"scatterer at {worst:.3f} m is at or beyond the unambiguous "
             f"range {r_max:.3f} m; refusing to alias"
         )
-    freqs = params.frequencies()
-    phase = (-4.0j * np.pi / params.c) * np.outer(freqs, cloud.ranges)
-    samples = np.exp(phase) @ cloud.amplitudes.astype(complex)
+    n = params.n_freq
+    width = math.isqrt(n - 1) + 1  # ceil(sqrt(n))
+    rows = -(-n // width)
+    df = params.bandwidth / (n - 1)
+    wavenumber = -4.0j * np.pi / params.c
+    coarse = np.exp(
+        wavenumber
+        * np.outer(params.f_start + df * width * np.arange(rows), cloud.ranges)
+    )
+    fine = np.exp(wavenumber * np.outer(df * np.arange(width), cloud.ranges))
+    samples = ((coarse * cloud.amplitudes) @ fine.T).ravel()[:n]
 
     if snr_db is not None:
         rng = np.random.default_rng(
@@ -419,7 +430,7 @@ def generate_dataset(
     ascans = []
     for cls in SurfaceClass:
         for i in range(counts[cls]):
-            rseed = record_seed(seed, "record", int(cls), i)
+            rseed = record_seed(seed, RECORD_STREAM, int(cls), i)
             jitter = np.random.default_rng(
                 np.random.SeedSequence(entropy=rseed, spawn_key=(_JITTER_KEY,))
             )

@@ -1,12 +1,30 @@
 """Independent brute-force oracles the fast implementations are tested against.
 
-Everything here favours obviousness over speed: direct O(N^2) transform
-sums, per-pixel double loops for texture counting, and a projected-gradient
-solver for the SVM dual.  None of it shares code with the package paths it
-checks.
+Everything here favours obviousness over speed: an extended-precision
+phasor sum for the radar model, direct O(N^2) transform sums, per-pixel
+double loops for texture counting, and a projected-gradient solver for the
+SVM dual.  None of it shares code with the package paths it checks.
 """
 
 import numpy as np
+
+
+def longdouble_backscatter(amplitudes, ranges, f_start, f_stop, n_freq, c):
+    """Noiseless sweep sum_i p_i * exp(-4j pi f_n R_i / c) in np.longdouble.
+
+    Every frequency and phase is formed directly (no factorisation), with
+    pi and the trigonometry in extended precision; returns complex128.
+    """
+    ld = np.longdouble
+    amps = np.asarray(amplitudes, dtype=ld)
+    ranges = np.asarray(ranges, dtype=ld)
+    pi = 4 * np.arctan(ld(1))
+    n = np.arange(n_freq, dtype=ld)
+    freqs = ld(f_start) + (ld(f_stop) - ld(f_start)) * n / ld(n_freq - 1)
+    phase = (-4 * pi / ld(c)) * np.outer(freqs, ranges)
+    real = (np.cos(phase) * amps).sum(axis=1)
+    imag = (np.sin(phase) * amps).sum(axis=1)
+    return real.astype(float) + 1j * imag.astype(float)
 
 
 def direct_dft(x):
@@ -92,14 +110,34 @@ def brute_force_glrlm(pixels, gray_levels, direction):
     return counts
 
 
+def project_box_hyperplane(v, y, box_c):
+    """Euclidean projection of v onto {0 <= a <= C, y'a = 0}, y in {-1, +1}.
+
+    The projection is a(lam) = clip(v - lam * y, 0, C) for the multiplier
+    lam that solves g(lam) = y'a(lam) = 0.  g is continuous, piecewise
+    linear and non-increasing, with kinks where a component reaches 0 or C
+    (lam = y_i v_i and lam = y_i (v_i - C)).  g is evaluated at every sorted
+    kink; the root lies on the first kink with g <= 0 or on the linear
+    piece just before it.  Needs both labels present.
+    """
+    kinks = np.sort(np.concatenate([y * v, y * (v - box_c)]))
+    g = (y * np.clip(v - kinks[:, None] * y, 0.0, box_c)).sum(axis=1)
+    k = int(np.argmax(g <= 0.0))  # g[0] = C * #{y = +1} > 0, so k >= 1
+    lam = kinks[k]
+    if g[k] < 0.0:
+        lam = kinks[k - 1] + g[k - 1] * (kinks[k] - kinks[k - 1]) / (g[k - 1] - g[k])
+    return np.clip(v - lam * y, 0.0, box_c)
+
+
 def qp_dual_oracle(K, y, box_c, iters=50000):
     """Projected-gradient (accelerated) maximiser of the SVM dual.
 
     maximise  sum(a) - 0.5 * (a*y)' K (a*y)
     s.t.      0 <= a <= C,  y'a = 0
 
-    The feasible-set projection solves for the equality multiplier by
-    bisection.  Returns (alpha, dual objective).
+    The feasible-set projection is exact: it finds the equality multiplier
+    among the sorted breakpoints of a piecewise-linear function (see
+    ``project_box_hyperplane``).  Returns (alpha, dual objective).
     """
     K = np.asarray(K, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -107,18 +145,7 @@ def qp_dual_oracle(K, y, box_c, iters=50000):
     Q = (y[:, None] * y[None, :]) * K
     lipschitz = max(float(np.linalg.eigvalsh(Q).max()), 1e-9)
 
-    def project(v):
-        lo, hi = -1e6, 1e6
-        for _ in range(80):
-            lam = 0.5 * (lo + hi)
-            a = np.clip(v - lam * y, 0.0, box_c)
-            if y @ a > 0:
-                lo = lam
-            else:
-                hi = lam
-        return np.clip(v - 0.5 * (lo + hi) * y, 0.0, box_c)
-
-    alpha = project(np.zeros(n))
+    alpha = project_box_hyperplane(np.zeros(n), y, box_c)
     prev = alpha.copy()
     momentum = 1.0
     for it in range(iters):
@@ -126,7 +153,7 @@ def qp_dual_oracle(K, y, box_c, iters=50000):
         z = alpha + ((momentum - 1.0) / m_next) * (alpha - prev)
         grad = 1.0 - Q @ z
         prev = alpha
-        alpha = project(z + grad / lipschitz)
+        alpha = project_box_hyperplane(z + grad / lipschitz, y, box_c)
         momentum = m_next
         if it % 50 == 49 and np.max(np.abs(alpha - prev)) < 1e-13:
             break

@@ -20,7 +20,7 @@ from grainsort import (
     range_resolution,
     synth_surface,
 )
-from oracles import direct_inverse_dft
+from oracles import direct_inverse_dft, longdouble_backscatter
 
 C_LIGHT = 2.99792458e8
 
@@ -118,6 +118,19 @@ class TestBackscatter:
             ScattererCloud(3.5 * amps, ranges, SurfaceClass.LEVELLED), default_params
         )
         assert np.allclose(scaled.samples, 3.5 * base.samples, rtol=1e-12)
+
+    @pytest.mark.parametrize("n_freq", [2, 3, 16, 17, 301, 1024])
+    @pytest.mark.parametrize("band", [(18e9, 40e9), (1e9, 2e9), (8e9, 12e9)])
+    def test_matches_extended_precision_sum(self, band, n_freq):
+        # n_freq covers perfect squares, their neighbours and a ragged last row
+        params = RadarParams(f_start=band[0], f_stop=band[1], n_freq=n_freq)
+        rng = np.random.default_rng(n_freq)
+        amps = rng.rayleigh(1.0, 448)
+        ranges = rng.uniform(0.01, 0.99, 448) * max_unambiguous_range(params)
+        scan = backscatter(ScattererCloud(amps, ranges, SurfaceClass.LEVELLED), params)
+        ref = longdouble_backscatter(amps, ranges, *band, n_freq, params.c)
+        assert scan.samples.shape == (n_freq,)
+        assert np.max(np.abs(scan.samples - ref)) <= 1e-11 * np.max(np.abs(ref))
 
     def test_aliasing_refused(self, default_params):
         r_max = max_unambiguous_range(default_params)
