@@ -2,8 +2,9 @@
 
 Dataset records and fold shuffling each draw from their own stream so
 re-running one stage never perturbs another (inside one record the radar
-model splits scene, noise and jitter further by spawn key).  Stream identity is hashed into the ``spawn_key`` of a
-``numpy.random.SeedSequence``, which is stable across platforms and runs.
+model splits scene, noise and jitter further by spawn key).  Stream
+identity is hashed into the ``spawn_key`` of a ``numpy.random.SeedSequence``,
+which is stable across platforms and runs.
 """
 
 from __future__ import annotations
