@@ -1,20 +1,18 @@
 """Command-line front end: simulate, extract, train, predict, evaluate, report.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 solver
-non-convergence.  GRAINSORT_THREADS caps how many method chains are
-evaluated concurrently (default 1, fully sequential).
+non-convergence.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import hashlib
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import List, Optional
+from typing import List
 
 import click
 import numpy as np
@@ -23,21 +21,12 @@ from . import config as cfgmod
 from . import dataset as ds
 from . import evaluation, features, radar, svm
 from .errors import (
-    ConfigError,
     ConvergenceError,
     DataError,
     DimensionMismatchError,
     GrainsortError,
     exit_code_for,
 )
-
-
-def _thread_cap() -> int:
-    raw = os.environ.get("GRAINSORT_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ConfigError(f"GRAINSORT_THREADS must be an integer, got {raw!r}")
 
 
 def _handle_errors(func):
@@ -52,14 +41,9 @@ def _handle_errors(func):
     return wrapper
 
 
-def _provenance_lines(cfg: dict, extra: Optional[dict] = None) -> List[str]:
-    lines = [
-        f"# config_hash={cfgmod.config_hash(cfg)}",
-        f"# seed={cfg['seed']}",
-    ]
-    for key, value in (extra or {}).items():
-        lines.append(f"# {key}={value}")
-    return lines
+def _provenance_lines(config_hash, seed, **extra) -> List[str]:
+    fields = {"config_hash": config_hash, "seed": seed, **extra}
+    return [f"# {key}={value}" for key, value in fields.items()]
 
 
 def _snr_tag(snr) -> str:
@@ -144,18 +128,14 @@ def extract(dataset_path, method_tag, config_path, out_dir):
     out = Path(cfg["out_dir"])
     out.mkdir(parents=True, exist_ok=True)
     _, ascans = ds.load_dataset(dataset_path)
-    fparams = cfgmod.feature_params(cfg)
-    X, y = features.extract_matrix(ascans, method_tag, fparams)
     file_hash = hashlib.sha256(Path(dataset_path).read_bytes()).hexdigest()
     name = "features_" + method_tag.replace("+", "_") + ".csv"
-    header = ["method_tag", "label"] + [f"f_{i}" for i in range(X.shape[1])]
-    lines = _provenance_lines(cfg, {"dataset_sha256": file_hash})
-    lines.append(",".join(header))
-    for label, row in zip(y, X):
-        lines.append(
-            ",".join([method_tag, str(int(label))] + [repr(float(v)) for v in row])
-        )
-    (out / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    X = features.export_features_csv(
+        out / name, ascans, method_tag, cfgmod.feature_params(cfg),
+        provenance=_provenance_lines(
+            cfgmod.config_hash(cfg), cfg["seed"], dataset_sha256=file_hash
+        ),
+    )
     click.echo(f"wrote {out / name} ({X.shape[0]} rows x {X.shape[1]} features)")
 
 
@@ -182,19 +162,24 @@ def train(dataset_path, method_tag, config_path, seed, out_dir):
     extra = {
         "method_tag": method_tag,
         "n_freq": params.n_freq,
-        "feature_params": {
-            "gray_levels": fparams.gray_levels,
-            "stft_window_len": fparams.stft_window_len,
-            "stft_hop": fparams.stft_hop,
-            "stft_fft_len": fparams.stft_fft_len,
-            "dwt_wavelet": fparams.dwt_wavelet,
-            "dwt_levels": fparams.dwt_levels,
-        },
+        "feature_params": dataclasses.asdict(fparams),
         "config_hash": cfgmod.config_hash(cfg),
         "seed": cfg["seed"],
     }
     svm.save_model(out / "model.json", model, extra=extra)
     click.echo(f"wrote {out / 'model.json'}")
+
+
+def _model_feature_params(fp) -> features.FeatureParams:
+    """A model file's feature parameters, each of the type of its default."""
+    defaults = dataclasses.asdict(features.FeatureParams())
+    fp = fp or {}
+    if not isinstance(fp, dict):
+        raise DataError(f"model feature_params must be an object, got {fp!r}")
+    bad = [k for k, v in fp.items() if k not in defaults or type(v) is not type(defaults[k])]
+    if bad:
+        raise DataError(f"model feature_params has unknown or mistyped keys: {bad}")
+    return features.FeatureParams(**fp)
 
 
 @cli.command()
@@ -212,23 +197,23 @@ def predict(model_path, dataset_path, out_dir):
             f"dataset holds {params.n_freq}-point sweeps, model was trained "
             f"on {doc['n_freq']}"
         )
-    fp = doc.get("feature_params", {})
-    fparams = features.FeatureParams(**fp) if fp else features.FeatureParams()
     method_tag = doc.get("method_tag")
-    if method_tag is None:
-        raise DataError("model file does not name its feature chain")
-    X, _ = features.extract_matrix(ascans, method_tag, fparams)
+    if method_tag not in features.METHOD_TAGS:
+        raise DataError(f"model file names no known feature chain: {method_tag!r}")
+    if len(model.class_ids) > len(radar.CLASS_NAMES):
+        raise DataError(f"model has {len(model.class_ids)} classes, expected at most "
+                        f"{len(radar.CLASS_NAMES)}")
+    X, _ = features.extract_matrix(
+        ascans, method_tag, _model_feature_params(doc.get("feature_params"))
+    )
     labels = np.asarray(svm.predict(model, X))
     for value in labels:
         click.echo(radar.CLASS_NAMES[int(value)])
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        lines = [
-            f"# config_hash={doc.get('config_hash', '')}",
-            f"# seed={doc.get('seed', '')}",
-            "index,label_id,label_name",
-        ]
+        lines = _provenance_lines(doc.get("config_hash", ""), doc.get("seed", ""))
+        lines.append("index,label_id,label_name")
         for i, value in enumerate(labels):
             lines.append(f"{i},{int(value)},{radar.CLASS_NAMES[int(value)]}")
         (out / "predictions.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -282,40 +267,21 @@ def _grid_search(cfg, ascans, method_tag, classifier):
     return best[2], best[1], scan
 
 
-def _report_payload(report: evaluation.MetricsReport) -> dict:
-    return {
-        "method_tag": report.method_tag,
-        "k": report.k,
-        "mean": {n: float(report.mean[i]) for i, n in enumerate(evaluation.METRIC_NAMES)},
-        "std": {n: float(report.std[i]) for i, n in enumerate(evaluation.METRIC_NAMES)},
-        "folds": {
-            n: [float(v) for v in report.fold_macro[:, i]]
-            for i, n in enumerate(evaluation.METRIC_NAMES)
-        },
-        "per_class_mean": {
-            n: [float(v) for v in report.fold_per_class.mean(axis=0)[:, i]]
-            for i, n in enumerate(evaluation.METRIC_NAMES)
-        },
-        "zeroed_folds": [list(z) for z in report.zeroed_folds],
-    }
-
-
-def _write_report_files(out: Path, tag: str, cfg: dict, reports) -> List[Path]:
-    csv_lines = _provenance_lines(cfg)
-    k = reports[0].k
-    csv_lines.append(
-        ",".join(["method", "metric", "mean", "std"] + [f"fold_{i}" for i in range(k)])
-    )
-    for report in reports:
-        for row in evaluation.report_rows(report):
+def _write_report_files(out: Path, tag: str, cfg: dict, block: dict, table: str) -> List[Path]:
+    provenance = _provenance_lines(cfgmod.config_hash(cfg), cfg["seed"])
+    csv_lines = provenance + [
+        ",".join(["method", "metric", "mean", "std"]
+                 + [f"fold_{i}" for i in range(cfg["cv"]["k"])])
+    ]
+    for method_tag in cfg["methods"]:
+        for row in evaluation.report_rows(block[method_tag]):
             csv_lines.append(",".join(row))
     csv_path = out / f"report_{tag}.csv"
     csv_path.write_text("\n".join(csv_lines) + "\n", encoding="utf-8")
 
-    table = evaluation.format_table(reports)
     txt_path = out / f"report_{tag}.txt"
     txt_path.write_text(
-        "\n".join(_provenance_lines(cfg)) + "\n" + table + "\n", encoding="utf-8"
+        "\n".join(provenance) + "\n" + table + "\n", encoding="utf-8"
     )
     return [csv_path, txt_path]
 
@@ -340,7 +306,6 @@ def evaluate(config_path, seed, out_dir, method_tags, echo_classifier, use_grid)
     out = Path(cfg["out_dir"])
     out.mkdir(parents=True, exist_ok=True)
     classifier = "echo" if echo_classifier else "svm"
-    threads = _thread_cap()
     summary = {
         "config_hash": cfgmod.config_hash(cfg),
         "seed": cfg["seed"],
@@ -354,32 +319,22 @@ def evaluate(config_path, seed, out_dir, method_tags, echo_classifier, use_grid)
     for snr in cfg["dataset"]["snr_db"]:
         tag = _snr_tag(snr)
         ascans = _simulate_ascans(cfg, snr)
-
-        def run_one(method_tag):
+        block = {}
+        for method_tag in cfg["methods"]:
+            extra = {}
             if use_grid:
                 report, kernel, scan = _grid_search(cfg, ascans, method_tag, classifier)
-                return method_tag, report, {"C": kernel.c, "gamma": kernel.gamma}, scan
-            kernel = cfgmod.kernel_spec(cfg)
-            return method_tag, _evaluate_method(cfg, ascans, method_tag, kernel, classifier), None, None
-
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(run_one, cfg["methods"]))
-        else:
-            results = [run_one(m) for m in cfg["methods"]]
-
-        reports = [r[1] for r in results]
-        snr_block = {}
-        for method_tag, report, best_kernel, scan in results:
-            payload = _report_payload(report)
-            if best_kernel is not None:
-                payload["best_kernel"] = best_kernel
-                payload["grid_scan"] = scan
-            snr_block[method_tag] = payload
-        summary["results"][tag] = snr_block
-        written += _write_report_files(out, tag, cfg, reports)
+                extra = {"best_kernel": {"C": kernel.c, "gamma": kernel.gamma},
+                         "grid_scan": scan}
+            else:
+                kernel = cfgmod.kernel_spec(cfg)
+                report = _evaluate_method(cfg, ascans, method_tag, kernel, classifier)
+            block[method_tag] = {**evaluation.report_payload(report), **extra}
+        summary["results"][tag] = block
+        table = evaluation.format_table(block, cfg["methods"])
+        written += _write_report_files(out, tag, cfg, block, table)
         click.echo(f"[{tag}]")
-        click.echo(evaluation.format_table(reports))
+        click.echo(table)
 
     summary_path = out / "summary.json"
     summary_path.write_text(
@@ -403,30 +358,17 @@ def report(summary_path, out_dir):
     try:
         summary = json.loads(path.read_text(encoding="utf-8"))
         results = summary["results"]
-    except (json.JSONDecodeError, KeyError) as exc:
+        methods = summary.get("methods", [])
+    except (json.JSONDecodeError, KeyError, TypeError) as exc:
         raise DataError(f"not a valid evaluation summary: {exc}") from exc
-    rendered = []
-    for tag, block in results.items():
-        lines = [f"[{tag}]"]
-        header = ["Method"] + list(evaluation.METRIC_NAMES)
-        body = []
-        order = [m for m in summary.get("methods", []) if m in block]
-        order += [m for m in block if m not in order]
-        for method_tag in order:
-            payload = block[method_tag]
-            cells = [method_tag + "+SVM"]
-            for name in evaluation.METRIC_NAMES:
-                mean = 100 * payload["mean"][name]
-                std = 100 * payload["std"][name]
-                cells.append(f"{mean:.2f}±{std:.2f}")
-            body.append(cells)
-        widths = [max(len(r[i]) for r in [header] + body) for i in range(len(header))]
-        lines.append("  ".join(h.ljust(w) for h, w in zip(header, widths)))
-        lines.append("  ".join("-" * w for w in widths))
-        for cells in body:
-            lines.append("  ".join(c.ljust(w) for c, w in zip(cells, widths)))
-        rendered.append("\n".join(lines))
-    text = "\n\n".join(rendered)
+    if not (isinstance(results, dict) and isinstance(methods, list)
+            and all(isinstance(m, str) for m in methods)
+            and all(isinstance(block, dict) for block in results.values())):
+        raise DataError("not a valid evaluation summary: malformed results or methods")
+    text = "\n\n".join(
+        f"[{tag}]\n" + evaluation.format_table(block, methods)
+        for tag, block in results.items()
+    )
     click.echo(text)
     if out_dir is not None:
         out = Path(out_dir)

@@ -17,7 +17,7 @@ from typing import List, Tuple, Union
 
 import numpy as np
 
-from .errors import CorruptDatasetError, DimensionMismatchError
+from .errors import CorruptDatasetError, DataError, DimensionMismatchError, InvalidParameterError
 from .radar import AScan, RadarParams, SurfaceClass
 
 MAGIC = b"GSRD"
@@ -48,7 +48,10 @@ def save_dataset(path: Union[str, Path], params: RadarParams, ascans: List[AScan
 def load_dataset(path: Union[str, Path]) -> Tuple[RadarParams, List[AScan]]:
     """Read a binary container back; corruption errors name the byte offset."""
     path = Path(path)
-    blob = path.read_bytes()
+    try:
+        blob = path.read_bytes()
+    except OSError as exc:
+        raise DataError(f"cannot read dataset {path}: {exc.strerror}") from None
     if len(blob) < _HEADER.size:
         raise CorruptDatasetError(
             f"{path}: truncated header, file ends at byte offset {len(blob)}"
@@ -60,7 +63,12 @@ def load_dataset(path: Union[str, Path]) -> Tuple[RadarParams, List[AScan]]:
         raise CorruptDatasetError(
             f"{path}: unsupported version {version} at byte offset 4"
         )
-    params = RadarParams(f_start=f_start, f_stop=f_stop, n_freq=int(n_freq))
+    try:
+        params = RadarParams(f_start=f_start, f_stop=f_stop, n_freq=int(n_freq))
+    except InvalidParameterError as exc:
+        raise CorruptDatasetError(
+            f"{path}: invalid sweep fields from byte offset 6: {exc}"
+        ) from None
 
     record_size = _RECORD_FIXED.size + 16 * n_freq
     expected = _HEADER.size + count * record_size
@@ -73,11 +81,14 @@ def load_dataset(path: Union[str, Path]) -> Tuple[RadarParams, List[AScan]]:
 
     ascans = []
     pos = _HEADER.size
+    labels = {int(c) for c in SurfaceClass}
     for _ in range(count):
         label, seed, snr = _RECORD_FIXED.unpack_from(blob, pos)
-        pos += _RECORD_FIXED.size
-        samples = np.frombuffer(blob, dtype="<c16", count=n_freq, offset=pos)
-        pos += 16 * n_freq
+        samples = np.frombuffer(blob, "<c16", count=n_freq, offset=pos + _RECORD_FIXED.size)
+        if label not in labels or not np.all(np.isfinite(samples.view("<f8"))):
+            fault = f"unknown label {label}" if label not in labels else "non-finite sample"
+            raise CorruptDatasetError(f"{path}: {fault} in the record at byte offset {pos}")
+        pos += record_size
         ascans.append(
             AScan(
                 samples=samples.copy(),

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -242,30 +242,53 @@ def cross_validate(
     return report
 
 
-def report_rows(report: MetricsReport) -> List[List[str]]:
+def report_payload(report: MetricsReport) -> dict:
+    """The JSON-ready summary of one chain that every report is rendered from."""
+
+    def per_metric(values: np.ndarray) -> dict:
+        return {n: values[..., i].tolist() for i, n in enumerate(METRIC_NAMES)}
+
+    return {
+        "method_tag": report.method_tag,
+        "k": report.k,
+        "mean": per_metric(report.mean),
+        "std": per_metric(report.std),
+        "folds": per_metric(report.fold_macro),
+        "per_class_mean": per_metric(report.fold_per_class.mean(axis=0)),
+        "zeroed_folds": [list(z) for z in report.zeroed_folds],
+    }
+
+
+def report_rows(payload: dict) -> List[List[str]]:
     """CSV rows: method, metric, mean, std, then per-fold values."""
-    rows = []
-    for m_idx, name in enumerate(METRIC_NAMES):
-        row = [
-            report.method_tag,
-            name,
-            repr(float(report.mean[m_idx])),
-            repr(float(report.std[m_idx])),
-        ]
-        row += [repr(float(v)) for v in report.fold_macro[:, m_idx]]
-        rows.append(row)
-    return rows
+    return [
+        [payload["method_tag"], name, repr(payload["mean"][name]),
+         repr(payload["std"][name])]
+        + [repr(v) for v in payload["folds"][name]]
+        for name in METRIC_NAMES
+    ]
 
 
-def format_table(reports: Sequence[MetricsReport]) -> str:
-    """Text table: one row per method chain, mean +/- std in percent."""
+def format_table(block: Mapping[str, dict], methods: Sequence[str]) -> str:
+    """Text table: one row per method chain, mean +/- std in percent.
+
+    ``block`` maps method tags to :func:`report_payload` dicts.  Rows follow
+    ``methods`` (entries missing from the block are skipped), then any other
+    chain of the block in its own order.
+    """
+    order = [m for m in methods if m in block]
+    order += [m for m in block if m not in order]
     header = ["Method"] + list(METRIC_NAMES)
-    body = []
-    for rep in reports:
-        cells = [rep.method_tag + "+SVM"]
-        for i in range(len(METRIC_NAMES)):
-            cells.append(f"{100 * rep.mean[i]:.2f}±{100 * rep.std[i]:.2f}")
-        body.append(cells)
+    try:
+        body = [
+            [m + "+SVM"] + [
+                f"{100 * float(block[m]['mean'][n]):.2f}±{100 * float(block[m]['std'][n]):.2f}"
+                for n in METRIC_NAMES
+            ]
+            for m in order
+        ]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"summary payload lacks a usable mean or std: {exc!r}") from None
     widths = [
         max(len(row[i]) for row in [header] + body) for i in range(len(header))
     ]

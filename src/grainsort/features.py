@@ -15,10 +15,12 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from . import transforms
-from .errors import InvalidParameterError
+from .errors import DataError, InvalidParameterError
 from .radar import AScan
 
 _DEGENERATE_VAR = 1e-24
+# a relative spread this small cannot be cut into ENTROPY_BINS finite bins
+_DEGENERATE_SPREAD = 1e-12
 ENTROPY_BINS = 64
 
 FOS_NAMES = ("mean", "variance", "skewness", "kurtosis", "entropy", "energy")
@@ -30,7 +32,8 @@ class FOSFeatures:
 
     Population moments; skewness and excess kurtosis are defined as 0 for
     (near-)constant input, entropy is Shannon entropy (natural log) of a
-    64-bin equal-width histogram over [min, max].
+    64-bin equal-width histogram over [min, max], and 0 when that range is
+    below float resolution.  Non-finite input is a data error.
     """
 
     mean: float
@@ -51,24 +54,27 @@ def fos(x) -> FOSFeatures:
     x = np.asarray(x, dtype=float).ravel()
     if x.size == 0:
         raise ValueError("cannot summarise an empty vector")
-    mean = float(np.mean(x))
-    centred = x - mean
-    m2 = float(np.mean(centred**2))
-    if m2 < _DEGENERATE_VAR:
-        skew = 0.0
-        kurt = 0.0
-    else:
-        skew = float(np.mean(centred**3)) / m2**1.5
-        kurt = float(np.mean(centred**4)) / m2**2 - 3.0
     lo, hi = float(np.min(x)), float(np.max(x))
-    if hi - lo < _DEGENERATE_VAR:
+    if not np.isfinite(hi - lo):
+        raise DataError("values are not finite or span past the float range")
+    # numpy scalars overflow to inf, which extract_matrix rejects; floats would raise
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(np.mean(x))
+        centred = x - mean
+        m2 = np.mean(centred**2)
+        if m2 < _DEGENERATE_VAR:
+            skew = kurt = 0.0
+        else:
+            skew = float(np.mean(centred**3) / m2**1.5)
+            kurt = float(np.mean(centred**4) / m2**2 - 3.0)
+        energy = float(np.sum(x**2))
+    if hi - lo < max(_DEGENERATE_VAR, _DEGENERATE_SPREAD * max(abs(lo), abs(hi))):
         entropy = 0.0
     else:
         hist, _ = np.histogram(x, bins=ENTROPY_BINS, range=(lo, hi))
         p = hist[hist > 0] / x.size
         entropy = float(-np.sum(p * np.log(p)))
-    energy = float(np.sum(x**2))
-    return FOSFeatures(mean, m2, skew, kurt, entropy, energy)
+    return FOSFeatures(mean, float(m2), skew, kurt, entropy, energy)
 
 
 @dataclass(frozen=True)
@@ -298,7 +304,7 @@ def _stft_image(mag: np.ndarray, params: FeatureParams) -> GrayImage:
         hop=params.stft_hop,
         fft_len=params.stft_fft_len,
     )
-    return quantize(transforms.magnitude(spec.frames), params.gray_levels)
+    return quantize(np.abs(spec.frames), params.gray_levels)
 
 
 def extract(
@@ -317,7 +323,7 @@ def extract(
     if method_tag == "FOS":
         values = fos(mag).as_array()
     elif method_tag == "FFT+FOS":
-        values = fos(np.abs(transforms.fft(ascan.samples).values)).as_array()
+        values = fos(np.abs(transforms.fft(ascan.samples))).as_array()
     elif method_tag == "DCT+FOS":
         values = fos(transforms.dct(mag)).as_array()
     elif method_tag == "DWT+FOS":
@@ -344,19 +350,25 @@ def extract_matrix(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Stack per-scan feature vectors into (X, labels)."""
     if len(ascans) == 0:
-        raise ValueError("no A-scans to extract from")
+        raise DataError("no A-scans to extract from")
     X = np.vstack([extract(a, method_tag, params).values for a in ascans])
+    bad = np.flatnonzero(~np.all(np.isfinite(X), axis=1))
+    if bad.size:
+        raise DataError(f"{method_tag} features of scan {bad[0]} are not finite")
     y = np.array([int(a.label) for a in ascans], dtype=np.int64)
     return X, y
 
 
-def export_features_csv(path, ascans, method_tag, params=FeatureParams()) -> None:
-    """Feature CSV: method_tag, label, f_0..f_{d-1} per row."""
+def export_features_csv(
+    path, ascans, method_tag, params=FeatureParams(), provenance: Sequence[str] = ()
+) -> np.ndarray:
+    """Feature CSV: provenance lines, then method_tag, label, f_0..f_{d-1}; returns X."""
     X, y = extract_matrix(ascans, method_tag, params)
     header = ["method_tag", "label"] + [f"f_{i}" for i in range(X.shape[1])]
-    lines = [",".join(header)]
+    lines = list(provenance) + [",".join(header)]
     for label, row in zip(y, X):
         lines.append(
             ",".join([method_tag, str(int(label))] + [repr(float(v)) for v in row])
         )
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return X

@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import (
     ConvergenceError,
+    DataError,
     DegenerateTrainingError,
     DimensionMismatchError,
     InvalidParameterError,
@@ -349,29 +350,39 @@ def model_to_dict(model: MulticlassSVM) -> dict:
     }
 
 
+def _finite_array(value, ndim: int, what: str) -> np.ndarray:
+    arr = np.array(value, dtype=float)
+    if arr.ndim != ndim or arr.size == 0 or not np.all(np.isfinite(arr)):
+        raise DataError(f"model {what} must be a non-empty finite {ndim}-D array")
+    return arr
+
+
 def model_from_dict(doc: dict) -> MulticlassSVM:
-    kernel = KernelSpec(
-        kind=doc["kernel"]["kind"], c=doc["kernel"]["C"], gamma=doc["kernel"]["gamma"]
-    )
-    scaler = Scaler(
-        mean=np.array(doc["scaler"]["mean"], dtype=float),
-        std=np.array(doc["scaler"]["std"], dtype=float),
-    )
-    pairwise = {}
-    for entry in doc["pairwise"]:
-        a, b = (int(v) for v in entry["classes"])
-        pairwise[(a, b)] = BinarySVM(
-            support_vectors=np.array(entry["support_vectors"], dtype=float),
-            dual_coef=np.array(entry["dual_coef"], dtype=float),
-            bias=float(entry["bias"]),
-            kernel=kernel,
+    """Inverse of :func:`model_to_dict`; a malformed document raises DataError."""
+    try:
+        kernel = KernelSpec(
+            kind=doc["kernel"]["kind"], c=doc["kernel"]["C"], gamma=doc["kernel"]["gamma"]
         )
-    return MulticlassSVM(
-        class_ids=tuple(int(c) for c in doc["class_ids"]),
-        pairwise=pairwise,
-        scaler=scaler,
-        kernel=kernel,
-    )
+        mean, std = (_finite_array(doc["scaler"][k], 1, f"scaler {k}") for k in ("mean", "std"))
+        class_ids = tuple(int(c) for c in doc["class_ids"])
+        pairwise = {}
+        for entry in doc["pairwise"]:
+            a, b = (int(v) for v in entry["classes"])
+            pairwise[(a, b)] = BinarySVM(
+                support_vectors=_finite_array(entry["support_vectors"], 2, "support vectors"),
+                dual_coef=_finite_array(entry["dual_coef"], 1, "dual coefficients"),
+                bias=float(_finite_array(entry["bias"], 0, "bias")),
+                kernel=kernel,
+            )
+    except (KeyError, TypeError, ValueError, InvalidParameterError) as exc:
+        raise DataError(f"malformed model document: {exc!r}") from None
+    k = len(class_ids)
+    if (k < 2 or class_ids != tuple(range(k)) or std.shape != mean.shape
+            or (kernel.kind == "rbf" and kernel.gamma is None)
+            or any(not 0 <= a < b < k or m.dual_coef.size != len(m.support_vectors)
+                   for (a, b), m in pairwise.items())):
+        raise DataError("model kernel, class ids, scaler and machines do not fit together")
+    return MulticlassSVM(class_ids, pairwise, Scaler(mean, std), kernel)
 
 
 def save_model(path: Union[str, Path], model: MulticlassSVM, extra: Optional[dict] = None) -> None:
@@ -383,5 +394,8 @@ def save_model(path: Union[str, Path], model: MulticlassSVM, extra: Optional[dic
 
 
 def load_model(path: Union[str, Path]) -> Tuple[MulticlassSVM, dict]:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise DataError(f"cannot read model {path}: {exc}") from None
     return model_from_dict(doc), doc

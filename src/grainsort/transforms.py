@@ -11,16 +11,8 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 import numpy as np
-import scipy.fft
 
 from .errors import DimensionMismatchError
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """Unnormalised forward DFT values."""
-
-    values: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -53,16 +45,19 @@ class STFTMatrix:
     fft_len: int
 
 
-def fft(signal) -> Spectrum:
+def fft(signal) -> np.ndarray:
     """Standard unnormalised forward DFT of a (possibly complex) vector."""
     x = np.asarray(signal)
     if x.size == 0:
         raise ValueError("cannot transform an empty signal")
-    return Spectrum(np.fft.fft(x))
+    return np.fft.fft(x)
 
 
+# scipy.fft is imported on first use: only the DCT chain needs its start-up cost
 def dct(signal) -> np.ndarray:
     """Orthonormal DCT-II coefficients of a real vector."""
+    import scipy.fft
+
     x = np.asarray(signal, dtype=float)
     if x.size == 0:
         raise ValueError("cannot transform an empty signal")
@@ -71,6 +66,8 @@ def dct(signal) -> np.ndarray:
 
 def idct(coeffs) -> np.ndarray:
     """Inverse of :func:`dct` (orthonormal DCT-III)."""
+    import scipy.fft
+
     return scipy.fft.idct(np.asarray(coeffs, dtype=float), type=2, norm="ortho")
 
 
@@ -214,8 +211,3 @@ def stft(signal, window_len: int = 64, hop: int = 32, fft_len: int = 64) -> STFT
         seg = x[t * hop : t * hop + window_len] * window
         frames[:, t] = np.fft.rfft(seg, n=fft_len)
     return STFTMatrix(frames, window_len=window_len, hop=hop, fft_len=fft_len)
-
-
-def magnitude(m) -> np.ndarray:
-    """Element-wise modulus of a complex matrix."""
-    return np.abs(np.asarray(m))

@@ -378,41 +378,34 @@ class TestReport:
         assert "FOS+SVM" in result.output
         assert "100.00±0.00" in result.output
 
+    def test_report_evaluate_and_txt_render_the_same_table(self, runner, simulated):
+        config, dataset, tmp_path = simulated
+        out = tmp_path / "ev_same"
+        result = runner.invoke(
+            cli,
+            ["evaluate", "--config", str(config), "--out", str(out),
+             "--method", "DWT+FOS", "--method", "FOS", "--method", "DCT+FOS"],
+        )
+        assert result.exit_code == 0, result.output
+        printed = result.stdout[: result.stdout.index("wrote ")]
+        rendered = runner.invoke(cli, ["report", str(out / "summary.json")])
+        assert rendered.exit_code == 0, rendered.output
+        txt = (out / "report_snr20.txt").read_text(encoding="utf-8").split("\n")
+        assert [l for l in txt if l.startswith("#")] == txt[:2]
+        assert rendered.stdout == printed == "[snr20]\n" + "\n".join(txt[2:])
+
+        # a chain left out of "methods" follows the listed ones, in summary order
+        summary = json.loads((out / "summary.json").read_text())
+        summary["methods"] = ["DCT+FOS", "STFT+GLCM"]
+        edited = tmp_path / "edited_summary.json"
+        edited.write_text(json.dumps(summary))
+        rendered = runner.invoke(cli, ["report", str(edited)])
+        assert rendered.exit_code == 0, rendered.output
+        rows = [l.split()[0] for l in rendered.stdout.splitlines()[3:]]
+        assert rows == ["DCT+FOS+SVM", "DWT+FOS+SVM", "FOS+SVM"]
+
     def test_rejects_garbage_summary(self, runner, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{\"not\": \"a summary\"}")
         result = runner.invoke(cli, ["report", str(bad)])
         assert result.exit_code == 3
-
-
-class TestThreadCap:
-    def test_env_var_parallel_run_matches_serial(self, runner, simulated, monkeypatch):
-        config, dataset, tmp_path = simulated
-        out_serial = tmp_path / "serial"
-        result = runner.invoke(
-            cli,
-            ["evaluate", "--config", str(config), "--out", str(out_serial),
-             "--method", "FOS", "--method", "DCT+FOS"],
-        )
-        assert result.exit_code == 0
-        monkeypatch.setenv("GRAINSORT_THREADS", "2")
-        out_par = tmp_path / "par"
-        result = runner.invoke(
-            cli,
-            ["evaluate", "--config", str(config), "--out", str(out_par),
-             "--method", "FOS", "--method", "DCT+FOS"],
-        )
-        assert result.exit_code == 0
-        assert (out_serial / "summary.json").read_bytes() == (
-            out_par / "summary.json"
-        ).read_bytes()
-
-    def test_invalid_thread_cap_exits_2(self, runner, simulated, monkeypatch):
-        config, dataset, tmp_path = simulated
-        monkeypatch.setenv("GRAINSORT_THREADS", "lots")
-        result = runner.invoke(
-            cli,
-            ["evaluate", "--config", str(config), "--out", str(tmp_path / "ev2"),
-             "--method", "FOS"],
-        )
-        assert result.exit_code == 2

@@ -256,8 +256,9 @@ class TestCrossValidate:
             tiny_ascans, "FOS", svm.KernelSpec(kind="rbf", c=10.0),
             k=3, seed=0, classifier="echo",
         )
-        rows = ev.report_rows(report)
+        payload = ev.report_payload(report)
+        rows = ev.report_rows(payload)
         assert len(rows) == 6
         assert all(len(row) == 4 + 3 for row in rows)
-        table = ev.format_table([report])
+        table = ev.format_table({"FOS": payload}, ["FOS"])
         assert "FOS+SVM" in table and "100.00±0.00" in table

@@ -1,0 +1,217 @@
+"""Every malformed input ends in a documented exit code (0/2/3/4) with one
+``error:`` line, never in a traceback with exit 1."""
+
+import json
+
+import pytest
+from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from grainsort import dataset as ds
+from grainsort.cli import cli
+
+DOCUMENTED = {0, 2, 3, 4}
+HEADER = ds._HEADER.size
+RECORD_FIXED = ds._RECORD_FIXED.size
+
+
+@pytest.fixture(scope="module")
+def runner():
+    return CliRunner()
+
+
+@pytest.fixture(scope="module")
+def files(runner, tmp_path_factory):
+    """A 12-scan/class dataset, a FOS model trained on it and an evaluation summary."""
+    root = tmp_path_factory.mktemp("exit_codes")
+    config = root / "config.json"
+    config.write_text(json.dumps({
+        "seed": 1234,
+        "dataset": {"per_class_counts": [12, 12, 12], "snr_db": [20.0]},
+        "scene": {"scatterers_per_scene": 40},
+        "cv": {"k": 3},
+        "svm": {"max_passes": 50},
+    }))
+    out = root / "run"
+    for argv in (
+        ["simulate", "--config", str(config), "--out", str(out)],
+        ["train", str(out / "dataset_snr20.gsrd"), "--method", "FOS",
+         "--config", str(config), "--out", str(out)],
+        ["evaluate", "--config", str(config), "--out", str(out),
+         "--method", "FOS", "--echo-classifier"],
+    ):
+        result = runner.invoke(cli, argv)
+        assert result.exit_code == 0, result.output
+    gsrd = out / "dataset_snr20.gsrd"
+    params, ascans = ds.load_dataset(gsrd)
+    return {
+        "root": root,
+        "config": config,
+        "gsrd": gsrd,
+        "blob": gsrd.read_bytes(),
+        "n_records": len(ascans),
+        "record_size": RECORD_FIXED + 16 * params.n_freq,
+        "model": json.loads((out / "model.json").read_text()),
+        "summary": json.loads((out / "summary.json").read_text()),
+    }
+
+
+def _assert_data_error(result):
+    assert result.exit_code == 3, result.output
+    assert len([l for l in result.output.splitlines() if l.startswith("error:")]) == 1, (
+        result.output
+    )
+    assert "Traceback" not in result.output
+
+
+def _extract(runner, files, blob, method="FOS"):
+    path = files["root"] / "mutated.gsrd"
+    path.write_bytes(blob)
+    return runner.invoke(
+        cli, ["extract", str(path), "--method", method,
+              "--config", str(files["config"]), "--out", str(files["root"] / "feat")]
+    )
+
+
+def _predict(runner, files, text):
+    path = files["root"] / "mutated_model.json"
+    path.write_text(text)
+    return runner.invoke(cli, ["predict", str(path), str(files["gsrd"])])
+
+
+def _report(runner, files, summary):
+    path = files["root"] / "mutated_summary.json"
+    path.write_text(json.dumps(summary))
+    return runner.invoke(cli, ["report", str(path)])
+
+
+class TestDataFaultsExit3:
+    def test_unknown_label_byte(self, runner, files):
+        blob = bytearray(files["blob"])
+        blob[HEADER] = 7
+        result = _extract(runner, files, bytes(blob))
+        _assert_data_error(result)
+        assert f"byte offset {HEADER}" in result.output
+
+    def test_nan_sample(self, runner, files):
+        blob = bytearray(files["blob"])
+        record = HEADER + files["record_size"]  # second record
+        blob[record + RECORD_FIXED : record + RECORD_FIXED + 8] = bytes.fromhex("000000000000f87f")
+        result = _extract(runner, files, bytes(blob))
+        _assert_data_error(result)
+        assert f"byte offset {record}" in result.output
+
+    def test_zero_record_dataset(self, runner, files):
+        blob = bytearray(files["blob"][:HEADER])
+        blob[10:18] = bytes(8)  # record count
+        _assert_data_error(_extract(runner, files, bytes(blob)))
+
+    def test_model_not_json(self, runner, files):
+        _assert_data_error(_predict(runner, files, "{nope"))
+
+    def test_model_without_scaler(self, runner, files):
+        doc = dict(files["model"])
+        del doc["scaler"]
+        _assert_data_error(_predict(runner, files, json.dumps(doc)))
+
+    def test_model_feature_params_extra_key(self, runner, files):
+        doc = dict(files["model"])
+        doc["feature_params"] = dict(doc["feature_params"], extra=1)
+        _assert_data_error(_predict(runner, files, json.dumps(doc)))
+
+    def test_model_unknown_method_tag(self, runner, files):
+        doc = dict(files["model"], method_tag="NOPE")
+        _assert_data_error(_predict(runner, files, json.dumps(doc)))
+
+    def test_summary_std_missing_a_metric(self, runner, files):
+        summary = json.loads(json.dumps(files["summary"]))
+        del summary["results"]["snr20"]["FOS"]["std"]["MCC"]
+        result = _report(runner, files, summary)
+        _assert_data_error(result)
+        assert "MCC" in result.output
+
+    def test_missing_input_files(self, runner, files):
+        missing = str(files["root"] / "missing")
+        _assert_data_error(runner.invoke(
+            cli, ["extract", missing, "--method", "FOS", "--config", str(files["config"])]
+        ))
+        _assert_data_error(runner.invoke(cli, ["predict", missing, str(files["gsrd"])]))
+
+
+def _assert_documented(result):
+    assert result.exit_code in DOCUMENTED, result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit), (
+        repr(result.exception)
+    )
+
+
+@st.composite
+def gsrd_mutations(draw, files):
+    blob = files["blob"]
+    kind = draw(st.sampled_from(["truncate", "header", "label", "sample"]))
+    if kind == "truncate":
+        return blob[: draw(st.integers(0, len(blob) - 1))]
+    if kind == "header":
+        offset = draw(st.integers(0, HEADER - 1))
+    else:
+        record = HEADER + draw(st.integers(0, files["n_records"] - 1)) * files["record_size"]
+        if kind == "label":
+            offset = record
+        else:
+            offset = record + draw(st.integers(RECORD_FIXED, files["record_size"] - 1))
+    mutated = bytearray(blob)
+    mutated[offset] = draw(st.integers(0, 255))
+    return bytes(mutated)
+
+
+def _key_paths(node, prefix=()):
+    """Every dict key, and the first element of every list, as a path into the document."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list) and node:
+        items = [(0, node[0])]
+    else:
+        return []
+    paths = []
+    for key, child in items:
+        paths.append(prefix + (key,))
+        paths += _key_paths(child, prefix + (key,))
+    return paths
+
+
+OTHER_TYPES = st.sampled_from([None, True, "x", -1.5, 0, 7, [], {}, [1.0], {"a": 1}])
+
+
+@st.composite
+def model_mutations(draw, model):
+    doc = json.loads(json.dumps(model))
+    path = draw(st.sampled_from(_key_paths(doc)))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if draw(st.booleans()):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = draw(OTHER_TYPES)
+    return json.dumps(doc)
+
+
+FAST = settings(
+    derandomize=True, deadline=None, max_examples=40,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+
+class TestMutatedInputs:
+    @FAST
+    @given(data=st.data())
+    def test_mutated_dataset_exits_documented(self, runner, files, data):
+        blob = data.draw(gsrd_mutations(files))
+        method = data.draw(st.sampled_from(["FOS", "FFT+FOS", "DCT+FOS", "DWT+FOS"]))
+        _assert_documented(_extract(runner, files, blob, method))
+
+    @FAST
+    @given(data=st.data())
+    def test_mutated_model_exits_documented(self, runner, files, data):
+        _assert_documented(_predict(runner, files, data.draw(model_mutations(files["model"]))))
