@@ -25,6 +25,7 @@ from .errors import (
     DataError,
     DimensionMismatchError,
     GrainsortError,
+    InvalidParameterError,
     exit_code_for,
 )
 
@@ -170,8 +171,9 @@ def train(dataset_path, method_tag, config_path, seed, out_dir):
     click.echo(f"wrote {out / 'model.json'}")
 
 
-def _model_feature_params(fp) -> features.FeatureParams:
-    """A model file's feature parameters, each of the type of its default."""
+def _model_feature_params(fp, method_tag, n_freq) -> features.FeatureParams:
+    """A model file's feature parameters, each of the type of its default and
+    usable on the dataset's sweeps."""
     defaults = dataclasses.asdict(features.FeatureParams())
     fp = fp or {}
     if not isinstance(fp, dict):
@@ -179,7 +181,12 @@ def _model_feature_params(fp) -> features.FeatureParams:
     bad = [k for k, v in fp.items() if k not in defaults or type(v) is not type(defaults[k])]
     if bad:
         raise DataError(f"model feature_params has unknown or mistyped keys: {bad}")
-    return features.FeatureParams(**fp)
+    try:
+        fparams = features.FeatureParams(**fp)
+        fparams.check_sweep(method_tag, n_freq)
+    except InvalidParameterError as exc:
+        raise DataError(f"model feature_params: {exc}") from None
+    return fparams
 
 
 @cli.command()
@@ -203,9 +210,8 @@ def predict(model_path, dataset_path, out_dir):
     if len(model.class_ids) > len(radar.CLASS_NAMES):
         raise DataError(f"model has {len(model.class_ids)} classes, expected at most "
                         f"{len(radar.CLASS_NAMES)}")
-    X, _ = features.extract_matrix(
-        ascans, method_tag, _model_feature_params(doc.get("feature_params"))
-    )
+    fparams = _model_feature_params(doc.get("feature_params"), method_tag, params.n_freq)
+    X, _ = features.extract_matrix(ascans, method_tag, fparams)
     labels = np.asarray(svm.predict(model, X))
     for value in labels:
         click.echo(radar.CLASS_NAMES[int(value)])
@@ -220,22 +226,10 @@ def predict(model_path, dataset_path, out_dir):
         click.echo(f"wrote {out / 'predictions.csv'}")
 
 
-def _evaluate_method(cfg, ascans, method_tag, kernel, classifier):
-    return evaluation.cross_validate(
-        ascans,
-        method_tag,
-        kernel,
-        k=cfg["cv"]["k"],
-        seed=cfg["seed"],
-        feature_params=cfgmod.feature_params(cfg),
-        tol=cfg["svm"]["tol"],
-        max_passes=cfg["svm"]["max_passes"],
-        classifier=classifier,
-    )
-
-
-def _grid_search(cfg, ascans, method_tag, classifier):
+def _grid_search(cfg, cross_validate):
     """Flat (C, gamma) grid; returns best report by macro ACC plus the scan.
+
+    ``cross_validate(kernel)`` scores one point on the chain's feature matrix.
 
     A point whose solver runs out of updates in some fold is kept in the scan
     as ``"converged": false`` with its KKT violation and left out of the
@@ -248,7 +242,7 @@ def _grid_search(cfg, ascans, method_tag, classifier):
         for gamma in cfg["grid"]["gamma"]:
             kernel = cfgmod.kernel_spec(cfg, c=c_val, gamma=gamma)
             try:
-                report = _evaluate_method(cfg, ascans, method_tag, kernel, classifier)
+                report = cross_validate(kernel)
             except ConvergenceError as exc:
                 failure = exc
                 scan.append({
@@ -306,6 +300,7 @@ def evaluate(config_path, seed, out_dir, method_tags, echo_classifier, use_grid)
     out = Path(cfg["out_dir"])
     out.mkdir(parents=True, exist_ok=True)
     classifier = "echo" if echo_classifier else "svm"
+    fparams = cfgmod.feature_params(cfg)
     summary = {
         "config_hash": cfgmod.config_hash(cfg),
         "seed": cfg["seed"],
@@ -321,14 +316,19 @@ def evaluate(config_path, seed, out_dir, method_tags, echo_classifier, use_grid)
         ascans = _simulate_ascans(cfg, snr)
         block = {}
         for method_tag in cfg["methods"]:
+            X, y = features.extract_matrix(ascans, method_tag, fparams)
+            cross_validate = functools.partial(
+                evaluation.cross_validate, X, y, method_tag,
+                k=cfg["cv"]["k"], seed=cfg["seed"], tol=cfg["svm"]["tol"],
+                max_passes=cfg["svm"]["max_passes"], classifier=classifier,
+            )
             extra = {}
             if use_grid:
-                report, kernel, scan = _grid_search(cfg, ascans, method_tag, classifier)
+                report, kernel, scan = _grid_search(cfg, cross_validate)
                 extra = {"best_kernel": {"C": kernel.c, "gamma": kernel.gamma},
                          "grid_scan": scan}
             else:
-                kernel = cfgmod.kernel_spec(cfg)
-                report = _evaluate_method(cfg, ascans, method_tag, kernel, classifier)
+                report = cross_validate(cfgmod.kernel_spec(cfg))
             block[method_tag] = {**evaluation.report_payload(report), **extra}
         summary["results"][tag] = block
         table = evaluation.format_table(block, cfg["methods"])

@@ -25,7 +25,6 @@ import numpy as np
 
 from . import svm
 from .errors import DataError, DimensionMismatchError
-from .features import FeatureParams, extract_matrix
 from .seeding import FOLD_STREAM, stream_rng
 
 METRIC_NAMES = ("SEN", "SPE", "ACC", "PRE", "F1", "MCC")
@@ -160,12 +159,10 @@ class MetricsReport:
 
     method_tag: str
     k: int
-    seed: int
     fold_macro: np.ndarray  # (k, 6)
     fold_per_class: np.ndarray  # (k, n_classes, 6)
     mean: np.ndarray  # (6,)
     std: np.ndarray  # (6,) sample std over folds
-    n_classes: int
     zeroed_folds: Tuple[Tuple[str, ...], ...] = ()
 
     def metric(self, name: str) -> Tuple[float, float]:
@@ -174,28 +171,28 @@ class MetricsReport:
 
 
 def cross_validate(
-    ascans: Sequence,
+    X: np.ndarray,
+    y: np.ndarray,
     method_tag: str,
     kernel: svm.KernelSpec,
     k: int = 10,
     seed: int = 0,
-    feature_params: FeatureParams = FeatureParams(),
     n_classes: int = 3,
     tol: float = 1e-3,
     max_passes: int = 10,
     classifier: str = "svm",
     return_models: bool = False,
 ):
-    """Stratified k-fold evaluation of one method chain.
+    """Stratified k-fold evaluation of one method chain's feature matrix.
 
-    Per fold the scaler and SVM see the training split only.  classifier
-    "echo" replaces predictions with the true labels (reporting-path oracle).
+    X holds one feature row per scan and y its class id.  Per fold the
+    scaler and SVM see the training split only.  classifier "echo"
+    replaces predictions with the true labels (reporting-path oracle).
     With return_models=True the per-fold fitted models come back alongside
     the report (echo mode yields None entries).
     """
     if k < 2:
         raise DataError("cross-validation needs k >= 2")
-    X, y = extract_matrix(ascans, method_tag, feature_params)
     plan = kfold_split(y, k, seed)
 
     fold_macro = np.zeros((k, len(METRIC_NAMES)))
@@ -229,12 +226,10 @@ def cross_validate(
     report = MetricsReport(
         method_tag=method_tag,
         k=k,
-        seed=int(seed),
         fold_macro=fold_macro,
         fold_per_class=fold_per_class,
         mean=fold_macro.mean(axis=0),
         std=fold_macro.std(axis=0, ddof=1),
-        n_classes=n_classes,
         zeroed_folds=tuple(zeroed_folds),
     )
     if return_models:

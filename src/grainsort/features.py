@@ -26,31 +26,14 @@ ENTROPY_BINS = 64
 FOS_NAMES = ("mean", "variance", "skewness", "kurtosis", "entropy", "energy")
 
 
-@dataclass(frozen=True)
-class FOSFeatures:
-    """First-order statistics of a value distribution.
+def fos(x) -> np.ndarray:
+    """First-order statistics of a value distribution, in FOS_NAMES order.
 
     Population moments; skewness and excess kurtosis are defined as 0 for
     (near-)constant input, entropy is Shannon entropy (natural log) of a
     64-bin equal-width histogram over [min, max], and 0 when that range is
     below float resolution.  Non-finite input is a data error.
     """
-
-    mean: float
-    variance: float
-    skewness: float
-    kurtosis: float
-    entropy: float
-    energy: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array(
-            [self.mean, self.variance, self.skewness, self.kurtosis,
-             self.entropy, self.energy]
-        )
-
-
-def fos(x) -> FOSFeatures:
     x = np.asarray(x, dtype=float).ravel()
     if x.size == 0:
         raise ValueError("cannot summarise an empty vector")
@@ -74,19 +57,11 @@ def fos(x) -> FOSFeatures:
         hist, _ = np.histogram(x, bins=ENTROPY_BINS, range=(lo, hi))
         p = hist[hist > 0] / x.size
         entropy = float(-np.sum(p * np.log(p)))
-    return FOSFeatures(mean, float(m2), skew, kurt, entropy, energy)
+    return np.array([mean, float(m2), skew, kurt, entropy, energy])
 
 
-@dataclass(frozen=True)
-class GrayImage:
-    """Integer image with values in [0, gray_levels)."""
-
-    pixels: np.ndarray
-    gray_levels: int
-
-
-def quantize(m, gray_levels: int = 16) -> GrayImage:
-    """dB-scale a non-negative matrix, then map [min, max] to 0..G-1.
+def quantize(m, gray_levels: int = 16) -> np.ndarray:
+    """dB-scale a non-negative matrix, then map [min, max] to integer pixels 0..G-1.
 
     A constant matrix maps to all zeros; otherwise the maximum element always
     lands on G-1.
@@ -105,16 +80,7 @@ def quantize(m, gray_levels: int = 16) -> GrayImage:
     else:
         pixels = np.floor((db - lo) / (hi - lo) * gray_levels).astype(np.int64)
         pixels = np.clip(pixels, 0, gray_levels - 1)
-    return GrayImage(pixels, gray_levels)
-
-
-@dataclass(frozen=True)
-class CooccurrenceMatrix:
-    """Symmetrically accumulated gray-level pair histogram at one offset."""
-
-    counts: np.ndarray  # (G, G), normalised to sum 1
-    offset: Tuple[int, int]  # (dy, dx)
-    normalized: bool
+    return pixels
 
 
 # offsets at distance 1 for the four standard angles
@@ -122,26 +88,26 @@ GLCM_ANGLES = (0, 45, 90, 135)
 ANGLE_OFFSETS = {0: (0, 1), 45: (-1, 1), 90: (-1, 0), 135: (-1, -1)}
 
 
-def glcm(img: GrayImage, offset: Tuple[int, int]) -> CooccurrenceMatrix:
-    """Co-occurrence counts for one offset, counted in both orders, normalised."""
+def glcm(pixels: np.ndarray, gray_levels: int, offset: Tuple[int, int]) -> np.ndarray:
+    """(G, G) gray-level pair histogram at one (dy, dx) offset, counted in
+    both orders and normalised to sum 1."""
     dy, dx = int(offset[0]), int(offset[1])
     if (dy, dx) == (0, 0):
         raise InvalidParameterError("offset (0, 0) is not a neighbour relation")
-    rows, cols = img.pixels.shape
+    rows, cols = pixels.shape
     r0, r1 = max(0, -dy), rows - max(0, dy)
     c0, c1 = max(0, -dx), cols - max(0, dx)
     if r1 <= r0 or c1 <= c0:
         raise InvalidParameterError(
             f"offset {(dy, dx)} does not fit inside a {rows}x{cols} image"
         )
-    a = img.pixels[r0:r1, c0:c1].ravel()
-    b = img.pixels[r0 + dy : r1 + dy, c0 + dx : c1 + dx].ravel()
-    g = img.gray_levels
-    counts = np.zeros((g, g), dtype=float)
+    a = pixels[r0:r1, c0:c1].ravel()
+    b = pixels[r0 + dy : r1 + dy, c0 + dx : c1 + dx].ravel()
+    counts = np.zeros((gray_levels, gray_levels), dtype=float)
     np.add.at(counts, (a, b), 1.0)
     counts = counts + counts.T
     counts /= counts.sum()
-    return CooccurrenceMatrix(counts, (dy, dx), normalized=True)
+    return counts
 
 
 GLCM_FEATURE_NAMES = (
@@ -154,12 +120,12 @@ GLCM_FEATURE_NAMES = (
 )
 
 
-def glcm_features(c: CooccurrenceMatrix) -> np.ndarray:
-    """Haralick-style subset: contrast, correlation, angular second moment
-    (energy), homogeneity, entropy, dissimilarity."""
-    if not c.normalized or abs(c.counts.sum() - 1.0) > 1e-9:
+def glcm_features(p: np.ndarray) -> np.ndarray:
+    """Haralick-style subset of a normalised co-occurrence matrix: contrast,
+    correlation, angular second moment (energy), homogeneity, entropy,
+    dissimilarity."""
+    if abs(p.sum() - 1.0) > 1e-9:
         raise InvalidParameterError("co-occurrence matrix must be normalised")
-    p = c.counts
     g = p.shape[0]
     i, j = np.indices((g, g))
     diff = i - j
@@ -186,14 +152,6 @@ def glcm_features(c: CooccurrenceMatrix) -> np.ndarray:
     )
 
 
-@dataclass(frozen=True)
-class RunLengthMatrix:
-    """counts[g, l-1] = number of maximal runs of gray g with length l."""
-
-    counts: np.ndarray  # (G, Lmax) integer
-    direction: int  # degrees: 0, 45, 90 or 135
-
-
 GLRLM_DIRECTIONS = (0, 45, 90, 135)
 
 
@@ -211,12 +169,13 @@ def _scan_lines(pixels: np.ndarray, direction: int) -> List[np.ndarray]:
     raise InvalidParameterError(f"direction must be one of {GLRLM_DIRECTIONS}")
 
 
-def glrlm(img: GrayImage, direction: int) -> RunLengthMatrix:
-    """Maximal-run decomposition of every scan line in one direction."""
-    rows, cols = img.pixels.shape
-    max_len = max(rows, cols)
-    counts = np.zeros((img.gray_levels, max_len), dtype=np.int64)
-    for line in _scan_lines(img.pixels, int(direction)):
+def glrlm(pixels: np.ndarray, gray_levels: int, direction: int) -> np.ndarray:
+    """Maximal-run decomposition of every scan line in one direction (degrees).
+
+    counts[g, l-1] is the number of maximal runs of gray g with length l.
+    """
+    counts = np.zeros((gray_levels, max(pixels.shape)), dtype=np.int64)
+    for line in _scan_lines(pixels, int(direction)):
         if line.size == 0:
             continue
         breaks = np.flatnonzero(np.diff(line)) + 1
@@ -224,7 +183,7 @@ def glrlm(img: GrayImage, direction: int) -> RunLengthMatrix:
         ends = np.concatenate((breaks, [line.size]))
         for s, e in zip(starts, ends):
             counts[line[s], e - s - 1] += 1
-    return RunLengthMatrix(counts, int(direction))
+    return counts
 
 
 GLRLM_FEATURE_NAMES = (
@@ -233,11 +192,11 @@ GLRLM_FEATURE_NAMES = (
 )
 
 
-def glrlm_features(r: RunLengthMatrix, n_pixels: int) -> np.ndarray:
+def glrlm_features(run_lengths: np.ndarray, n_pixels: int) -> np.ndarray:
     """The 11 standard run-length features; gray levels weighted from 1."""
     if n_pixels <= 0:
         raise ValueError("n_pixels must be positive")
-    counts = r.counts.astype(float)
+    counts = run_lengths.astype(float)
     n_runs = counts.sum()
     if n_runs == 0:
         raise ValueError("run-length matrix holds no runs")
@@ -265,7 +224,8 @@ METHOD_TAGS = ("FOS", "FFT+FOS", "DCT+FOS", "DWT+FOS", "STFT+GLCM", "STFT+GLRLM"
 
 @dataclass(frozen=True)
 class FeatureParams:
-    """Knobs shared by the extraction chains."""
+    """Knobs shared by the extraction chains; unusable values raise
+    InvalidParameterError on construction or in :meth:`check_sweep`."""
 
     gray_levels: int = 16
     stft_window_len: int = 64
@@ -273,6 +233,40 @@ class FeatureParams:
     stft_fft_len: int = 64
     dwt_wavelet: str = "db4"
     dwt_levels: int = 4
+
+    def __post_init__(self):
+        if self.dwt_wavelet not in transforms.WAVELETS:
+            raise InvalidParameterError(
+                f"unknown wavelet {self.dwt_wavelet!r}; "
+                f"available: {sorted(transforms.WAVELETS)}"
+            )
+        if (min(self.gray_levels, self.stft_window_len) < 2
+                or min(self.stft_hop, self.dwt_levels) < 1):
+            raise InvalidParameterError(
+                "need gray_levels >= 2, stft window_len >= 2, hop >= 1 and "
+                f"dwt levels >= 1: {self}"
+            )
+        if self.stft_fft_len < self.stft_window_len:
+            raise InvalidParameterError(
+                f"stft fft_len {self.stft_fft_len} is below window_len "
+                f"{self.stft_window_len}"
+            )
+
+    def check_sweep(self, method_tag: str, n_freq: int) -> None:
+        """Raise InvalidParameterError if the chain cannot run on n_freq-point sweeps."""
+        if method_tag.startswith("STFT") and self.stft_window_len > n_freq:
+            raise InvalidParameterError(
+                f"stft window_len {self.stft_window_len} exceeds the "
+                f"{n_freq}-point sweep"
+            )
+        if method_tag == "DWT+FOS":
+            # the input length of each analysis level
+            lens = transforms.subband_lengths(n_freq, self.dwt_levels - 1, self.dwt_wavelet)
+            if min(lens) < transforms.WAVELETS[self.dwt_wavelet].size:
+                raise InvalidParameterError(
+                    f"a {n_freq}-point sweep is too short for {self.dwt_levels} "
+                    f"{self.dwt_wavelet} levels"
+                )
 
 
 @dataclass(frozen=True)
@@ -297,14 +291,14 @@ def method_dim(method_tag: str, params: FeatureParams = FeatureParams()) -> int:
     }[method_tag]
 
 
-def _stft_image(mag: np.ndarray, params: FeatureParams) -> GrayImage:
-    spec = transforms.stft(
+def _stft_image(mag: np.ndarray, params: FeatureParams) -> np.ndarray:
+    frames = transforms.stft(
         mag,
         window_len=params.stft_window_len,
         hop=params.stft_hop,
         fft_len=params.stft_fft_len,
     )
-    return quantize(np.abs(spec.frames), params.gray_levels)
+    return quantize(np.abs(frames), params.gray_levels)
 
 
 def extract(
@@ -321,27 +315,26 @@ def extract(
         )
     mag = np.abs(ascan.samples)
     if method_tag == "FOS":
-        values = fos(mag).as_array()
+        values = fos(mag)
     elif method_tag == "FFT+FOS":
-        values = fos(np.abs(transforms.fft(ascan.samples))).as_array()
+        values = fos(np.abs(transforms.fft(ascan.samples)))
     elif method_tag == "DCT+FOS":
-        values = fos(transforms.dct(mag)).as_array()
+        values = fos(transforms.dct(mag))
     elif method_tag == "DWT+FOS":
-        subbands = transforms.dwt_multilevel(
-            mag, params.dwt_levels, params.dwt_wavelet
-        )
-        values = np.concatenate([fos(band).as_array() for band in subbands.bands()])
+        bands = transforms.dwt_multilevel(mag, params.dwt_levels, params.dwt_wavelet)
+        values = np.concatenate([fos(band) for band in bands])
     elif method_tag == "STFT+GLCM":
-        img = _stft_image(mag, params)
-        values = np.concatenate(
-            [glcm_features(glcm(img, ANGLE_OFFSETS[a])) for a in GLCM_ANGLES]
-        )
+        pixels = _stft_image(mag, params)
+        values = np.concatenate([
+            glcm_features(glcm(pixels, params.gray_levels, ANGLE_OFFSETS[a]))
+            for a in GLCM_ANGLES
+        ])
     else:  # STFT+GLRLM
-        img = _stft_image(mag, params)
-        n_pixels = img.pixels.size
-        values = np.concatenate(
-            [glrlm_features(glrlm(img, d), n_pixels) for d in GLRLM_DIRECTIONS]
-        )
+        pixels = _stft_image(mag, params)
+        values = np.concatenate([
+            glrlm_features(glrlm(pixels, params.gray_levels, d), pixels.size)
+            for d in GLRLM_DIRECTIONS
+        ])
     return FeatureVector(values, method_tag)
 
 
@@ -351,6 +344,7 @@ def extract_matrix(
     """Stack per-scan feature vectors into (X, labels)."""
     if len(ascans) == 0:
         raise DataError("no A-scans to extract from")
+    params.check_sweep(method_tag, ascans[0].samples.size)
     X = np.vstack([extract(a, method_tag, params).values for a in ascans])
     bad = np.flatnonzero(~np.all(np.isfinite(X), axis=1))
     if bad.size:

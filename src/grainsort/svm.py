@@ -316,13 +316,9 @@ def predict(model: MulticlassSVM, x: np.ndarray) -> Union[int, np.ndarray]:
         votes[~pick_a, b] += 1
         margins[pick_a, a] += np.abs(scores[pick_a])
         margins[~pick_a, b] += np.abs(scores[~pick_a])
-    best = np.empty(n, dtype=np.int64)
-    for r in range(n):
-        top = votes[r].max()
-        tied = np.flatnonzero(votes[r] == top)
-        if tied.size > 1:
-            tied = tied[margins[r, tied] == margins[r, tied].max()]
-        best[r] = tied[0]
+    # margins of the most-voted classes; argmax gives equal margins to the lowest id
+    tied = votes == votes.max(axis=1, keepdims=True)
+    best = np.where(tied, margins, -np.inf).argmax(axis=1)
     return int(best[0]) if single else best
 
 

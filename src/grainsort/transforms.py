@@ -7,42 +7,11 @@ boundary handling and framing are pinned down exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Tuple
 
 import numpy as np
 
 from .errors import DimensionMismatchError
-
-
-@dataclass(frozen=True)
-class SubbandSet:
-    """Multilevel wavelet decomposition.
-
-    approx holds the deepest low-pass band; details are ordered level 1
-    (finest) .. levels (coarsest).  The transform is expansive: each level
-    keeps floor((n + filter_len - 1) / 2) coefficients per band, so boundary
-    padding may add samples relative to the input length.
-    """
-
-    approx: np.ndarray
-    details: List[np.ndarray]
-    levels: int
-    wavelet_id: str
-
-    def bands(self) -> List[np.ndarray]:
-        """All subbands, deepest approximation first, then details level 1..L."""
-        return [self.approx] + list(self.details)
-
-
-@dataclass(frozen=True)
-class STFTMatrix:
-    """One-sided short-time spectra, shape (fft_len // 2 + 1, n_frames)."""
-
-    frames: np.ndarray
-    window_len: int
-    hop: int
-    fft_len: int
 
 
 def fft(signal) -> np.ndarray:
@@ -151,8 +120,15 @@ def idwt_single(
     return recon[pad : pad + out_len]
 
 
-def dwt_multilevel(signal, levels: int, wavelet_id: str = "db4") -> SubbandSet:
-    """Cascade the analysis filterbank ``levels`` times on the running approximation."""
+def dwt_multilevel(signal, levels: int, wavelet_id: str = "db4") -> List[np.ndarray]:
+    """Cascade the analysis filterbank ``levels`` times on the running approximation.
+
+    Returns the subbands ``[approx, d_1, ..., d_levels]``: the deepest low-pass
+    band, then the details from level 1 (finest) to ``levels`` (coarsest).
+    The transform is expansive: each level keeps
+    floor((n + filter_len - 1) / 2) coefficients per band, so boundary padding
+    may add samples relative to the input length.
+    """
     if levels < 1:
         raise ValueError("levels must be >= 1")
     x = np.asarray(signal, dtype=float)
@@ -166,7 +142,7 @@ def dwt_multilevel(signal, levels: int, wavelet_id: str = "db4") -> SubbandSet:
             )
         x, detail = dwt_single(x, wavelet_id)
         details.append(detail)
-    return SubbandSet(approx=x, details=details, levels=levels, wavelet_id=wavelet_id)
+    return [x] + details
 
 
 def subband_lengths(n: int, levels: int, wavelet_id: str) -> List[int]:
@@ -178,25 +154,29 @@ def subband_lengths(n: int, levels: int, wavelet_id: str) -> List[int]:
     return lens
 
 
-def idwt_multilevel(subbands: SubbandSet, original_length: int) -> np.ndarray:
+def idwt_multilevel(
+    bands: List[np.ndarray], original_length: int, wavelet_id: str
+) -> np.ndarray:
     """Invert :func:`dwt_multilevel`; needs the original signal length."""
-    lens = subband_lengths(original_length, subbands.levels, subbands.wavelet_id)
-    for level, detail in enumerate(subbands.details, start=1):
+    levels = len(bands) - 1
+    lens = subband_lengths(original_length, levels, wavelet_id)
+    for level, detail in enumerate(bands[1:], start=1):
         if detail.size != lens[level]:
             raise DimensionMismatchError(
                 f"detail level {level} has {detail.size} coefficients, "
                 f"expected {lens[level]} for input length {original_length}"
             )
-    x = subbands.approx
-    for level in range(subbands.levels, 0, -1):
-        x = idwt_single(
-            x, subbands.details[level - 1], subbands.wavelet_id, lens[level - 1]
-        )
+    x = bands[0]
+    for level in range(levels, 0, -1):
+        x = idwt_single(x, bands[level], wavelet_id, lens[level - 1])
     return x
 
 
-def stft(signal, window_len: int = 64, hop: int = 32, fft_len: int = 64) -> STFTMatrix:
-    """Hamming-windowed, hopped, zero-padded one-sided DFT frames."""
+def stft(signal, window_len: int = 64, hop: int = 32, fft_len: int = 64) -> np.ndarray:
+    """Hamming-windowed, hopped, zero-padded one-sided DFT frames.
+
+    Returns the complex spectra, shape (fft_len // 2 + 1, n_frames).
+    """
     x = np.asarray(signal, dtype=float)
     if window_len > x.size:
         raise ValueError(f"window_len {window_len} exceeds signal length {x.size}")
@@ -210,4 +190,4 @@ def stft(signal, window_len: int = 64, hop: int = 32, fft_len: int = 64) -> STFT
     for t in range(n_frames):
         seg = x[t * hop : t * hop + window_len] * window
         frames[:, t] = np.fft.rfft(seg, n=fft_len)
-    return STFTMatrix(frames, window_len=window_len, hop=hop, fft_len=fft_len)
+    return frames

@@ -6,9 +6,12 @@ import importlib
 import sys
 from pathlib import Path
 
+import functools
+
+import numpy as np
 import pytest
 
-from grainsort import features
+from grainsort import cli, evaluation, features, svm
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -36,3 +39,44 @@ def test_extract_result_carries_method_tag(tracer, tiny_ascans):
     describe = tracer.TARGETS["features"]["extract"]
     result = features.extract(tiny_ascans[0], "DWT+FOS")
     assert describe((tiny_ascans[0], "DWT+FOS"), {}, result) == {"method": "DWT+FOS"}
+
+
+def test_extract_matrix_description(tracer, tiny_ascans):
+    describe = tracer.TARGETS["features"]["extract_matrix"]
+    scans = tiny_ascans[:4]
+    expected = {"method": "FOS", "seeds": [int(s.seed) for s in scans]}
+    result = features.extract_matrix(scans, "FOS")
+    assert describe((scans, "FOS"), {}, result) == expected
+    assert describe((), {"ascans": scans, "method_tag": "FOS"}, result) == expected
+
+
+def test_cross_validate_description(tracer, tiny_ascans):
+    describe = tracer.TARGETS["evaluation"]["cross_validate"]
+    args = (*features.extract_matrix(tiny_ascans, "FOS"), "FOS", svm.KernelSpec())
+    kwargs = {"k": 3, "classifier": "echo"}
+    report = evaluation.cross_validate(*args, **kwargs)
+    assert describe(args, kwargs, report) == {"folds": 3}
+    with_models = evaluation.cross_validate(*args, return_models=True, **kwargs)
+    assert describe(args, kwargs, with_models) == {"folds": 3}
+
+
+def test_grid_search_description(tracer, tiny_config, tiny_ascans):
+    describe = tracer.TARGETS["cli"]["_grid_search"]
+    cfg = dict(tiny_config, grid={"C": [1.0, 10.0], "gamma": [0.05, 0.5]})
+    cross_validate = functools.partial(
+        evaluation.cross_validate, *features.extract_matrix(tiny_ascans, "FOS"), "FOS",
+        k=3, classifier="echo",
+    )
+    result = cli._grid_search(cfg, cross_validate)
+    assert describe((cfg, cross_validate), {}, result) == {"points": 4}
+
+
+def test_train_binary_description(tracer):
+    describe = tracer.TARGETS["svm"]["train_binary"]
+    X = np.array([[0.0, 0.0], [0.2, 0.1], [2.0, 2.0], [2.1, 1.8]])
+    y = np.array([1.0, 1.0, -1.0, -1.0])
+    model = svm.train_binary(X, y, svm.KernelSpec(kind="linear"))
+    assert describe((X, y), {}, model) == {
+        "updates": model.diagnostics.n_updates, "sv": int(model.dual_coef.size)
+    }
+    assert model.diagnostics.n_updates > 0

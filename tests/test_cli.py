@@ -1,10 +1,12 @@
 import hashlib
 import json
+import sys
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+from grainsort import features
 from grainsort.cli import cli
 from grainsort.dataset import load_dataset
 
@@ -362,6 +364,39 @@ class TestEvaluate:
         payload = summary["results"]["snr20"]["FOS"]
         assert payload["best_kernel"]["C"] in (1.0, 10.0)
         assert len(payload["grid_scan"]) == 2
+
+
+    def test_extracts_each_chain_once(self, runner, simulated, monkeypatch):
+        """Plain and grid runs cross-validate one feature matrix per chain."""
+        original = features.extract_matrix
+        calls = []
+
+        def counting(ascans, method_tag, *args, **kwargs):
+            calls.append(method_tag)
+            return original(ascans, method_tag, *args, **kwargs)
+
+        # every module that bound the function by name, not only its home
+        for name, module in list(sys.modules.items()):
+            if name.startswith("grainsort") and getattr(module, "extract_matrix", None) is original:
+                monkeypatch.setattr(module, "extract_matrix", counting)
+
+        config, dataset, tmp_path = simulated
+        cfg = json.loads(Path(config).read_text())
+        cfg["grid"] = {"C": [1.0, 10.0], "gamma": [0.05, 0.5]}
+        grid_config = tmp_path / "grid_2x2.json"
+        grid_config.write_text(json.dumps(cfg))
+        for argv in (
+            ["--config", str(config), "--out", str(tmp_path / "once")],
+            ["--config", str(grid_config), "--out", str(tmp_path / "once_grid"), "--grid"],
+        ):
+            calls.clear()
+            result = runner.invoke(
+                cli, ["evaluate", *argv, "--method", "FOS", "--method", "DWT+FOS"]
+            )
+            assert result.exit_code == 0, result.output
+            assert sorted(calls) == ["DWT+FOS", "FOS"], argv
+        summary = json.loads((tmp_path / "once_grid" / "summary.json").read_text())
+        assert len(summary["results"]["snr20"]["FOS"]["grid_scan"]) == 4
 
 
 class TestReport:

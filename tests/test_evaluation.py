@@ -5,6 +5,7 @@ import pytest
 
 from grainsort import ConvergenceError, DataError, DimensionMismatchError
 from grainsort import evaluation as ev
+from grainsort import features as ft
 from grainsort import svm
 from grainsort.radar import AScan, SurfaceClass
 
@@ -199,8 +200,9 @@ def _noise_ascans(n_per_class=8, n_freq=301, seed=0):
 
 class TestCrossValidate:
     def test_echo_classifier_scores_ones(self):
+        X, y = ft.extract_matrix(_noise_ascans(), "FOS")
         report = ev.cross_validate(
-            _noise_ascans(), "FOS", svm.KernelSpec(kind="rbf", c=10.0),
+            X, y, "FOS", svm.KernelSpec(kind="rbf", c=10.0),
             k=4, seed=0, classifier="echo",
         )
         assert np.allclose(report.fold_macro, 1.0)
@@ -209,30 +211,27 @@ class TestCrossValidate:
 
     def test_deterministic_reports(self, tiny_ascans, tiny_config):
         kernel = svm.KernelSpec(kind="rbf", c=10.0)
-        a = ev.cross_validate(tiny_ascans, "FOS", kernel, k=3, seed=11, max_passes=50)
-        b = ev.cross_validate(tiny_ascans, "FOS", kernel, k=3, seed=11, max_passes=50)
+        X, y = ft.extract_matrix(tiny_ascans, "FOS")
+        a = ev.cross_validate(X, y, "FOS", kernel, k=3, seed=11, max_passes=50)
+        b = ev.cross_validate(X, y, "FOS", kernel, k=3, seed=11, max_passes=50)
         assert np.array_equal(a.fold_macro, b.fold_macro)
         assert np.array_equal(a.mean, b.mean)
 
     def test_no_leakage_from_test_fold(self, tiny_ascans):
         kernel = svm.KernelSpec(kind="rbf", c=10.0)
+        X, y = ft.extract_matrix(tiny_ascans, "FOS")
         report_a, models_a = ev.cross_validate(
-            tiny_ascans, "FOS", kernel, k=3, seed=2, max_passes=50, return_models=True
+            X, y, "FOS", kernel, k=3, seed=2, max_passes=50, return_models=True
         )
-        # perturb one sample heavily; only the fold holding it as a test
+        # perturb one feature row heavily; only the fold holding it as a test
         # sample must keep an identical model
-        _, y = __import__("grainsort.features", fromlist=["extract_matrix"]).extract_matrix(
-            tiny_ascans, "FOS"
-        )
         plan = ev.kfold_split(y, 3, 2)
         victim = 4
         fold_of_victim = int(plan.assignments[victim])
-        mutated = list(tiny_ascans)
-        mutated[victim] = AScan(
-            tiny_ascans[victim].samples * 25.0 + 3.0, tiny_ascans[victim].label
-        )
+        mutated = X.copy()
+        mutated[victim] = X[victim] * 25.0 + 3.0
         report_b, models_b = ev.cross_validate(
-            mutated, "FOS", kernel, k=3, seed=2, max_passes=50, return_models=True
+            mutated, y, "FOS", kernel, k=3, seed=2, max_passes=50, return_models=True
         )
         doc_a = json.dumps(svm.model_to_dict(models_a[fold_of_victim]), sort_keys=True)
         doc_b = json.dumps(svm.model_to_dict(models_b[fold_of_victim]), sort_keys=True)
@@ -244,16 +243,18 @@ class TestCrossValidate:
 
     def test_training_errors_name_the_fold(self):
         # noise features, wide kernel, huge C: needs far more than n updates
+        X, y = ft.extract_matrix(_noise_ascans(n_per_class=30), "FOS")
         with pytest.raises(ConvergenceError, match=r"fold \d"):
             ev.cross_validate(
-                _noise_ascans(n_per_class=30), "FOS",
+                X, y, "FOS",
                 svm.KernelSpec(kind="rbf", c=1000.0, gamma=0.01),
                 k=2, seed=0, max_passes=1,
             )
 
     def test_report_rows_shape(self, tiny_ascans):
+        X, y = ft.extract_matrix(tiny_ascans, "FOS")
         report = ev.cross_validate(
-            tiny_ascans, "FOS", svm.KernelSpec(kind="rbf", c=10.0),
+            X, y, "FOS", svm.KernelSpec(kind="rbf", c=10.0),
             k=3, seed=0, classifier="echo",
         )
         payload = ev.report_payload(report)

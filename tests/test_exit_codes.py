@@ -139,6 +139,52 @@ class TestDataFaultsExit3:
         _assert_data_error(runner.invoke(cli, ["predict", missing, str(files["gsrd"])]))
 
 
+# feature parameters of the right type but an unusable value: the chain they
+# break, the config "features" section, the model "feature_params" and a word
+# the error line must hold
+UNUSABLE_FEATURE_PARAMS = {
+    "unknown_wavelet": (
+        "DWT+FOS", {"dwt": {"wavelet": "xyz"}}, {"dwt_wavelet": "xyz"}, "xyz",
+    ),
+    "window_above_sweep": (
+        "STFT+GLCM", {"stft": {"window_len": 400, "fft_len": 512}},
+        {"stft_window_len": 400, "stft_fft_len": 512}, "301-point",
+    ),
+    "fft_below_window": (
+        "STFT+GLCM", {"stft": {"window_len": 64, "fft_len": 32}},
+        {"stft_window_len": 64, "stft_fft_len": 32}, "fft_len 32",
+    ),
+}
+
+
+def _assert_one_error(result, code, needle):
+    assert result.exit_code == code, result.output
+    errors = [l for l in result.output.splitlines() if l.startswith("error:")]
+    assert len(errors) == 1 and needle in errors[0], result.output
+    assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize("case", sorted(UNUSABLE_FEATURE_PARAMS))
+def test_unusable_feature_params_in_config_exit_2(runner, files, case):
+    method, section, _, needle = UNUSABLE_FEATURE_PARAMS[case]
+    config = files["root"] / f"config_{case}.json"
+    doc = json.loads(files["config"].read_text())
+    config.write_text(json.dumps(dict(doc, features=section)))
+    result = runner.invoke(
+        cli, ["extract", str(files["gsrd"]), "--method", method,
+              "--config", str(config), "--out", str(files["root"] / "feat")]
+    )
+    _assert_one_error(result, 2, needle)
+
+
+@pytest.mark.parametrize("case", sorted(UNUSABLE_FEATURE_PARAMS))
+def test_unusable_feature_params_in_model_exit_3(runner, files, case):
+    method, _, params, needle = UNUSABLE_FEATURE_PARAMS[case]
+    doc = dict(files["model"], method_tag=method)
+    doc["feature_params"] = dict(doc["feature_params"], **params)
+    _assert_one_error(_predict(runner, files, json.dumps(doc)), 3, needle)
+
+
 def _assert_documented(result):
     assert result.exit_code in DOCUMENTED, result.output
     assert result.exception is None or isinstance(result.exception, SystemExit), (

@@ -216,6 +216,31 @@ class TestMulticlass:
         point = X[3]
         assert svm.predict(model, point) == svm.predict(model, point.copy())
 
+    def test_three_way_vote_tie_goes_to_largest_margin_then_lowest_id(self):
+        # linear machines scoring x[0], -x[1] and x[2]: on positive rows the
+        # pairs (0,1), (0,2), (1,2) vote 0, 2, 1, with margins x[0], x[1], x[2]
+        linear = svm.KernelSpec(kind="linear")
+
+        def machine(axis, sign):
+            return svm.BinarySVM(np.eye(3)[[axis]], np.array([sign]), 0.0, linear)
+
+        model = svm.MulticlassSVM(
+            (0, 1, 2),
+            {(0, 1): machine(0, 1.0), (0, 2): machine(1, -1.0), (1, 2): machine(2, 1.0)},
+            svm.Scaler(np.zeros(3), np.ones(3)),
+            linear,
+        )
+        rows = np.array([
+            [3.0, 1.0, 2.0],  # margin 3 for class 0
+            [1.0, 3.0, 2.0],  # margin 3 for class 2
+            [1.0, 2.0, 3.0],  # margin 3 for class 1
+            [2.0, 2.0, 2.0],  # equal margins: lowest id
+            [1.0, 2.0, 2.0],  # classes 1 and 2 tie on margin: class 1
+            [0.1, -5.0, 9.0],  # two votes for class 0 beat a larger margin
+        ])
+        assert svm.predict(model, rows).tolist() == [0, 2, 1, 0, 1, 0]
+        assert [svm.predict(model, row) for row in rows] == [0, 2, 1, 0, 1, 0]
+
     def test_unit_rescaling_with_refit_scaler_is_neutral(self):
         X, y = _blobs(6)
         scale = np.array([100.0, 0.01])
