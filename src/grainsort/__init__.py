@@ -20,7 +20,6 @@ from .errors import (
 from .radar import (
     AScan,
     RadarParams,
-    RangeProfile,
     ScattererCloud,
     SiloScene,
     SurfaceClass,
@@ -46,7 +45,6 @@ __all__ = [
     "GrainsortError",
     "InvalidParameterError",
     "RadarParams",
-    "RangeProfile",
     "ScattererCloud",
     "SiloScene",
     "SurfaceClass",

@@ -21,6 +21,7 @@ from . import config as cfgmod
 from . import dataset as ds
 from . import evaluation, features, radar, svm
 from .errors import (
+    ConfigError,
     ConvergenceError,
     DataError,
     DimensionMismatchError,
@@ -40,6 +41,17 @@ def _handle_errors(func):
             sys.exit(exit_code_for(exc))
 
     return wrapper
+
+
+def _out_dir(path) -> Path:
+    """The output directory, created if missing; a path that cannot be one is
+    a configuration error."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out}: {exc}") from None
+    return out
 
 
 def _provenance_lines(config_hash, seed, **extra) -> List[str]:
@@ -87,8 +99,7 @@ def simulate(config_path, seed, out_dir, snr_override, also_csv):
     cfg = cfgmod.load_config(config_path, seed=seed, out_dir=out_dir)
     if snr_override is not None:
         cfg["dataset"]["snr_db"] = [snr_override]
-    out = Path(cfg["out_dir"])
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(cfg["out_dir"])
     params = cfgmod.radar_params(cfg)
     manifest = {
         "config_hash": cfgmod.config_hash(cfg),
@@ -126,8 +137,7 @@ def simulate(config_path, seed, out_dir, snr_override, also_csv):
 def extract(dataset_path, method_tag, config_path, out_dir):
     """Extract one feature chain from a dataset into a CSV."""
     cfg = cfgmod.load_config(config_path, out_dir=out_dir)
-    out = Path(cfg["out_dir"])
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(cfg["out_dir"])
     _, ascans = ds.load_dataset(dataset_path)
     file_hash = hashlib.sha256(Path(dataset_path).read_bytes()).hexdigest()
     name = "features_" + method_tag.replace("+", "_") + ".csv"
@@ -151,8 +161,7 @@ def extract(dataset_path, method_tag, config_path, out_dir):
 def train(dataset_path, method_tag, config_path, seed, out_dir):
     """Train a multiclass SVM on a dataset and persist it as JSON."""
     cfg = cfgmod.load_config(config_path, seed=seed, out_dir=out_dir)
-    out = Path(cfg["out_dir"])
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(cfg["out_dir"])
     params, ascans = ds.load_dataset(dataset_path)
     fparams = cfgmod.feature_params(cfg)
     X, y = features.extract_matrix(ascans, method_tag, fparams)
@@ -216,8 +225,7 @@ def predict(model_path, dataset_path, out_dir):
     for value in labels:
         click.echo(radar.CLASS_NAMES[int(value)])
     if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
+        out = _out_dir(out_dir)
         lines = _provenance_lines(doc.get("config_hash", ""), doc.get("seed", ""))
         lines.append("index,label_id,label_name")
         for i, value in enumerate(labels):
@@ -297,8 +305,7 @@ def evaluate(config_path, seed, out_dir, method_tags, echo_classifier, use_grid)
     cfg = cfgmod.load_config(config_path, seed=seed, out_dir=out_dir)
     if method_tags:
         cfg["methods"] = list(method_tags)
-    out = Path(cfg["out_dir"])
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(cfg["out_dir"])
     classifier = "echo" if echo_classifier else "svm"
     fparams = cfgmod.feature_params(cfg)
     summary = {
@@ -359,7 +366,7 @@ def report(summary_path, out_dir):
         summary = json.loads(path.read_text(encoding="utf-8"))
         results = summary["results"]
         methods = summary.get("methods", [])
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         raise DataError(f"not a valid evaluation summary: {exc}") from exc
     if not (isinstance(results, dict) and isinstance(methods, list)
             and all(isinstance(m, str) for m in methods)
@@ -371,8 +378,7 @@ def report(summary_path, out_dir):
     )
     click.echo(text)
     if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
+        out = _out_dir(out_dir)
         (out / "report_rendered.txt").write_text(text + "\n", encoding="utf-8")
         click.echo(f"wrote {out / 'report_rendered.txt'}")
 

@@ -9,6 +9,7 @@ reports.
 from __future__ import annotations
 
 import copy
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -18,37 +19,26 @@ from jsonschema.exceptions import best_match
 from jsonschema.validators import validator_for
 
 from .errors import ConfigError
-from .features import METHOD_TAGS, FeatureParams
+from .features import MAX_GRAY_LEVELS, METHOD_TAGS, FeatureParams
 from .radar import RadarParams, SiloScene
 from .svm import KernelSpec
+
+# SiloScene fields whose config key carries the unit suffix "_m" (metres)
+_METRE_FIELDS = {
+    "diameter", "antenna_height", "rim_range", "cone_height",
+    "surface_roughness_sigma", "ripple_amplitude", "ripple_wavelength",
+}
+
+
+def _scene_key(name: str) -> str:
+    return name + "_m" if name in _METRE_FIELDS else name
+
 
 DEFAULT_CONFIG = {
     "seed": 20260809,
     "out_dir": "runs/default",
     "radar": {"f_start_hz": 18e9, "f_stop_hz": 40e9, "n_freq": 301},
-    "scene": {
-        "diameter_m": 0.36,
-        "antenna_height_m": 1.2,
-        "rim_range_m": 0.24,
-        "fill_fraction": 0.5,
-        "cone_height_m": 0.16,
-        "surface_roughness_sigma_m": 0.0025,
-        "scatterers_per_scene": 400,
-        "apex_offset_fraction": 0.15,
-        "peaked_shape_exponent": 1.6,
-        "inverted_shape_exponent": 0.5,
-        "ripple_amplitude_m": 0.004,
-        "ripple_wavelength_m": 0.065,
-        "ripple_crater_factor": 0.25,
-        "pour_roughness_factor": 1.0,
-        "drain_roughness_factor": 1.0,
-        "wall_clutter": True,
-        "wall_clutter_scatterers": 24,
-        "wall_clutter_amplitude": 0.5,
-        "contact_clutter_amplitude": 1.0,
-        "dihedral_gain": 0.95,
-        "gain_jitter_db": 1.5,
-    },
+    "scene": {_scene_key(f.name): f.default for f in dataclasses.fields(SiloScene)},
     "dataset": {
         "per_class_counts": [1894, 1894, 1893],
         "snr_db": [20.0],
@@ -143,7 +133,7 @@ CONFIG_SCHEMA = {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "gray_levels": {"type": "integer", "minimum": 2},
+                "gray_levels": {"type": "integer", "minimum": 2, "maximum": MAX_GRAY_LEVELS},
                 "stft": {
                     "type": "object",
                     "additionalProperties": False,
@@ -249,6 +239,8 @@ def load_config(path: Optional[Union[str, Path]] = None, seed: Optional[int] = N
             doc = json.loads(path.read_text(encoding="utf-8"))
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read config file {path}: {exc}") from exc
         if not isinstance(doc, dict):
             raise ConfigError("config root must be a JSON object")
         validate_config(doc)
@@ -277,29 +269,7 @@ def radar_params(cfg: dict) -> RadarParams:
 
 def scene(cfg: dict) -> SiloScene:
     s = cfg["scene"]
-    return SiloScene(
-        diameter=s["diameter_m"],
-        fill_fraction=s["fill_fraction"],
-        cone_height=s["cone_height_m"],
-        antenna_height=s["antenna_height_m"],
-        surface_roughness_sigma=s["surface_roughness_sigma_m"],
-        scatterers_per_scene=s["scatterers_per_scene"],
-        rim_range=s["rim_range_m"],
-        apex_offset_fraction=s["apex_offset_fraction"],
-        peaked_shape_exponent=s["peaked_shape_exponent"],
-        inverted_shape_exponent=s["inverted_shape_exponent"],
-        ripple_amplitude=s["ripple_amplitude_m"],
-        ripple_wavelength=s["ripple_wavelength_m"],
-        ripple_crater_factor=s["ripple_crater_factor"],
-        pour_roughness_factor=s["pour_roughness_factor"],
-        drain_roughness_factor=s["drain_roughness_factor"],
-        wall_clutter=s["wall_clutter"],
-        wall_clutter_scatterers=s["wall_clutter_scatterers"],
-        wall_clutter_amplitude=s["wall_clutter_amplitude"],
-        contact_clutter_amplitude=s["contact_clutter_amplitude"],
-        dihedral_gain=s["dihedral_gain"],
-        gain_jitter_db=s["gain_jitter_db"],
-    )
+    return SiloScene(**{f.name: s[_scene_key(f.name)] for f in dataclasses.fields(SiloScene)})
 
 
 def feature_params(cfg: dict) -> FeatureParams:

@@ -17,7 +17,6 @@ deviation across folds.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import List, Mapping, Sequence, Tuple
 
@@ -46,102 +45,40 @@ def confusion(y_true, y_pred, n_classes: int) -> np.ndarray:
     return cm
 
 
-@dataclass(frozen=True)
-class ConfusionCounts:
-    """One-vs-rest view of a single class."""
+def class_metrics(cm) -> Tuple[np.ndarray, Tuple[str, ...]]:
+    """One-vs-rest metrics of every class of a K x K confusion matrix.
 
-    tp: int
-    tn: int
-    fp: int
-    fn: int
-
-    @property
-    def total(self) -> int:
-        return self.tp + self.tn + self.fp + self.fn
-
-
-def one_vs_rest_counts(cm: np.ndarray, c: int) -> ConfusionCounts:
-    cm = np.asarray(cm)
-    if not (0 <= c < cm.shape[0]):
-        raise DataError(f"class {c} outside confusion matrix of size {cm.shape[0]}")
-    tp = int(cm[c, c])
-    fn = int(cm[c, :].sum() - tp)
-    fp = int(cm[:, c].sum() - tp)
-    tn = int(cm.sum() - tp - fn - fp)
-    return ConfusionCounts(tp=tp, tn=tn, fp=fp, fn=fn)
-
-
-@dataclass(frozen=True)
-class Metrics:
-    """The six metrics in table order; ``zeroed`` lists 0-by-convention entries."""
-
-    sen: float
-    spe: float
-    acc: float
-    pre: float
-    f1: float
-    mcc: float
-    zeroed: Tuple[str, ...] = ()
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.sen, self.spe, self.acc, self.pre, self.f1, self.mcc])
-
-
-def _ratio(num: float, den: float, name: str, zeroed: List[str]) -> float:
-    if den == 0:
-        zeroed.append(name)
-        return 0.0
-    return num / den
-
-
-def metrics(c: ConfusionCounts) -> Metrics:
-    if c.total == 0:
-        raise DataError("cannot score all-zero counts")
-    zeroed: List[str] = []
-    sen = _ratio(c.tp, c.tp + c.fn, "SEN", zeroed)
-    spe = _ratio(c.tn, c.tn + c.fp, "SPE", zeroed)
-    acc = _ratio(c.tp + c.tn, c.total, "ACC", zeroed)
-    pre = _ratio(c.tp, c.tp + c.fp, "PRE", zeroed)
-    f1 = _ratio(2 * c.tp, 2 * c.tp + c.fn + c.fp, "F1", zeroed)
-    mcc_den = math.sqrt(
-        float(c.tp + c.fp) * (c.tp + c.fn) * (c.tn + c.fp) * (c.tn + c.fn)
-    )
-    mcc = _ratio(c.tp * c.tn - c.fp * c.fn, mcc_den, "MCC", zeroed)
-    return Metrics(sen, spe, acc, pre, f1, mcc, tuple(zeroed))
-
-
-def per_class_metrics(cm: np.ndarray) -> List[Metrics]:
-    return [metrics(one_vs_rest_counts(cm, c)) for c in range(cm.shape[0])]
-
-
-def macro_metrics(cm: np.ndarray) -> Metrics:
-    """Unweighted mean of the one-vs-rest metrics over classes."""
-    cm = np.asarray(cm)
+    Returns the (K, 6) array in METRIC_NAMES order and the sorted names of
+    the metrics that some class set to 0 for a zero denominator.
+    """
+    cm = np.asarray(cm, dtype=np.int64)
     if cm.shape[0] < 2:
-        raise DataError("macro averaging needs at least 2 classes")
-    per_class = per_class_metrics(cm)
-    stacked = np.vstack([m.as_array() for m in per_class])
-    zeroed = tuple(sorted({name for m in per_class for name in m.zeroed}))
-    mean = stacked.mean(axis=0)
-    return Metrics(*[float(v) for v in mean], zeroed=zeroed)
+        raise DataError("scoring needs at least 2 classes")
+    total = cm.sum()
+    if total == 0:
+        raise DataError("cannot score all-zero counts")
+    tp = np.diag(cm)
+    fn = cm.sum(axis=1) - tp
+    fp = cm.sum(axis=0) - tp
+    tn = total - tp - fn - fp
+    num = np.stack([tp, tn, tp + tn, tp, 2 * tp, tp * tn - fp * fn], axis=1)
+    mcc_den = np.sqrt((tp + fp).astype(float) * (tp + fn) * (tn + fp) * (tn + fn))
+    den = np.stack(
+        [tp + fn, tn + fp, np.full_like(tp, total), tp + fp, 2 * tp + fn + fp, mcc_den],
+        axis=1,
+    )
+    values = np.divide(num, den, out=np.zeros(den.shape), where=den != 0)
+    zeroed = tuple(sorted(n for n, z in zip(METRIC_NAMES, (den == 0).any(axis=0)) if z))
+    return values, zeroed
 
 
-@dataclass(frozen=True)
-class FoldPlan:
-    """Stratified fold assignment: sample index -> fold id."""
-
-    k: int
-    assignments: np.ndarray
-    seed: int
-
-
-def kfold_split(labels, k: int, seed: int) -> FoldPlan:
-    """Per-class seeded shuffle, then round-robin assignment to folds."""
+def kfold_split(labels, k: int, seed: int) -> np.ndarray:
+    """Fold id of every sample: per-class seeded shuffle, then round-robin."""
     labels = np.asarray(labels, dtype=int).ravel()
     if k < 2:
         raise DataError("need at least 2 folds")
     rng = stream_rng(seed, FOLD_STREAM)
-    assignments = np.full(labels.size, -1, dtype=np.int64)
+    folds = np.full(labels.size, -1, dtype=np.int64)
     for cls in np.unique(labels):
         idx = np.flatnonzero(labels == cls)
         if idx.size < k:
@@ -149,8 +86,8 @@ def kfold_split(labels, k: int, seed: int) -> FoldPlan:
                 f"class {cls} has {idx.size} samples, fewer than k={k} folds"
             )
         rng.shuffle(idx)
-        assignments[idx] = np.arange(idx.size) % k
-    return FoldPlan(k=k, assignments=assignments, seed=int(seed))
+        folds[idx] = np.arange(idx.size) % k
+    return folds
 
 
 @dataclass(frozen=True)
@@ -193,14 +130,14 @@ def cross_validate(
     """
     if k < 2:
         raise DataError("cross-validation needs k >= 2")
-    plan = kfold_split(y, k, seed)
+    folds = kfold_split(y, k, seed)
 
     fold_macro = np.zeros((k, len(METRIC_NAMES)))
     fold_per_class = np.zeros((k, n_classes, len(METRIC_NAMES)))
     zeroed_folds: List[Tuple[str, ...]] = []
     models = []
     for fold in range(k):
-        test = plan.assignments == fold
+        test = folds == fold
         train = ~test
         try:
             if classifier == "echo":
@@ -217,11 +154,9 @@ def cross_validate(
             exc.args = (f"fold {fold}: {exc}",) + exc.args[1:]
             raise
         cm = confusion(y[test], predictions, n_classes)
-        macro = macro_metrics(cm)
-        fold_macro[fold] = macro.as_array()
-        zeroed_folds.append(macro.zeroed)
-        for cls, m in enumerate(per_class_metrics(cm)):
-            fold_per_class[fold, cls] = m.as_array()
+        fold_per_class[fold], zeroed = class_metrics(cm)
+        fold_macro[fold] = fold_per_class[fold].mean(axis=0)
+        zeroed_folds.append(zeroed)
 
     report = MetricsReport(
         method_tag=method_tag,

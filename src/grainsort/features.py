@@ -22,6 +22,8 @@ _DEGENERATE_VAR = 1e-24
 # a relative spread this small cannot be cut into ENTROPY_BINS finite bins
 _DEGENERATE_SPREAD = 1e-12
 ENTROPY_BINS = 64
+# texture matrices grow with G per image; cap G at the range of one byte
+MAX_GRAY_LEVELS = 256
 
 FOS_NAMES = ("mean", "variance", "skewness", "kurtosis", "entropy", "energy")
 
@@ -241,10 +243,11 @@ class FeatureParams:
                 f"available: {sorted(transforms.WAVELETS)}"
             )
         if (min(self.gray_levels, self.stft_window_len) < 2
-                or min(self.stft_hop, self.dwt_levels) < 1):
+                or min(self.stft_hop, self.dwt_levels) < 1
+                or self.gray_levels > MAX_GRAY_LEVELS):
             raise InvalidParameterError(
-                "need gray_levels >= 2, stft window_len >= 2, hop >= 1 and "
-                f"dwt levels >= 1: {self}"
+                f"need 2 <= gray_levels <= {MAX_GRAY_LEVELS}, stft window_len >= 2, "
+                f"hop >= 1 and dwt levels >= 1: {self}"
             )
         if self.stft_fft_len < self.stft_window_len:
             raise InvalidParameterError(

@@ -122,14 +122,6 @@ class AScan:
 
 
 @dataclass(frozen=True)
-class RangeProfile:
-    """Inverse-transformed A-scan; magnitude peaks locate scatterers in range."""
-
-    bins: np.ndarray  # complex, same length as the source A-scan
-    bin_spacing: float  # metres per bin (= range resolution)
-
-
-@dataclass(frozen=True)
 class SiloScene:
     """Parametric scene: silo geometry, fill state and surface shape.
 
@@ -392,14 +384,14 @@ def backscatter(
     return AScan(samples, cloud.class_label, seed=int(seed), snr_db=snr_db)
 
 
-def range_profile(ascan: AScan, params: RadarParams) -> RangeProfile:
-    """Inverse DFT of the sweep; bin spacing equals the range resolution."""
+def range_profile(ascan: AScan, params: RadarParams) -> np.ndarray:
+    """Complex range bins: the inverse DFT of the sweep.  Magnitude peaks locate
+    scatterers; the bin spacing is range_resolution(params)."""
     if ascan.samples.size != params.n_freq:
         raise DimensionMismatchError(
             f"A-scan has {ascan.samples.size} samples, sweep defines {params.n_freq}"
         )
-    bins = np.fft.ifft(ascan.samples)
-    return RangeProfile(bins, range_resolution(params))
+    return np.fft.ifft(ascan.samples)
 
 
 def generate_dataset(

@@ -156,6 +156,12 @@ def test_criterion_4_svm_solver():
 # --- criterion 5: metric identities ------------------------------------------
 
 
+def _binary_metrics(tp, tn, fp, fn):
+    """Metrics of a (tp, tn, fp, fn) tuple by name: row 0 of its 2 x 2 matrix."""
+    values, _ = ev.class_metrics([[tp, fn], [fp, tn]])
+    return dict(zip(ev.METRIC_NAMES, values[0]))
+
+
 def test_criterion_5_metric_identities():
     rng = np.random.default_rng(55)
     checked = 0
@@ -163,18 +169,18 @@ def test_criterion_5_metric_identities():
         tp, tn, fp, fn = (int(v) for v in rng.integers(0, 50, 4))
         if tp + tn + fp + fn == 0:
             continue
-        m = ev.metrics(ev.ConfusionCounts(tp, tn, fp, fn))
-        assert -1.0 - 1e-12 <= m.mcc <= 1.0 + 1e-12
-        if m.pre > 0 and m.sen > 0:
-            harmonic = 2 * m.pre * m.sen / (m.pre + m.sen)
-            assert m.f1 == pytest.approx(harmonic, rel=1e-12)
+        m = _binary_metrics(tp, tn, fp, fn)
+        assert -1.0 - 1e-12 <= m["MCC"] <= 1.0 + 1e-12
+        if m["PRE"] > 0 and m["SEN"] > 0:
+            harmonic = 2 * m["PRE"] * m["SEN"] / (m["PRE"] + m["SEN"])
+            assert m["F1"] == pytest.approx(harmonic, rel=1e-12)
         checked += 1
     assert checked > 900
 
-    worked = ev.metrics(ev.ConfusionCounts(tp=40, tn=45, fp=5, fn=10))
-    assert worked.acc == pytest.approx(0.85, abs=5e-5)
-    assert worked.f1 == pytest.approx(0.8421, abs=5e-5)
-    assert worked.mcc == pytest.approx(0.7035, abs=5e-5)
+    worked = _binary_metrics(tp=40, tn=45, fp=5, fn=10)
+    assert worked["ACC"] == pytest.approx(0.85, abs=5e-5)
+    assert worked["F1"] == pytest.approx(0.8421, abs=5e-5)
+    assert worked["MCC"] == pytest.approx(0.7035, abs=5e-5)
     _report(
         "criterion 5",
         f"{checked} random tuples, worked tuple ACC/F1/MCC to 4 decimals",

@@ -84,3 +84,17 @@ def test_builders_round_trip():
     assert kernel.kind == "rbf" and kernel.c == 10.0 and kernel.gamma is None
     explicit = cfgmod.kernel_spec(cfg, c=2.0, gamma=0.5)
     assert explicit.c == 2.0 and explicit.gamma == 0.5
+
+
+def test_default_config_hash_is_pinned():
+    # the hash every default-config artifact carries; a change to a default,
+    # a key or its spelling changes it
+    assert cfgmod.config_hash(cfgmod.load_config(None)) == (
+        "3054bebe82ab2f1bde5ac42ceaf1690e7e6a414a0c78e8b5271e059b942a83db"
+    )
+
+
+def test_scene_schema_names_every_scene_default():
+    schema = cfgmod.CONFIG_SCHEMA["properties"]["scene"]["properties"]
+    assert set(schema) == set(cfgmod.DEFAULT_CONFIG["scene"])
+    assert cfgmod.scene(cfgmod.default_config()) == cfgmod.SiloScene()

@@ -1,7 +1,10 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grainsort import ConvergenceError, DataError, DimensionMismatchError
 from grainsort import evaluation as ev
@@ -43,69 +46,121 @@ class TestConfusion:
             ev.confusion([0, 3], [0, 1], 3)
 
 
+def _scalar_metrics(tp, tn, fp, fn):
+    """The six formulas of one one-vs-rest view, 0 for a zero denominator,
+    and the names of the metrics so zeroed."""
+    mcc_den = math.sqrt(float(tp + fp) * (tp + fn) * (tn + fp) * (tn + fn))
+    ratios = {
+        "SEN": (tp, tp + fn),
+        "SPE": (tn, tn + fp),
+        "ACC": (tp + tn, tp + tn + fp + fn),
+        "PRE": (tp, tp + fp),
+        "F1": (2 * tp, 2 * tp + fn + fp),
+        "MCC": (tp * tn - fp * fn, mcc_den),
+    }
+    values = [num / den if den else 0.0 for num, den in map(ratios.get, ev.METRIC_NAMES)]
+    return values, {n for n in ev.METRIC_NAMES if not ratios[n][1]}
+
+
+def _binarised_counts(y_true, y_pred, c):
+    """(tp, tn, fp, fn) of class c, recounted sample by sample."""
+    y_true, y_pred = np.asarray(y_true), np.asarray(y_pred)
+    return (
+        int(np.sum((y_true == c) & (y_pred == c))),
+        int(np.sum((y_true != c) & (y_pred != c))),
+        int(np.sum((y_true != c) & (y_pred == c))),
+        int(np.sum((y_true == c) & (y_pred != c))),
+    )
+
+
+def _binary(tp, tn, fp, fn):
+    """Metrics of a (tp, tn, fp, fn) tuple by name: row 0 of its 2 x 2 matrix."""
+    values, zeroed = ev.class_metrics([[tp, fn], [fp, tn]])
+    return dict(zip(ev.METRIC_NAMES, values[0])), zeroed
+
+
 class TestOneVsRest:
     def test_perfect_three_class(self):
-        cm = np.diag([10, 10, 10])
-        counts = ev.one_vs_rest_counts(cm, 0)
-        assert (counts.tp, counts.fn, counts.fp, counts.tn) == (10, 0, 0, 20)
+        values, _ = ev.class_metrics(np.diag([10, 10, 10]))
+        assert values[0].tolist() == _scalar_metrics(tp=10, tn=20, fp=0, fn=0)[0]
 
     def test_row_identity(self):
         rng = np.random.default_rng(1)
         cm = rng.integers(0, 20, (3, 3))
+        values, _ = ev.class_metrics(cm)
         for c in range(3):
-            counts = ev.one_vs_rest_counts(cm, c)
-            assert counts.tp + counts.fn == cm[c].sum()
-            assert counts.total == cm.sum()
+            # SEN divides by the row sum, ACC by the whole matrix
+            assert values[c, 0] == cm[c, c] / cm[c].sum()
+            tn = cm.sum() - cm[c].sum() - cm[:, c].sum() + cm[c, c]
+            assert values[c, 2] == (cm[c, c] + tn) / cm.sum()
 
     def test_matches_per_sample_binarised_recount(self):
         rng = np.random.default_rng(2)
         y_true = rng.integers(0, 3, 500)
         y_pred = rng.integers(0, 3, 500)
-        cm = ev.confusion(y_true, y_pred, 3)
+        values, _ = ev.class_metrics(ev.confusion(y_true, y_pred, 3))
         for c in range(3):
-            counts = ev.one_vs_rest_counts(cm, c)
-            tp = int(np.sum((y_true == c) & (y_pred == c)))
-            fn = int(np.sum((y_true == c) & (y_pred != c)))
-            fp = int(np.sum((y_true != c) & (y_pred == c)))
-            tn = int(np.sum((y_true != c) & (y_pred != c)))
-            assert (counts.tp, counts.fn, counts.fp, counts.tn) == (tp, fn, fp, tn)
+            expected, _ = _scalar_metrics(*_binarised_counts(y_true, y_pred, c))
+            assert values[c].tolist() == expected
 
     def test_trace_and_support_sums(self):
         rng = np.random.default_rng(3)
         cm = rng.integers(0, 30, (4, 4))
-        per = [ev.one_vs_rest_counts(cm, c) for c in range(4)]
-        assert sum(c.tp for c in per) == np.trace(cm)
-        assert sum(c.tp + c.fn for c in per) == cm.sum()
+        values, _ = ev.class_metrics(cm)
+        # SEN times the row sum recovers TP; each off-diagonal count is one
+        # FN and one FP, so 1 - ACC sums to twice the error share
+        assert np.rint(values[:, 0] * cm.sum(axis=1)).sum() == np.trace(cm)
+        assert np.rint((1 - values[:, 2]).sum() * cm.sum()) == 2 * (cm.sum() - np.trace(cm))
+
+
+class TestClassMetrics:
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(data=st.data())
+    def test_equals_scalar_formulas_on_binarised_recounts(self, data):
+        k = data.draw(st.integers(2, 4))
+        labels = st.lists(st.integers(0, k - 1), min_size=1, max_size=60)
+        y_true = data.draw(labels)
+        y_pred = data.draw(
+            st.lists(st.integers(0, k - 1), min_size=len(y_true), max_size=len(y_true))
+        )
+        values, zeroed = ev.class_metrics(ev.confusion(y_true, y_pred, k))
+        assert values.shape == (k, len(ev.METRIC_NAMES))
+        expected_zeroed = set()
+        for c in range(k):
+            expected, names = _scalar_metrics(*_binarised_counts(y_true, y_pred, c))
+            assert values[c].tolist() == expected
+            expected_zeroed |= names
+        assert zeroed == tuple(sorted(expected_zeroed))
 
 
 class TestMetrics:
     def test_perfect_classifier(self):
-        m = ev.metrics(ev.ConfusionCounts(tp=10, tn=20, fp=0, fn=0))
-        assert m.as_array().tolist() == [1.0] * 6
-        assert m.zeroed == ()
+        m, zeroed = _binary(tp=10, tn=20, fp=0, fn=0)
+        assert list(m.values()) == [1.0] * 6
+        assert zeroed == ()
 
     def test_worked_tuple(self):
-        m = ev.metrics(ev.ConfusionCounts(tp=40, tn=45, fp=5, fn=10))
-        assert m.acc == pytest.approx(0.85, abs=5e-5)
-        assert m.sen == pytest.approx(0.8, abs=5e-5)
-        assert m.spe == pytest.approx(0.9, abs=5e-5)
-        assert m.pre == pytest.approx(0.8889, abs=5e-5)
-        assert m.f1 == pytest.approx(0.8421, abs=5e-5)
-        assert m.mcc == pytest.approx(0.7035, abs=5e-5)
+        m, _ = _binary(tp=40, tn=45, fp=5, fn=10)
+        assert m["ACC"] == pytest.approx(0.85, abs=5e-5)
+        assert m["SEN"] == pytest.approx(0.8, abs=5e-5)
+        assert m["SPE"] == pytest.approx(0.9, abs=5e-5)
+        assert m["PRE"] == pytest.approx(0.8889, abs=5e-5)
+        assert m["F1"] == pytest.approx(0.8421, abs=5e-5)
+        assert m["MCC"] == pytest.approx(0.7035, abs=5e-5)
 
     def test_all_wrong_tuple_hits_minus_one(self):
-        m = ev.metrics(ev.ConfusionCounts(tp=0, tn=0, fp=5, fn=5))
-        assert m.acc == 0.0
-        assert m.mcc == -1.0
+        m, _ = _binary(tp=0, tn=0, fp=5, fn=5)
+        assert m["ACC"] == 0.0
+        assert m["MCC"] == -1.0
 
     def test_zero_denominator_convention(self):
-        m = ev.metrics(ev.ConfusionCounts(tp=0, tn=5, fp=0, fn=0))
-        assert m.sen == 0.0 and m.pre == 0.0 and m.f1 == 0.0 and m.mcc == 0.0
-        assert "SEN" in m.zeroed and "PRE" in m.zeroed and "MCC" in m.zeroed
+        m, zeroed = _binary(tp=0, tn=5, fp=0, fn=0)
+        assert m["SEN"] == 0.0 and m["PRE"] == 0.0 and m["F1"] == 0.0 and m["MCC"] == 0.0
+        assert "SEN" in zeroed and "PRE" in zeroed and "MCC" in zeroed
 
     def test_all_zero_rejected(self):
         with pytest.raises(DataError):
-            ev.metrics(ev.ConfusionCounts(0, 0, 0, 0))
+            ev.class_metrics([[0, 0], [0, 0]])
 
     def test_f1_harmonic_identity_and_mcc_range(self):
         rng = np.random.default_rng(4)
@@ -114,60 +169,54 @@ class TestMetrics:
         for tp, tn, fp, fn in tuples:
             if tp + tn + fp + fn == 0:
                 continue
-            m = ev.metrics(ev.ConfusionCounts(tp, tn, fp, fn))
-            if m.pre > 0 and m.sen > 0:
-                harmonic = 2 * m.pre * m.sen / (m.pre + m.sen)
-                assert m.f1 == pytest.approx(harmonic, rel=1e-12)
-            assert -1.0 - 1e-12 <= m.mcc <= 1.0 + 1e-12
+            m, _ = _binary(tp, tn, fp, fn)
+            if m["PRE"] > 0 and m["SEN"] > 0:
+                harmonic = 2 * m["PRE"] * m["SEN"] / (m["PRE"] + m["SEN"])
+                assert m["F1"] == pytest.approx(harmonic, rel=1e-12)
+            assert -1.0 - 1e-12 <= m["MCC"] <= 1.0 + 1e-12
             if fp == 0 and fn == 0 and tp > 0 and tn > 0:
-                assert m.mcc == pytest.approx(1.0, abs=1e-12)
-            elif m.mcc >= 1.0 - 1e-12:
+                assert m["MCC"] == pytest.approx(1.0, abs=1e-12)
+            elif m["MCC"] >= 1.0 - 1e-12:
                 raise AssertionError(f"MCC hit 1 off the FP=FN=0 corner: {(tp, tn, fp, fn)}")
 
 
 class TestMacro:
     def test_perfect(self):
-        m = ev.macro_metrics(np.diag([5, 6, 7]))
-        assert np.allclose(m.as_array(), 1.0)
+        values, _ = ev.class_metrics(np.diag([5, 6, 7]))
+        assert np.allclose(values.mean(axis=0), 1.0)
 
     def test_symmetric_balanced_macro_equals_micro(self):
         cm = np.array([[8, 1, 1], [1, 8, 1], [1, 1, 8]])
-        macro = ev.macro_metrics(cm)
-        pooled = {"tp": 0, "tn": 0, "fp": 0, "fn": 0}
-        for c in range(3):
-            counts = ev.one_vs_rest_counts(cm, c)
-            pooled["tp"] += counts.tp
-            pooled["tn"] += counts.tn
-            pooled["fp"] += counts.fp
-            pooled["fn"] += counts.fn
-        micro = ev.metrics(ev.ConfusionCounts(**pooled))
-        assert np.allclose(macro.as_array(), micro.as_array(), atol=1e-12)
+        values, _ = ev.class_metrics(cm)
+        # pooled one-vs-rest counts: each off-diagonal count is one FN and one FP
+        tp = int(np.trace(cm))
+        fn = fp = int(cm.sum()) - tp
+        tn = 3 * int(cm.sum()) - tp - fn - fp
+        micro, _ = _binary(tp, tn, fp, fn)
+        assert np.allclose(values.mean(axis=0), list(micro.values()), atol=1e-12)
 
     def test_single_class_rejected(self):
         with pytest.raises(DataError):
-            ev.macro_metrics(np.array([[5]]))
+            ev.class_metrics(np.array([[5]]))
 
 
 class TestKFold:
     def test_three_by_three_enumeration(self):
         labels = [0, 0, 0, 1, 1, 1, 2, 2, 2]
-        plan = ev.kfold_split(labels, 3, seed=5)
+        folds = ev.kfold_split(labels, 3, seed=5)
         labels = np.asarray(labels)
         for fold in range(3):
-            fold_labels = sorted(labels[plan.assignments == fold].tolist())
+            fold_labels = sorted(labels[folds == fold].tolist())
             assert fold_labels == [0, 1, 2]
 
     def test_partition_property(self):
         rng = np.random.default_rng(6)
         labels = rng.integers(0, 3, 57)
-        plan = ev.kfold_split(labels, 4, seed=1)
-        assert plan.assignments.min() >= 0 and plan.assignments.max() < 4
-        assert plan.assignments.size == 57
+        folds = ev.kfold_split(labels, 4, seed=1)
+        assert folds.min() >= 0 and folds.max() < 4
+        assert folds.size == 57
         for cls in range(3):
-            sizes = [
-                int(np.sum((plan.assignments == f) & (labels == cls)))
-                for f in range(4)
-            ]
+            sizes = [int(np.sum((folds == f) & (labels == cls))) for f in range(4)]
             assert max(sizes) - min(sizes) <= 1
 
     def test_class_smaller_than_k(self):
@@ -175,8 +224,8 @@ class TestKFold:
             ev.kfold_split([0, 0, 0, 1], 3, seed=0)
 
     def test_single_class_of_k_gives_singleton_folds(self):
-        plan = ev.kfold_split([0] * 10, 10, seed=0)
-        sizes = [int(np.sum(plan.assignments == f)) for f in range(10)]
+        folds = ev.kfold_split([0] * 10, 10, seed=0)
+        sizes = [int(np.sum(folds == f)) for f in range(10)]
         assert sizes == [1] * 10
 
     def test_deterministic(self):
@@ -184,8 +233,8 @@ class TestKFold:
         a = ev.kfold_split(labels, 5, seed=3)
         b = ev.kfold_split(labels, 5, seed=3)
         c = ev.kfold_split(labels, 5, seed=4)
-        assert np.array_equal(a.assignments, b.assignments)
-        assert not np.array_equal(a.assignments, c.assignments)
+        assert np.array_equal(a, b)
+        assert not np.array_equal(a, c)
 
 
 def _noise_ascans(n_per_class=8, n_freq=301, seed=0):
@@ -225,9 +274,9 @@ class TestCrossValidate:
         )
         # perturb one feature row heavily; only the fold holding it as a test
         # sample must keep an identical model
-        plan = ev.kfold_split(y, 3, 2)
+        folds = ev.kfold_split(y, 3, 2)
         victim = 4
-        fold_of_victim = int(plan.assignments[victim])
+        fold_of_victim = int(folds[victim])
         mutated = X.copy()
         mutated[victim] = X[victim] * 25.0 + 3.0
         report_b, models_b = ev.cross_validate(

@@ -47,6 +47,7 @@ def files(runner, tmp_path_factory):
     params, ascans = ds.load_dataset(gsrd)
     return {
         "root": root,
+        "run": out,
         "config": config,
         "gsrd": gsrd,
         "blob": gsrd.read_bytes(),
@@ -154,6 +155,11 @@ UNUSABLE_FEATURE_PARAMS = {
         "STFT+GLCM", {"stft": {"window_len": 64, "fft_len": 32}},
         {"stft_window_len": 64, "stft_fft_len": 32}, "fft_len 32",
     ),
+    # values above the 256 cap that allocate nothing large when rejected
+    "gray_levels_257": ("STFT+GLCM", {"gray_levels": 257}, {"gray_levels": 257}, "gray_levels"),
+    "gray_levels_2_40": (
+        "STFT+GLCM", {"gray_levels": 2**40}, {"gray_levels": 2**40}, "gray_levels",
+    ),
 }
 
 
@@ -183,6 +189,48 @@ def test_unusable_feature_params_in_model_exit_3(runner, files, case):
     doc = dict(files["model"], method_tag=method)
     doc["feature_params"] = dict(doc["feature_params"], **params)
     _assert_one_error(_predict(runner, files, json.dumps(doc)), 3, needle)
+
+
+def _unreadable(root, kind):
+    """A path that exists but cannot be read as text: a directory or non-UTF-8 bytes."""
+    path = root / f"unreadable_{kind}"
+    if kind == "directory":
+        path.mkdir(exist_ok=True)
+    else:
+        path.write_bytes(b'{"seed": 1, "out_dir": "\xff"}')
+    return path
+
+
+@pytest.mark.parametrize("kind", ["directory", "not_utf8"])
+def test_unreadable_config_exits_2(runner, files, kind):
+    config = _unreadable(files["root"], kind)
+    result = runner.invoke(cli, ["simulate", "--config", str(config)])
+    _assert_one_error(result, 2, "cannot read config file")
+
+
+@pytest.mark.parametrize("kind", ["directory", "not_utf8"])
+def test_unreadable_summary_exits_3(runner, files, kind):
+    summary = _unreadable(files["root"], kind)
+    _assert_one_error(runner.invoke(cli, ["report", str(summary)]), 3, "summary")
+
+
+@pytest.mark.parametrize(
+    "command", ["simulate", "extract", "train", "predict", "evaluate", "report"]
+)
+def test_out_under_a_regular_file_exits_2(runner, files, command):
+    blocker = files["root"] / "blocker"
+    blocker.write_text("a file, not a directory\n")
+    config, gsrd, run = str(files["config"]), str(files["gsrd"]), files["run"]
+    argv = {
+        "simulate": ["simulate", "--config", config],
+        "extract": ["extract", gsrd, "--method", "FOS", "--config", config],
+        "train": ["train", gsrd, "--method", "FOS", "--config", config],
+        "predict": ["predict", str(run / "model.json"), gsrd],
+        "evaluate": ["evaluate", "--config", config, "--method", "FOS"],
+        "report": ["report", str(run / "summary.json")],
+    }[command]
+    result = runner.invoke(cli, argv + ["--out", str(blocker / "out")])
+    _assert_one_error(result, 2, "output directory")
 
 
 def _assert_documented(result):

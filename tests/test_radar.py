@@ -163,20 +163,21 @@ class TestBackscatter:
 class TestRangeProfile:
     def test_single_scatterer_peak_matches_oracle(self, default_params):
         scan = _single_scatterer_scan(0.5, default_params)
-        profile = range_profile(scan, default_params)
+        bins = range_profile(scan, default_params)
         oracle = direct_inverse_dft(scan.samples)
-        assert np.max(np.abs(profile.bins - oracle)) < 1e-9
+        assert np.max(np.abs(bins - oracle)) < 1e-9
         # oracle-evaluated peak position; one bin above round(R / dz) because
         # the DFT grid spacing is dz * (N - 1) / N
         assert int(np.argmax(np.abs(oracle))) == 74
         dz = range_resolution(default_params)
-        assert abs(int(np.argmax(np.abs(profile.bins))) - round(0.5 / dz)) <= 1
-        assert profile.bin_spacing == dz
+        assert abs(int(np.argmax(np.abs(bins))) - round(0.5 / dz)) <= 1
+        # one bin per sweep point: the bins span the unambiguous range window
+        assert bins.size * dz == max_unambiguous_range(default_params)
 
     def test_constant_sweep_is_zero_range_delta(self, default_params):
         scan = _single_scatterer_scan(1e-12, default_params)
-        profile = range_profile(scan, default_params)
-        mags = np.abs(profile.bins)
+        bins = range_profile(scan, default_params)
+        mags = np.abs(bins)
         assert np.argmax(mags) == 0
         assert mags[0] > 100 * np.max(mags[1:])
 
@@ -184,8 +185,8 @@ class TestRangeProfile:
         rng = np.random.default_rng(3)
         samples = rng.standard_normal(301) + 1j * rng.standard_normal(301)
         scan = AScan(samples, SurfaceClass.LEVELLED)
-        profile = range_profile(scan, default_params)
-        back = np.fft.fft(profile.bins)
+        bins = range_profile(scan, default_params)
+        back = np.fft.fft(bins)
         assert np.max(np.abs(back - samples)) / np.max(np.abs(samples)) < 1e-10
 
     def test_length_mismatch(self, default_params):
@@ -201,7 +202,7 @@ class TestRangeProfile:
         rng = np.random.default_rng(21)
         for r in rng.uniform(dz / 2 * 1.01, r_max - dz, size=40):
             scan = _single_scatterer_scan(r, default_params)
-            peak = int(np.argmax(np.abs(range_profile(scan, default_params).bins)))
+            peak = int(np.argmax(np.abs(range_profile(scan, default_params))))
             expected = round(r / dz)
             dist = min(abs(peak - expected), n - abs(peak - expected))
             assert dist <= 1, (r, peak, expected)
