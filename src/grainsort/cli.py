@@ -206,6 +206,7 @@ def _model_feature_params(fp, method_tag, n_freq) -> features.FeatureParams:
 @_handle_errors
 def predict(model_path, dataset_path, out_dir):
     """Classify the A-scans of a dataset with a stored model."""
+    out = None if out_dir is None else _out_dir(out_dir)
     model, doc = svm.load_model(model_path)
     params, ascans = ds.load_dataset(dataset_path)
     if doc.get("n_freq") is not None and params.n_freq != doc["n_freq"]:
@@ -224,8 +225,7 @@ def predict(model_path, dataset_path, out_dir):
     labels = np.asarray(svm.predict(model, X))
     for value in labels:
         click.echo(radar.CLASS_NAMES[int(value)])
-    if out_dir is not None:
-        out = _out_dir(out_dir)
+    if out is not None:
         lines = _provenance_lines(doc.get("config_hash", ""), doc.get("seed", ""))
         lines.append("index,label_id,label_name")
         for i, value in enumerate(labels):
@@ -305,6 +305,9 @@ def evaluate(config_path, seed, out_dir, method_tags, echo_classifier, use_grid)
     cfg = cfgmod.load_config(config_path, seed=seed, out_dir=out_dir)
     if method_tags:
         cfg["methods"] = list(method_tags)
+    k, counts = cfg["cv"]["k"], cfg["dataset"]["per_class_counts"]
+    if k > min(counts):
+        raise ConfigError(f"cv.k={k} exceeds the smallest per-class count {min(counts)}")
     out = _out_dir(cfg["out_dir"])
     classifier = "echo" if echo_classifier else "svm"
     fparams = cfgmod.feature_params(cfg)
@@ -359,6 +362,7 @@ def evaluate(config_path, seed, out_dir, method_tags, echo_classifier, use_grid)
 @_handle_errors
 def report(summary_path, out_dir):
     """Render the text table from a stored evaluation summary."""
+    out = None if out_dir is None else _out_dir(out_dir)
     path = Path(summary_path)
     if not path.exists():
         raise DataError(f"summary file not found: {path}")
@@ -377,8 +381,7 @@ def report(summary_path, out_dir):
         for tag, block in results.items()
     )
     click.echo(text)
-    if out_dir is not None:
-        out = _out_dir(out_dir)
+    if out is not None:
         (out / "report_rendered.txt").write_text(text + "\n", encoding="utf-8")
         click.echo(f"wrote {out / 'report_rendered.txt'}")
 

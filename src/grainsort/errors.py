@@ -13,12 +13,12 @@ class InvalidParameterError(ConfigError):
     """Physically or numerically inadmissible parameter values."""
 
 
+class AliasingError(ConfigError):
+    """Scatterer range at or beyond the unambiguous range of the radar sweep."""
+
+
 class DataError(GrainsortError):
     """Invalid, corrupt or inconsistent data (CLI exit code 3)."""
-
-
-class AliasingError(DataError):
-    """Scatterer range at or beyond the unambiguous range of the radar."""
 
 
 class CorruptDatasetError(DataError):

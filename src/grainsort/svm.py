@@ -196,16 +196,23 @@ def train_binary(
             sv_indices=np.flatnonzero(keep),
         )
 
+    # Only alpha_i and alpha_j move per update, so only their entries of alpha
+    # and of the up/low sets are refreshed.  A set is held as offsets: -y_k for
+    # a member, so f_cache + offset is f_k - y_k exactly, and +inf (up) or -inf
+    # (low) otherwise, which argmin/argmax pass over.  argmin/argmax return
+    # the first of equal values, so ties still go to the lowest index.  K is
+    # exactly symmetric, so the contiguous row K[i] equals the column K[:, i].
+    up, low = _sets()
+    up_off, low_off = np.where(up, -y, np.inf), np.where(low, -y, -np.inf)
+    e_up, e_low, delta = np.empty(n), np.empty(n), np.empty(n)
+    y_list = y.tolist()
+    hi = c_box - _BOUND_EPS
     while True:
-        up, low = _sets()
-        if not up.any() or not low.any():
+        i = int(np.add(f_cache, up_off, out=e_up).argmin())
+        j = int(np.add(f_cache, low_off, out=e_low).argmax())
+        violation = float(e_low[j] - e_up[i])
+        if violation == -np.inf:  # the up or the low set is empty
             return _finalize(0.0)
-        errors = f_cache - y
-        up_idx = np.flatnonzero(up)
-        low_idx = np.flatnonzero(low)
-        i = up_idx[np.argmin(errors[up_idx])]
-        j = low_idx[np.argmax(errors[low_idx])]
-        violation = float(errors[j] - errors[i])
         if violation <= tol:
             return _finalize(violation)
         if diag.n_updates >= budget:
@@ -218,16 +225,23 @@ def train_binary(
 
         # move alpha_i by +y_i * t and alpha_j by -y_j * t (keeps sum y.a fixed);
         # exact minimiser along the direction is violation / eta, capped by the box
-        cap_i = (c_box - alpha[i]) if y[i] > 0 else alpha[i]
-        cap_j = alpha[j] if y[j] > 0 else (c_box - alpha[j])
-        eta = K[i, i] + K[j, j] - 2.0 * K[i, j]
+        a_i, a_j, y_i, y_j = float(alpha[i]), float(alpha[j]), y_list[i], y_list[j]
+        K_i, K_j = K[i], K[j]
+        cap_i = (c_box - a_i) if y_i > 0 else a_i
+        cap_j = a_j if y_j > 0 else (c_box - a_j)
+        eta = float(K_i[i] + K_j[j] - 2.0 * K_i[j])
         step = min(cap_i, cap_j)
         if eta > _BOUND_EPS:
             step = min(step, violation / eta)
-        alpha[i] += y[i] * step
-        alpha[j] -= y[j] * step
-        np.clip(alpha, 0.0, c_box, out=alpha)
-        f_cache += step * (K[:, i] - K[:, j])
+        for k, a in ((i, a_i + y_i * step), (j, a_j - y_j * step)):
+            a = min(max(a, 0.0), c_box)  # the other entries are already in the box
+            alpha[k] = a
+            in_up, in_low = (a < hi, a > _BOUND_EPS) if y_list[k] > 0 else (a > _BOUND_EPS, a < hi)
+            up_off[k] = -y_list[k] if in_up else np.inf
+            low_off[k] = -y_list[k] if in_low else -np.inf
+        np.subtract(K_i, K_j, out=delta)
+        delta *= step
+        f_cache += delta
         diag.n_updates += 1
         if debug:
             objective = _dual_objective(alpha, y, K)

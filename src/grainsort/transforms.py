@@ -11,8 +11,6 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .errors import DimensionMismatchError
-
 
 def fft(signal) -> np.ndarray:
     """Standard unnormalised forward DFT of a (possibly complex) vector."""
@@ -31,13 +29,6 @@ def dct(signal) -> np.ndarray:
     if x.size == 0:
         raise ValueError("cannot transform an empty signal")
     return scipy.fft.dct(x, type=2, norm="ortho")
-
-
-def idct(coeffs) -> np.ndarray:
-    """Inverse of :func:`dct` (orthonormal DCT-III)."""
-    import scipy.fft
-
-    return scipy.fft.idct(np.asarray(coeffs, dtype=float), type=2, norm="ortho")
 
 
 # scaling (reconstruction low-pass) filters; sum = sqrt(2), energy = 1
@@ -100,26 +91,6 @@ def dwt_single(x: np.ndarray, wavelet_id: str) -> Tuple[np.ndarray, np.ndarray]:
     return approx, detail
 
 
-def idwt_single(
-    approx: np.ndarray, detail: np.ndarray, wavelet_id: str, out_len: int
-) -> np.ndarray:
-    """One synthesis level: upsample, filter, overlap-add, trim to out_len."""
-    lo, hi = _filters(wavelet_id)
-    if approx.size != detail.size:
-        raise DimensionMismatchError("approx/detail lengths differ")
-    pad = lo.size - 1
-    up = np.zeros(2 * approx.size)
-    up[1::2] = approx
-    recon = np.convolve(up, lo, mode="full")
-    up[1::2] = detail
-    recon = recon + np.convolve(up, hi, mode="full")
-    if pad + out_len > recon.size:
-        raise DimensionMismatchError(
-            f"cannot reconstruct {out_len} samples from {approx.size} coefficients"
-        )
-    return recon[pad : pad + out_len]
-
-
 def dwt_multilevel(signal, levels: int, wavelet_id: str = "db4") -> List[np.ndarray]:
     """Cascade the analysis filterbank ``levels`` times on the running approximation.
 
@@ -152,24 +123,6 @@ def subband_lengths(n: int, levels: int, wavelet_id: str) -> List[int]:
     for _ in range(levels):
         lens.append((lens[-1] + filt_len - 1) // 2)
     return lens
-
-
-def idwt_multilevel(
-    bands: List[np.ndarray], original_length: int, wavelet_id: str
-) -> np.ndarray:
-    """Invert :func:`dwt_multilevel`; needs the original signal length."""
-    levels = len(bands) - 1
-    lens = subband_lengths(original_length, levels, wavelet_id)
-    for level, detail in enumerate(bands[1:], start=1):
-        if detail.size != lens[level]:
-            raise DimensionMismatchError(
-                f"detail level {level} has {detail.size} coefficients, "
-                f"expected {lens[level]} for input length {original_length}"
-            )
-    x = bands[0]
-    for level in range(levels, 0, -1):
-        x = idwt_single(x, bands[level], wavelet_id, lens[level - 1])
-    return x
 
 
 def stft(signal, window_len: int = 64, hop: int = 32, fft_len: int = 64) -> np.ndarray:

@@ -2,11 +2,20 @@
 
 Everything here favours obviousness over speed: an extended-precision
 phasor sum for the radar model, direct O(N^2) transform sums, per-pixel
-double loops for texture counting, and a projected-gradient solver for the
-SVM dual.  None of it shares code with the package paths it checks.
+double loops for texture counting, a projected-gradient solver for the SVM
+dual and the original whole-vector SMO loop.  None of it shares code with
+the package paths it checks, except the inverse transforms: the DCT inverse
+delegates to scipy, and the wavelet synthesis bank reads the package's
+filter taps and subband lengths to check that analysis reconstructs.
 """
 
+from typing import List
+
 import numpy as np
+import scipy.fft
+
+from grainsort.errors import DimensionMismatchError
+from grainsort.transforms import _filters, subband_lengths
 
 
 def longdouble_backscatter(amplitudes, ranges, f_start, f_stop, n_freq, c):
@@ -60,6 +69,49 @@ def direct_dct2_ortho(x):
             total += x[t] * np.cos(np.pi * (2 * t + 1) * k / (2 * n))
         out[k] = scale * total
     return out
+
+
+def idct(coeffs) -> np.ndarray:
+    """Inverse of ``transforms.dct`` (orthonormal DCT-III)."""
+    return scipy.fft.idct(np.asarray(coeffs, dtype=float), type=2, norm="ortho")
+
+
+def idwt_single(
+    approx: np.ndarray, detail: np.ndarray, wavelet_id: str, out_len: int
+) -> np.ndarray:
+    """One synthesis level: upsample, filter, overlap-add, trim to out_len."""
+    lo, hi = _filters(wavelet_id)
+    if approx.size != detail.size:
+        raise DimensionMismatchError("approx/detail lengths differ")
+    pad = lo.size - 1
+    up = np.zeros(2 * approx.size)
+    up[1::2] = approx
+    recon = np.convolve(up, lo, mode="full")
+    up[1::2] = detail
+    recon = recon + np.convolve(up, hi, mode="full")
+    if pad + out_len > recon.size:
+        raise DimensionMismatchError(
+            f"cannot reconstruct {out_len} samples from {approx.size} coefficients"
+        )
+    return recon[pad : pad + out_len]
+
+
+def idwt_multilevel(
+    bands: List[np.ndarray], original_length: int, wavelet_id: str
+) -> np.ndarray:
+    """Invert ``transforms.dwt_multilevel``; needs the original signal length."""
+    levels = len(bands) - 1
+    lens = subband_lengths(original_length, levels, wavelet_id)
+    for level, detail in enumerate(bands[1:], start=1):
+        if detail.size != lens[level]:
+            raise DimensionMismatchError(
+                f"detail level {level} has {detail.size} coefficients, "
+                f"expected {lens[level]} for input length {original_length}"
+            )
+    x = bands[0]
+    for level in range(levels, 0, -1):
+        x = idwt_single(x, bands[level], wavelet_id, lens[level - 1])
+    return x
 
 
 def brute_force_glcm(pixels, gray_levels, offset):
@@ -170,3 +222,69 @@ def qp_decision_values(alpha, K, y, box_c):
     else:
         bias = float(np.mean(y - f_vals))
     return f_vals + bias
+
+
+def seed_smo(K, y, c, tol, max_passes):
+    """The original whole-vector SMO loop, run on a given Gram matrix.
+
+    Each update rebuilds both index masks from alpha, picks the maximally
+    violating pair through ``flatnonzero`` (lowest index among ties), clips
+    all of alpha to the box and reads the columns ``K[:, i]``.  Returns a
+    dict of the final ``alpha``, ``bias``, ``n_updates``, ``final_violation``
+    and ``converged`` (False once ``max_passes * n`` updates ran out), plus
+    ``flat_steps``, the number of updates taken with ``eta <= 1e-12``, and
+    ``clipped_steps``, the number whose moved alpha rounded outside [0, C].
+    """
+    K = np.asarray(K, dtype=float)
+    y = np.asarray(y, dtype=float)
+    eps = 1e-12
+    n = y.size
+    alpha = np.zeros(n)
+    f_cache = np.zeros(n)
+    budget = max_passes * n
+    n_updates = flat_steps = clipped_steps = 0
+
+    def _sets():
+        up = ((y > 0) & (alpha < c - eps)) | ((y < 0) & (alpha > eps))
+        low = ((y < 0) & (alpha < c - eps)) | ((y > 0) & (alpha > eps))
+        return up, low
+
+    def _finalize(violation, converged):
+        errors = f_cache - y
+        up, low = _sets()
+        if up.any() and low.any():
+            bias = -0.5 * (float(errors[up].min()) + float(errors[low].max()))
+        else:
+            bias = float(np.mean(y - f_cache))
+        return {"alpha": alpha, "bias": bias, "n_updates": n_updates,
+                "final_violation": violation, "converged": converged,
+                "flat_steps": flat_steps, "clipped_steps": clipped_steps}
+
+    while True:
+        up, low = _sets()
+        if not up.any() or not low.any():
+            return _finalize(0.0, True)
+        errors = f_cache - y
+        up_idx = np.flatnonzero(up)
+        low_idx = np.flatnonzero(low)
+        i = up_idx[np.argmin(errors[up_idx])]
+        j = low_idx[np.argmax(errors[low_idx])]
+        violation = float(errors[j] - errors[i])
+        if violation <= tol:
+            return _finalize(violation, True)
+        if n_updates >= budget:
+            return _finalize(violation, False)
+        cap_i = (c - alpha[i]) if y[i] > 0 else alpha[i]
+        cap_j = alpha[j] if y[j] > 0 else (c - alpha[j])
+        eta = K[i, i] + K[j, j] - 2.0 * K[i, j]
+        step = min(cap_i, cap_j)
+        if eta > eps:
+            step = min(step, violation / eta)
+        else:
+            flat_steps += 1
+        alpha[i] += y[i] * step
+        alpha[j] -= y[j] * step
+        clipped_steps += bool(np.any((alpha < 0.0) | (alpha > c)))
+        np.clip(alpha, 0.0, c, out=alpha)
+        f_cache += step * (K[:, i] - K[:, j])
+        n_updates += 1

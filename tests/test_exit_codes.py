@@ -8,6 +8,7 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from grainsort import config as cfgmod
 from grainsort import dataset as ds
 from grainsort.cli import cli
 
@@ -231,6 +232,29 @@ def test_out_under_a_regular_file_exits_2(runner, files, command):
     }[command]
     result = runner.invoke(cli, argv + ["--out", str(blocker / "out")])
     _assert_one_error(result, 2, "output directory")
+    # the directory is checked before any work: no result line precedes the error
+    assert result.output.splitlines()[0].startswith("error:"), result.output
+
+
+def test_k_above_a_class_count_exits_2_before_simulating(runner, files):
+    config = files["root"] / "config_k_above_count.json"
+    doc = json.loads(files["config"].read_text())
+    doc["dataset"]["per_class_counts"] = [3, 4, 3]
+    doc["cv"]["k"] = 4
+    config.write_text(json.dumps(doc))
+    out = files["root"] / "k_above_count"
+    result = runner.invoke(cli, ["evaluate", "--config", str(config), "--out", str(out)])
+    _assert_one_error(result, 2, "cv.k=4")
+    assert not out.exists()
+
+
+def test_sweep_too_coarse_for_the_scene_exits_2(runner, files):
+    config = files["root"] / "config_coarse_sweep.json"
+    config.write_text(json.dumps(dict(json.loads(files["config"].read_text()),
+                                      radar={"n_freq": 64})))
+    result = runner.invoke(cli, ["simulate", "--config", str(config),
+                                 "--out", str(files["root"] / "coarse")])
+    _assert_one_error(result, 2, "unambiguous range")
 
 
 def _assert_documented(result):
@@ -309,3 +333,64 @@ class TestMutatedInputs:
     @given(data=st.data())
     def test_mutated_model_exits_documented(self, runner, files, data):
         _assert_documented(_predict(runner, files, data.draw(model_mutations(files["model"]))))
+
+
+TINY_CONFIG = {
+    "seed": 7,
+    "radar": {"n_freq": 301},
+    "scene": {"scatterers_per_scene": 20, "fill_fraction": 0.5},
+    "dataset": {"per_class_counts": [6, 6, 6], "snr_db": [20.0]},
+    "features": {
+        "gray_levels": 8,
+        "stft": {"window_len": 16, "hop": 8, "fft_len": 16},
+        "dwt": {"wavelet": "db4", "levels": 2},
+    },
+    "methods": ["FOS", "DWT+FOS"],
+    "kernel": {"kind": "rbf", "C": 1.0, "gamma": "scale"},
+    "svm": {"tol": 1e-3, "max_passes": 50},
+    "cv": {"k": 3},
+}
+# dropping these would fall back to the paper's 5,681 scans
+KEEP = {("dataset",), ("dataset", "per_class_counts")}
+
+
+def _out_of_range(path):
+    """Values just outside the schema's bounds for the key at ``path``."""
+    node = cfgmod.CONFIG_SCHEMA
+    for key in path:
+        node = node["items"] if isinstance(key, int) else node["properties"][key]
+    bounds = {"minimum": -1, "exclusiveMinimum": 0, "maximum": 1, "exclusiveMaximum": 0}
+    return [node[name] + shift for name, shift in bounds.items() if name in node]
+
+
+@st.composite
+def config_mutations(draw):
+    doc = json.loads(json.dumps(TINY_CONFIG))
+    path = draw(st.sampled_from(_key_paths(doc)))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    actions = ["retype"] + (["drop"] if path not in KEEP else [])
+    actions += ["out_of_range"] if _out_of_range(path) else []
+    action = draw(st.sampled_from(actions))
+    if action == "drop":
+        del parent[path[-1]]
+    elif action == "retype":
+        parent[path[-1]] = draw(OTHER_TYPES)
+    else:
+        parent[path[-1]] = draw(st.sampled_from(_out_of_range(path)))
+    return doc
+
+
+@FAST
+@given(doc=config_mutations())
+def test_mutated_config_exits_0_or_2(runner, files, doc):
+    config = files["root"] / "mutated_config.json"
+    config.write_text(json.dumps(doc))
+    result = runner.invoke(cli, ["evaluate", "--config", str(config), "--echo-classifier",
+                                 "--out", str(files["root"] / "fuzz")])
+    assert result.exit_code in {0, 2}, result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit), (
+        repr(result.exception)
+    )
+    assert "Traceback" not in result.output

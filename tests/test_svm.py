@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grainsort import ConvergenceError, DegenerateTrainingError, DimensionMismatchError
 from grainsort import svm
-from oracles import qp_decision_values, qp_dual_oracle
+from oracles import qp_decision_values, qp_dual_oracle, seed_smo
 
 
 def _blobs(seed=0, n_per=30, centres=((0, 0), (5, 0), (0, 5)), sigma=0.5):
@@ -136,6 +138,96 @@ class TestBinaryTraining:
         assert partial is not None
         scores = svm.decision(partial, X)
         assert np.all(np.isfinite(scores))
+
+
+@pytest.mark.parametrize("kind", ["linear", "rbf"])
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("n", [1, 2, 17, 540])
+def test_gram_matrix_exactly_symmetric(kind, order, n):
+    """train_binary reads rows K[i] in place of columns K[:, i]."""
+    rng = np.random.default_rng(n)
+    for d in (1, 3, 8, 30):
+        X = np.asarray(rng.standard_normal((n, d)) * rng.uniform(0.1, 10.0), order=order)
+        kernel = svm.resolve_gamma(svm.KernelSpec(kind=kind), X)
+        K = svm.kernel_matrix(kernel, X)
+        assert np.array_equal(K, K.T)
+
+
+def _seed_loop_problem(data):
+    """A small binary problem: Gaussian rows, some rows repeated or drawn from
+    a handful of distinct points (so eta can be 0), both labels present."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    n = data.draw(st.integers(2, 60), label="n")
+    d = data.draw(st.integers(1, 4), label="d")
+    layout = data.draw(st.sampled_from(["distinct", "repeats", "few_points"]), label="layout")
+    if layout == "few_points":
+        X = rng.standard_normal((3, d))[rng.integers(0, 3, n)]
+    else:
+        X = rng.standard_normal((n, d))
+        if layout == "repeats":
+            X[n // 2:] = X[: n - n // 2]
+    y = np.where(rng.random(n) < 0.5, -1.0, 1.0)
+    y[0], y[1] = 1.0, -1.0
+    return X, y
+
+
+class TestSeedLoopBitIdentity:
+    """train_binary matches the original whole-vector SMO loop bit for bit."""
+
+    @staticmethod
+    def _compare(X, y, kernel, max_passes):
+        kernel = svm.resolve_gamma(kernel, X)
+        ref = seed_smo(svm.kernel_matrix(kernel, X), y, kernel.c, 1e-3, max_passes)
+        try:
+            model = svm.train_binary(X, y, kernel, max_passes=max_passes)
+        except ConvergenceError as exc:
+            model = exc.model
+            assert not ref["converged"]
+        else:
+            assert ref["converged"]
+        keep = ref["alpha"] > 1e-12
+        assert model.diagnostics.n_updates == ref["n_updates"]
+        assert np.array_equal(model.sv_indices, np.flatnonzero(keep))
+        assert np.array_equal(model.dual_coef, (ref["alpha"] * y)[keep])
+        assert model.bias == ref["bias"]
+        assert model.diagnostics.final_violation == ref["final_violation"]
+        return ref
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(data=st.data())
+    def test_random_problems(self, data):
+        X, y = _seed_loop_problem(data)
+        kernel = svm.KernelSpec(
+            kind=data.draw(st.sampled_from(["linear", "rbf"]), label="kind"),
+            c=data.draw(st.sampled_from([1e-3, 0.05, 0.3, 1.0, 10.0, 100.0]), label="C"),
+        )
+        self._compare(X, y, kernel, data.draw(st.sampled_from([1, 10]), label="max_passes"))
+
+    @pytest.mark.parametrize("kind", ["linear", "rbf"])
+    def test_named_paths_are_exercised(self, kind):
+        rng = np.random.default_rng(11)
+        X = rng.standard_normal((80, 3))
+        y = np.where(X[:, 0] + 0.8 * rng.standard_normal(80) > 0, 1.0, -1.0)
+        # tiny C: many multipliers end on the upper bound
+        ref = self._compare(X, y, svm.KernelSpec(kind=kind, c=1e-3), 10)
+        assert ref["converged"] and np.sum(ref["alpha"] >= 1e-3 - 1e-12) > 10
+        # five distinct rows, each repeated with both labels: steps with eta <= 1e-12
+        X_rep = np.vstack([X[:5]] * 8)
+        y_rep = np.tile(y[:5], 8) * np.repeat([1.0, -1.0], 20)
+        ref = self._compare(X_rep, y_rep, svm.KernelSpec(kind=kind, c=1.0), 10)
+        assert ref["flat_steps"] > 0
+        # one pass only: the ConvergenceError path
+        ref = self._compare(X, y, svm.KernelSpec(kind=kind, c=100.0, gamma=5.0), 1)
+        assert not ref["converged"]
+
+    def test_box_clip_after_rounding(self):
+        """alpha + (C - alpha) can round above C = 0.3; both loops clip it back."""
+        rng = np.random.default_rng(86)
+        X = rng.standard_normal((40, 2))
+        y = np.where(X[:, 0] + rng.standard_normal(40) > 0, 1.0, -1.0)
+        y[0], y[1] = 1.0, -1.0
+        ref = self._compare(X, y, svm.KernelSpec(kind="linear", c=0.3), 10)
+        assert ref["converged"] and ref["clipped_steps"] > 0
 
 
 class TestDecision:
