@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -85,9 +85,10 @@ def quantize(m, gray_levels: int = 16) -> np.ndarray:
     return pixels
 
 
-# offsets at distance 1 for the four standard angles
-GLCM_ANGLES = (0, 45, 90, 135)
+# (dy, dx) at distance 1 for the four standard angles: the pixel pairs glcm
+# counts and the steps along glrlm's scan lines
 ANGLE_OFFSETS = {0: (0, 1), 45: (-1, 1), 90: (-1, 0), 135: (-1, -1)}
+GLCM_ANGLES = tuple(ANGLE_OFFSETS)
 
 
 def glcm(pixels: np.ndarray, gray_levels: int, offset: Tuple[int, int]) -> np.ndarray:
@@ -154,37 +155,30 @@ def glcm_features(p: np.ndarray) -> np.ndarray:
     )
 
 
-GLRLM_DIRECTIONS = (0, 45, 90, 135)
-
-
-def _scan_lines(pixels: np.ndarray, direction: int) -> List[np.ndarray]:
-    rows, cols = pixels.shape
-    if direction == 0:
-        return [pixels[r, :] for r in range(rows)]
-    if direction == 90:
-        return [pixels[:, c] for c in range(cols)]
-    if direction == 45:
-        flipped = np.fliplr(pixels)
-        return [np.diagonal(flipped, k) for k in range(-(rows - 1), cols)]
-    if direction == 135:
-        return [np.diagonal(pixels, k) for k in range(-(rows - 1), cols)]
-    raise InvalidParameterError(f"direction must be one of {GLRLM_DIRECTIONS}")
-
-
 def glrlm(pixels: np.ndarray, gray_levels: int, direction: int) -> np.ndarray:
     """Maximal-run decomposition of every scan line in one direction (degrees).
 
-    counts[g, l-1] is the number of maximal runs of gray g with length l.
+    A scan line steps by the direction's ANGLE_OFFSETS entry, the offset glcm
+    pairs pixels at.  counts[g, l-1] is the number of maximal runs of gray g
+    with length l.
     """
+    try:
+        dy, dx = ANGLE_OFFSETS[int(direction)]
+    except KeyError:
+        raise InvalidParameterError(f"direction must be one of {GLCM_ANGLES}") from None
     counts = np.zeros((gray_levels, max(pixels.shape)), dtype=np.int64)
-    for line in _scan_lines(pixels, int(direction)):
-        if line.size == 0:
-            continue
-        breaks = np.flatnonzero(np.diff(line)) + 1
-        starts = np.concatenate(([0], breaks))
-        ends = np.concatenate((breaks, [line.size]))
-        for s, e in zip(starts, ends):
-            counts[line[s], e - s - 1] += 1
+    if pixels.size == 0:
+        return counts
+    r, c = np.indices(pixels.shape)
+    # a step keeps dx*r - dy*c, which tells the lines apart, and raises dy*r + dx*c
+    line = (dx * r - dy * c).ravel()
+    order = np.lexsort(((dy * r + dx * c).ravel(), line))
+    line, gray = line[order], pixels.ravel()[order]
+    starts = np.flatnonzero(
+        np.concatenate(([True], (np.diff(line) != 0) | (np.diff(gray) != 0)))
+    )
+    lengths = np.diff(np.append(starts, gray.size))
+    np.add.at(counts, (gray[starts], lengths - 1), 1)
     return counts
 
 
@@ -277,22 +271,6 @@ class FeatureVector:
     values: np.ndarray
     method_tag: str
 
-    @property
-    def dim(self) -> int:
-        return int(self.values.size)
-
-
-def method_dim(method_tag: str, params: FeatureParams = FeatureParams()) -> int:
-    """Feature dimension contract per chain under the given parameters."""
-    return {
-        "FOS": 6,
-        "FFT+FOS": 6,
-        "DCT+FOS": 6,
-        "DWT+FOS": 6 * (params.dwt_levels + 1),
-        "STFT+GLCM": 6 * len(GLCM_ANGLES),
-        "STFT+GLRLM": 11 * len(GLRLM_DIRECTIONS),
-    }[method_tag]
-
 
 def _stft_image(mag: np.ndarray, params: FeatureParams) -> np.ndarray:
     frames = transforms.stft(
@@ -336,7 +314,7 @@ def extract(
         pixels = _stft_image(mag, params)
         values = np.concatenate([
             glrlm_features(glrlm(pixels, params.gray_levels, d), pixels.size)
-            for d in GLRLM_DIRECTIONS
+            for d in GLCM_ANGLES
         ])
     return FeatureVector(values, method_tag)
 

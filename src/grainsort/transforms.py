@@ -10,6 +10,7 @@ from __future__ import annotations
 from typing import List, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 def fft(signal) -> np.ndarray:
@@ -103,14 +104,8 @@ def dwt_multilevel(signal, levels: int, wavelet_id: str = "db4") -> List[np.ndar
     if levels < 1:
         raise ValueError("levels must be >= 1")
     x = np.asarray(signal, dtype=float)
-    filt_len = _filters(wavelet_id)[0].size
     details: List[np.ndarray] = []
-    for level in range(levels):
-        if x.size < filt_len:
-            raise ValueError(
-                f"signal too short for level {level + 1}: {x.size} samples, "
-                f"{filt_len}-tap filter"
-            )
+    for _ in range(levels):
         x, detail = dwt_single(x, wavelet_id)
         details.append(detail)
     return [x] + details
@@ -137,10 +132,5 @@ def stft(signal, window_len: int = 64, hop: int = 32, fft_len: int = 64) -> np.n
         raise ValueError("hop must be >= 1")
     if fft_len < window_len:
         raise ValueError("fft_len must be >= window_len")
-    n_frames = (x.size - window_len) // hop + 1
-    window = np.hamming(window_len)
-    frames = np.empty((fft_len // 2 + 1, n_frames), dtype=complex)
-    for t in range(n_frames):
-        seg = x[t * hop : t * hop + window_len] * window
-        frames[:, t] = np.fft.rfft(seg, n=fft_len)
-    return frames
+    frames = sliding_window_view(x, window_len)[::hop]
+    return np.fft.rfft(frames * np.hamming(window_len), n=fft_len, axis=1).T

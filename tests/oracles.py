@@ -1,12 +1,13 @@
 """Independent brute-force oracles the fast implementations are tested against.
 
 Everything here favours obviousness over speed: an extended-precision
-phasor sum for the radar model, direct O(N^2) transform sums, per-pixel
-double loops for texture counting, a projected-gradient solver for the SVM
-dual and the original whole-vector SMO loop.  None of it shares code with
-the package paths it checks, except the inverse transforms: the DCT inverse
-delegates to scipy, and the wavelet synthesis bank reads the package's
-filter taps and subband lengths to check that analysis reconstructs.
+phasor sum for the radar model, direct O(N^2) transform sums, an STFT that
+transforms one frame at a time, per-pixel double loops for texture
+counting, a projected-gradient solver for the SVM dual and the original
+whole-vector SMO loop.  None of it shares code with the package paths it
+checks, except the inverse transforms: the DCT inverse delegates to scipy,
+and the wavelet synthesis bank reads the package's filter taps and subband
+lengths to check that analysis reconstructs.
 """
 
 from typing import List
@@ -112,6 +113,18 @@ def idwt_multilevel(
     for level in range(levels, 0, -1):
         x = idwt_single(x, bands[level], wavelet_id, lens[level - 1])
     return x
+
+
+def frame_stft(signal, window_len, hop, fft_len):
+    """Hamming-windowed one-sided DFT of each hopped frame, one rfft per frame."""
+    x = np.asarray(signal, dtype=float)
+    n_frames = (x.size - window_len) // hop + 1
+    window = np.hamming(window_len)
+    frames = np.empty((fft_len // 2 + 1, n_frames), dtype=complex)
+    for t in range(n_frames):
+        seg = x[t * hop : t * hop + window_len] * window
+        frames[:, t] = np.fft.rfft(seg, n=fft_len)
+    return frames
 
 
 def brute_force_glcm(pixels, gray_levels, offset):

@@ -104,7 +104,7 @@ def test_criterion_3_texture_oracles():
             mine = ft.glcm(pixels, levels, offset)
             ints = brute_force_glcm(pixels, levels, offset)
             assert np.array_equal(mine, ints / ints.sum()), (trial, angle)
-        for direction in ft.GLRLM_DIRECTIONS:
+        for direction in ft.GLCM_ANGLES:
             assert np.array_equal(
                 ft.glrlm(pixels, levels, direction),
                 brute_force_glrlm(pixels, levels, direction),

@@ -24,9 +24,16 @@ def runner():
 
 @pytest.fixture(scope="module")
 def files(runner, tmp_path_factory):
-    """A 12-scan/class dataset, a FOS model trained on it and an evaluation summary."""
+    """Paths to a 12-scan/class dataset, a FOS model trained on it, an evaluation
+    summary and a 6-scan/class dataset simulated from TINY_CONFIG.
+
+    It holds paths and sizes only, because hypothesis prints it in every
+    falsifying example; tests read the files they need.
+    """
     root = tmp_path_factory.mktemp("exit_codes")
     config = root / "config.json"
+    tiny_config = root / "tiny_config.json"
+    tiny_config.write_text(json.dumps(TINY_CONFIG))
     config.write_text(json.dumps({
         "seed": 1234,
         "dataset": {"per_class_counts": [12, 12, 12], "snr_db": [20.0]},
@@ -41,6 +48,7 @@ def files(runner, tmp_path_factory):
          "--config", str(config), "--out", str(out)],
         ["evaluate", "--config", str(config), "--out", str(out),
          "--method", "FOS", "--echo-classifier"],
+        ["simulate", "--config", str(tiny_config), "--out", str(root / "tiny")],
     ):
         result = runner.invoke(cli, argv)
         assert result.exit_code == 0, result.output
@@ -51,12 +59,15 @@ def files(runner, tmp_path_factory):
         "run": out,
         "config": config,
         "gsrd": gsrd,
-        "blob": gsrd.read_bytes(),
+        "tiny_gsrd": root / "tiny" / "dataset_snr20.gsrd",
+        "size": gsrd.stat().st_size,
         "n_records": len(ascans),
         "record_size": RECORD_FIXED + 16 * params.n_freq,
-        "model": json.loads((out / "model.json").read_text()),
-        "summary": json.loads((out / "summary.json").read_text()),
     }
+
+
+def _model(files):
+    return json.loads((files["run"] / "model.json").read_text())
 
 
 def _assert_data_error(result):
@@ -90,14 +101,14 @@ def _report(runner, files, summary):
 
 class TestDataFaultsExit3:
     def test_unknown_label_byte(self, runner, files):
-        blob = bytearray(files["blob"])
+        blob = bytearray(files["gsrd"].read_bytes())
         blob[HEADER] = 7
         result = _extract(runner, files, bytes(blob))
         _assert_data_error(result)
         assert f"byte offset {HEADER}" in result.output
 
     def test_nan_sample(self, runner, files):
-        blob = bytearray(files["blob"])
+        blob = bytearray(files["gsrd"].read_bytes())
         record = HEADER + files["record_size"]  # second record
         blob[record + RECORD_FIXED : record + RECORD_FIXED + 8] = bytes.fromhex("000000000000f87f")
         result = _extract(runner, files, bytes(blob))
@@ -105,7 +116,7 @@ class TestDataFaultsExit3:
         assert f"byte offset {record}" in result.output
 
     def test_zero_record_dataset(self, runner, files):
-        blob = bytearray(files["blob"][:HEADER])
+        blob = bytearray(files["gsrd"].read_bytes()[:HEADER])
         blob[10:18] = bytes(8)  # record count
         _assert_data_error(_extract(runner, files, bytes(blob)))
 
@@ -113,21 +124,21 @@ class TestDataFaultsExit3:
         _assert_data_error(_predict(runner, files, "{nope"))
 
     def test_model_without_scaler(self, runner, files):
-        doc = dict(files["model"])
+        doc = _model(files)
         del doc["scaler"]
         _assert_data_error(_predict(runner, files, json.dumps(doc)))
 
     def test_model_feature_params_extra_key(self, runner, files):
-        doc = dict(files["model"])
+        doc = _model(files)
         doc["feature_params"] = dict(doc["feature_params"], extra=1)
         _assert_data_error(_predict(runner, files, json.dumps(doc)))
 
     def test_model_unknown_method_tag(self, runner, files):
-        doc = dict(files["model"], method_tag="NOPE")
+        doc = dict(_model(files), method_tag="NOPE")
         _assert_data_error(_predict(runner, files, json.dumps(doc)))
 
     def test_summary_std_missing_a_metric(self, runner, files):
-        summary = json.loads(json.dumps(files["summary"]))
+        summary = json.loads((files["run"] / "summary.json").read_text())
         del summary["results"]["snr20"]["FOS"]["std"]["MCC"]
         result = _report(runner, files, summary)
         _assert_data_error(result)
@@ -187,7 +198,7 @@ def test_unusable_feature_params_in_config_exit_2(runner, files, case):
 @pytest.mark.parametrize("case", sorted(UNUSABLE_FEATURE_PARAMS))
 def test_unusable_feature_params_in_model_exit_3(runner, files, case):
     method, _, params, needle = UNUSABLE_FEATURE_PARAMS[case]
-    doc = dict(files["model"], method_tag=method)
+    doc = dict(_model(files), method_tag=method)
     doc["feature_params"] = dict(doc["feature_params"], **params)
     _assert_one_error(_predict(runner, files, json.dumps(doc)), 3, needle)
 
@@ -257,19 +268,22 @@ def test_sweep_too_coarse_for_the_scene_exits_2(runner, files):
     _assert_one_error(result, 2, "unambiguous range")
 
 
-def _assert_documented(result):
-    assert result.exit_code in DOCUMENTED, result.output
+def _assert_exits(result, codes=DOCUMENTED):
+    assert result.exit_code in codes, result.output
     assert result.exception is None or isinstance(result.exception, SystemExit), (
         repr(result.exception)
     )
+    assert "Traceback" not in result.output
 
 
 @st.composite
 def gsrd_mutations(draw, files):
-    blob = files["blob"]
+    """("truncate", length) or one byte to overwrite, (offset, value), in the
+    dataset at files["gsrd"]: a few numbers, not the file, so a falsifying
+    example prints short."""
     kind = draw(st.sampled_from(["truncate", "header", "label", "sample"]))
     if kind == "truncate":
-        return blob[: draw(st.integers(0, len(blob) - 1))]
+        return ("truncate", draw(st.integers(0, files["size"] - 1)))
     if kind == "header":
         offset = draw(st.integers(0, HEADER - 1))
     else:
@@ -278,8 +292,15 @@ def gsrd_mutations(draw, files):
             offset = record
         else:
             offset = record + draw(st.integers(RECORD_FIXED, files["record_size"] - 1))
+    return (offset, draw(st.integers(0, 255)))
+
+
+def _mutate(blob, mutation):
+    if mutation[0] == "truncate":
+        return blob[: mutation[1]]
+    offset, value = mutation
     mutated = bytearray(blob)
-    mutated[offset] = draw(st.integers(0, 255))
+    mutated[offset] = value
     return bytes(mutated)
 
 
@@ -325,14 +346,14 @@ class TestMutatedInputs:
     @FAST
     @given(data=st.data())
     def test_mutated_dataset_exits_documented(self, runner, files, data):
-        blob = data.draw(gsrd_mutations(files))
+        blob = _mutate(files["gsrd"].read_bytes(), data.draw(gsrd_mutations(files)))
         method = data.draw(st.sampled_from(["FOS", "FFT+FOS", "DCT+FOS", "DWT+FOS"]))
-        _assert_documented(_extract(runner, files, blob, method))
+        _assert_exits(_extract(runner, files, blob, method))
 
     @FAST
     @given(data=st.data())
     def test_mutated_model_exits_documented(self, runner, files, data):
-        _assert_documented(_predict(runner, files, data.draw(model_mutations(files["model"]))))
+        _assert_exits(_predict(runner, files, data.draw(model_mutations(_model(files)))))
 
 
 TINY_CONFIG = {
@@ -364,9 +385,10 @@ def _out_of_range(path):
 
 
 @st.composite
-def config_mutations(draw):
+def config_mutations(draw, paths):
+    """TINY_CONFIG with the key at one of ``paths`` dropped, retyped or put out of range."""
     doc = json.loads(json.dumps(TINY_CONFIG))
-    path = draw(st.sampled_from(_key_paths(doc)))
+    path = draw(st.sampled_from(paths))
     parent = doc
     for key in path[:-1]:
         parent = parent[key]
@@ -383,14 +405,24 @@ def config_mutations(draw):
 
 
 @FAST
-@given(doc=config_mutations())
+@given(doc=config_mutations(_key_paths(TINY_CONFIG)))
 def test_mutated_config_exits_0_or_2(runner, files, doc):
     config = files["root"] / "mutated_config.json"
     config.write_text(json.dumps(doc))
     result = runner.invoke(cli, ["evaluate", "--config", str(config), "--echo-classifier",
                                  "--out", str(files["root"] / "fuzz")])
-    assert result.exit_code in {0, 2}, result.output
-    assert result.exception is None or isinstance(result.exception, SystemExit), (
-        repr(result.exception)
-    )
-    assert "Traceback" not in result.output
+    _assert_exits(result, {0, 2})
+
+
+# evaluate --echo-classifier only schema-checks these; train runs SMO on them
+SOLVER_KEYS = [path for path in _key_paths(TINY_CONFIG) if path[0] in ("kernel", "svm")]
+
+
+@FAST
+@given(doc=config_mutations(SOLVER_KEYS))
+def test_mutated_solver_keys_exit_0_2_or_4(runner, files, doc):
+    config = files["root"] / "mutated_solver_config.json"
+    config.write_text(json.dumps(doc))
+    result = runner.invoke(cli, ["train", str(files["tiny_gsrd"]), "--method", "FOS",
+                                 "--config", str(config), "--out", str(files["root"] / "solver")])
+    _assert_exits(result, {0, 2, 4})

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from grainsort import transforms as tr
-from oracles import direct_dct2_ortho, direct_dft, idct, idwt_multilevel
+from oracles import direct_dct2_ortho, direct_dft, frame_stft, idct, idwt_multilevel
 
 
 class TestFFT:
@@ -156,3 +156,19 @@ class TestSTFT:
         frames = tr.stft(np.ones(length), window_len=window, hop=hop, fft_len=fft_len)
         assert frames.shape[1] == (length - window) // hop + 1
         assert frames.shape[0] == fft_len // 2 + 1
+
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    @given(
+        length=st.integers(2, 400),
+        window=st.integers(2, 64),
+        hop=st.integers(1, 96),
+        pad=st.integers(0, 32),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(length=64, window=64, hop=1, pad=0, seed=0)  # a single frame
+    @example(length=301, window=16, hop=40, pad=5, seed=1)  # hop above the window
+    def test_matches_per_frame_loop(self, length, window, hop, pad, seed):
+        window = min(window, length)
+        x = np.random.default_rng(seed).standard_normal(length)
+        frames = tr.stft(x, window_len=window, hop=hop, fft_len=window + pad)
+        assert np.array_equal(frames, frame_stft(x, window, hop, window + pad))
