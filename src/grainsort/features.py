@@ -15,7 +15,7 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from . import transforms
-from .errors import DataError, InvalidParameterError
+from .errors import DataError, DimensionMismatchError, InvalidParameterError
 from .radar import AScan
 
 _DEGENERATE_VAR = 1e-24
@@ -24,46 +24,86 @@ _DEGENERATE_SPREAD = 1e-12
 ENTROPY_BINS = 64
 # texture matrices grow with G per image; cap G at the range of one byte
 MAX_GRAY_LEVELS = 256
+# scans per extract_matrix step: bounds the chains' temporaries, and a row
+# does not depend on the other scans of its chunk
+CHUNK_SCANS = 128
+# G x G cells per texture step: all 128 images of a chunk at G = 16, four at G = 256
+TEXTURE_CELLS = 2**18
 
 FOS_NAMES = ("mean", "variance", "skewness", "kurtosis", "entropy", "energy")
 
 
-def fos(x) -> np.ndarray:
-    """First-order statistics of a value distribution, in FOS_NAMES order.
+def _entropy(p: np.ndarray) -> np.ndarray:
+    """-sum(p log p) over the positive entries of each row of a 2-D array.
 
-    Population moments; skewness and excess kurtosis are defined as 0 for
-    (near-)constant input, entropy is Shannon entropy (natural log) of a
-    64-bin equal-width histogram over [min, max], and 0 when that range is
-    below float resolution.  Non-finite input is a data error.
+    Each row's terms are summed by np.sum on their own: a sum's rounding
+    depends on how many terms it adds, so a zero-padded or segmented sum
+    over the rows would change the last bits.
     """
-    x = np.asarray(x, dtype=float).ravel()
-    if x.size == 0:
+    keep = p > 0
+    nonzero = p[keep]
+    terms = nonzero * np.log(nonzero)
+    ends = np.cumsum(keep.sum(axis=1))
+    return -np.array([np.sum(t) for t in np.split(terms, ends[:-1])])
+
+
+def fos(x) -> np.ndarray:
+    """First-order statistics of each value distribution, in FOS_NAMES order.
+
+    The last axis of x holds one distribution; the result has shape
+    x.shape[:-1] + (6,), so a vector gives a 6-vector.  Population moments;
+    skewness and excess kurtosis are defined as 0 for (near-)constant input,
+    entropy is Shannon entropy (natural log) of a 64-bin equal-width
+    histogram over [min, max], and 0 when that range is below float
+    resolution.  Non-finite input is a data error.
+    """
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if x.shape[-1] == 0:
         raise ValueError("cannot summarise an empty vector")
-    lo, hi = float(np.min(x)), float(np.max(x))
-    if not np.isfinite(hi - lo):
+    batch, n = x.shape[:-1], x.shape[-1]
+    x = x.reshape(-1, n)
+    lo, hi = x.min(axis=1), x.max(axis=1)
+    span = hi - lo
+    if not np.all(np.isfinite(span)):
         raise DataError("values are not finite or span past the float range")
-    # numpy scalars overflow to inf, which extract_matrix rejects; floats would raise
-    with np.errstate(over="ignore", invalid="ignore"):
-        mean = float(np.mean(x))
-        centred = x - mean
-        m2 = np.mean(centred**2)
-        if m2 < _DEGENERATE_VAR:
-            skew = kurt = 0.0
-        else:
-            skew = float(np.mean(centred**3) / m2**1.5)
-            kurt = float(np.mean(centred**4) / m2**2 - 3.0)
-        energy = float(np.sum(x**2))
-    if hi - lo < max(_DEGENERATE_VAR, _DEGENERATE_SPREAD * max(abs(lo), abs(hi))):
-        entropy = 0.0
-    else:
-        hist, _ = np.histogram(x, bins=ENTROPY_BINS, range=(lo, hi))
-        p = hist[hist > 0] / x.size
-        entropy = float(-np.sum(p * np.log(p)))
-    return np.array([mean, float(m2), skew, kurt, entropy, energy])
+    # moments overflow to inf, which extract_matrix rejects
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        mean = x.mean(axis=1)
+        centred = x - mean[:, None]
+        m2 = (centred**2).mean(axis=1)
+        # numpy scalar powers: the array power loop rounds some elements differently
+        skew = (centred**3).mean(axis=1) / np.array([v**1.5 for v in m2])
+        kurt = (centred**4).mean(axis=1) / np.array([v**2 for v in m2]) - 3.0
+        energy = (x**2).sum(axis=1)
+    flat = m2 < _DEGENERATE_VAR
+    skew[flat] = kurt[flat] = 0.0
+    entropy = np.zeros(len(x))
+    spread = np.maximum(_DEGENERATE_VAR, _DEGENERATE_SPREAD * np.maximum(np.abs(lo), np.abs(hi)))
+    binned = np.flatnonzero(~(span < spread))
+    if binned.size:
+        entropy[binned] = _entropy(_histogram(x[binned], lo[binned], hi[binned]) / n)
+    out = np.stack([mean, m2, skew, kurt, entropy, energy], axis=1)
+    return out.reshape(batch + (len(FOS_NAMES),))
+
+
+def _histogram(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """ENTROPY_BINS-bin counts of each row over its [lo, hi], bin for bin as
+    np.histogram(row, ENTROPY_BINS, (lo, hi)) counts them."""
+    rows = np.arange(len(x))[:, None]
+    edges = np.linspace(lo, hi, ENTROPY_BINS + 1, axis=1)
+    index = ((x - lo[:, None]) / (hi - lo)[:, None] * ENTROPY_BINS).astype(np.intp)
+    # np.histogram's fix-ups: the maximum joins the last bin, and a value
+    # that rounding put one bin off moves to the bin whose edges hold it
+    index[index == ENTROPY_BINS] -= 1
+    index[x < edges[rows, index]] -= 1
+    index[(x >= edges[rows, index + 1]) & (index != ENTROPY_BINS - 1)] += 1
+    counts = np.bincount((rows * ENTROPY_BINS + index).ravel(), minlength=len(x) * ENTROPY_BINS)
+    return counts.reshape(len(x), ENTROPY_BINS)
 
 
 def quantize(m, gray_levels: int = 16) -> np.ndarray:
-    """dB-scale a non-negative matrix, then map [min, max] to integer pixels 0..G-1.
+    """dB-scale each non-negative matrix, then map its [min, max] to integer
+    pixels 0..G-1; the last two axes hold one matrix.
 
     A constant matrix maps to all zeros; otherwise the maximum element always
     lands on G-1.
@@ -76,12 +116,12 @@ def quantize(m, gray_levels: int = 16) -> np.ndarray:
     if np.any(m < 0):
         raise InvalidParameterError("dB quantization expects non-negative magnitudes")
     db = 20.0 * np.log10(m + 1e-12)
-    lo, hi = db.min(), db.max()
-    if hi - lo < 1e-12:
-        pixels = np.zeros(m.shape, dtype=np.int64)
-    else:
-        pixels = np.floor((db - lo) / (hi - lo) * gray_levels).astype(np.int64)
-        pixels = np.clip(pixels, 0, gray_levels - 1)
+    axes = tuple(range(db.ndim))[-2:]
+    lo, hi = db.min(axis=axes, keepdims=True), db.max(axis=axes, keepdims=True)
+    constant = hi - lo < 1e-12
+    pixels = np.floor((db - lo) / np.where(constant, 1.0, hi - lo) * gray_levels).astype(np.int64)
+    pixels = np.clip(pixels, 0, gray_levels - 1)
+    pixels[np.broadcast_to(constant, pixels.shape)] = 0
     return pixels
 
 
@@ -91,25 +131,37 @@ ANGLE_OFFSETS = {0: (0, 1), 45: (-1, 1), 90: (-1, 0), 135: (-1, -1)}
 GLCM_ANGLES = tuple(ANGLE_OFFSETS)
 
 
+def _images(pixels, gray_levels: int) -> np.ndarray:
+    """Integer images stacked as (n_images, rows, cols), every pixel a gray level."""
+    pixels = np.asarray(pixels)
+    if pixels.size and (pixels.min() < 0 or pixels.max() >= gray_levels):
+        raise InvalidParameterError(f"pixels must lie in 0..{gray_levels - 1}")
+    return pixels.reshape((-1,) + pixels.shape[-2:]).astype(np.int64, copy=False)
+
+
 def glcm(pixels: np.ndarray, gray_levels: int, offset: Tuple[int, int]) -> np.ndarray:
-    """(G, G) gray-level pair histogram at one (dy, dx) offset, counted in
-    both orders and normalised to sum 1."""
+    """(..., G, G) gray-level pair histograms at one (dy, dx) offset, counted
+    in both orders and normalised to sum 1; the last two axes of pixels hold
+    one image."""
     dy, dx = int(offset[0]), int(offset[1])
     if (dy, dx) == (0, 0):
         raise InvalidParameterError("offset (0, 0) is not a neighbour relation")
-    rows, cols = pixels.shape
+    batch, (rows, cols) = np.shape(pixels)[:-2], np.shape(pixels)[-2:]
     r0, r1 = max(0, -dy), rows - max(0, dy)
     c0, c1 = max(0, -dx), cols - max(0, dx)
     if r1 <= r0 or c1 <= c0:
         raise InvalidParameterError(
             f"offset {(dy, dx)} does not fit inside a {rows}x{cols} image"
         )
-    a = pixels[r0:r1, c0:c1].ravel()
-    b = pixels[r0 + dy : r1 + dy, c0 + dx : c1 + dx].ravel()
-    counts = np.zeros((gray_levels, gray_levels), dtype=float)
-    np.add.at(counts, (a, b), 1.0)
-    counts = counts + counts.T
-    counts /= counts.sum()
+    images = _images(pixels, gray_levels)
+    g = gray_levels
+    a = images[:, r0:r1, c0:c1].reshape(len(images), -1)
+    b = images[:, r0 + dy : r1 + dy, c0 + dx : c1 + dx].reshape(len(images), -1)
+    image = np.arange(len(images))[:, None]
+    counts = np.bincount(((image * g + a) * g + b).ravel(), minlength=len(images) * g * g)
+    counts = counts.reshape(batch + (g, g)).astype(float)
+    counts = counts + np.swapaxes(counts, -1, -2)
+    counts /= counts.sum(axis=(-2, -1), keepdims=True)
     return counts
 
 
@@ -124,62 +176,75 @@ GLCM_FEATURE_NAMES = (
 
 
 def glcm_features(p: np.ndarray) -> np.ndarray:
-    """Haralick-style subset of a normalised co-occurrence matrix: contrast,
-    correlation, angular second moment (energy), homogeneity, entropy,
-    dissimilarity."""
-    if abs(p.sum() - 1.0) > 1e-9:
+    """Haralick-style subset of each normalised co-occurrence matrix in the
+    last two axes: contrast, correlation, angular second moment (energy),
+    homogeneity, entropy, dissimilarity; shape p.shape[:-2] + (6,)."""
+    p = np.asarray(p, dtype=float)
+    batch, g = p.shape[:-2], p.shape[-1]
+    p = p.reshape(-1, g, g)
+    cells = p.reshape(len(p), g * g)
+
+    def total(t):
+        return t.reshape(len(p), -1).sum(axis=1)
+
+    if np.any(np.abs(cells.sum(axis=1) - 1.0) > 1e-9):
         raise InvalidParameterError("co-occurrence matrix must be normalised")
-    g = p.shape[0]
     i, j = np.indices((g, g))
     diff = i - j
-    contrast = float(np.sum(p * diff**2))
-    dissimilarity = float(np.sum(p * np.abs(diff)))
-    energy = float(np.sum(p**2))
-    homogeneity = float(np.sum(p / (1.0 + diff**2)))
-    nonzero = p[p > 0]
-    entropy = float(-np.sum(nonzero * np.log(nonzero)))
-    pi = p.sum(axis=1)
-    mu_i = float(np.sum(np.arange(g) * pi))
-    var_i = float(np.sum((np.arange(g) - mu_i) ** 2 * pi))
-    pj = p.sum(axis=0)
-    mu_j = float(np.sum(np.arange(g) * pj))
-    var_j = float(np.sum((np.arange(g) - mu_j) ** 2 * pj))
-    if var_i < _DEGENERATE_VAR or var_j < _DEGENERATE_VAR:
-        correlation = 0.0
-    else:
-        correlation = float(
-            np.sum((i - mu_i) * (j - mu_j) * p) / np.sqrt(var_i * var_j)
-        )
-    return np.array(
-        [contrast, correlation, energy, homogeneity, entropy, dissimilarity]
+    contrast = total(p * diff**2)
+    dissimilarity = total(p * np.abs(diff))
+    energy = total(p**2)
+    homogeneity = total(p / (1.0 + diff**2))
+    entropy = _entropy(cells)
+    levels = np.arange(g)
+    pi = p.sum(axis=2)
+    mu_i = (levels * pi).sum(axis=1)
+    var_i = ((levels - mu_i[:, None]) ** 2 * pi).sum(axis=1)
+    pj = p.sum(axis=1)
+    mu_j = (levels * pj).sum(axis=1)
+    var_j = ((levels - mu_j[:, None]) ** 2 * pj).sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        correlation = total(
+            (i - mu_i[:, None, None]) * (j - mu_j[:, None, None]) * p
+        ) / np.sqrt(var_i * var_j)
+    correlation[(var_i < _DEGENERATE_VAR) | (var_j < _DEGENERATE_VAR)] = 0.0
+    out = np.stack(
+        [contrast, correlation, energy, homogeneity, entropy, dissimilarity], axis=1
     )
+    return out.reshape(batch + (len(GLCM_FEATURE_NAMES),))
 
 
 def glrlm(pixels: np.ndarray, gray_levels: int, direction: int) -> np.ndarray:
     """Maximal-run decomposition of every scan line in one direction (degrees).
 
     A scan line steps by the direction's ANGLE_OFFSETS entry, the offset glcm
-    pairs pixels at.  counts[g, l-1] is the number of maximal runs of gray g
-    with length l.
+    pairs pixels at.  counts[..., g, l-1] is the number of maximal runs of
+    gray g with length l in the image held by the last two axes of pixels.
     """
     try:
         dy, dx = ANGLE_OFFSETS[int(direction)]
     except KeyError:
         raise InvalidParameterError(f"direction must be one of {GLCM_ANGLES}") from None
-    counts = np.zeros((gray_levels, max(pixels.shape)), dtype=np.int64)
-    if pixels.size == 0:
-        return counts
-    r, c = np.indices(pixels.shape)
+    batch, shape = np.shape(pixels)[:-2], np.shape(pixels)[-2:]
+    g, longest = gray_levels, max(shape)
+    if np.size(pixels) == 0:
+        return np.zeros(batch + (g, longest), dtype=np.int64)
+    images = _images(pixels, gray_levels)
+    r, c = np.indices(shape)
     # a step keeps dx*r - dy*c, which tells the lines apart, and raises dy*r + dx*c
     line = (dx * r - dy * c).ravel()
     order = np.lexsort(((dy * r + dx * c).ravel(), line))
-    line, gray = line[order], pixels.ravel()[order]
-    starts = np.flatnonzero(
-        np.concatenate(([True], (np.diff(line) != 0) | (np.diff(gray) != 0)))
-    )
+    line, gray = line[order], images.reshape(len(images), -1)[:, order]
+    new_run = np.ones(gray.shape, dtype=bool)
+    new_run[:, 1:] = (np.diff(line) != 0) | (np.diff(gray, axis=1) != 0)
+    starts = np.flatnonzero(new_run)
     lengths = np.diff(np.append(starts, gray.size))
-    np.add.at(counts, (gray[starts], lengths - 1), 1)
-    return counts
+    image = starts // gray.shape[1]
+    counts = np.bincount(
+        (image * g + gray.ravel()[starts]) * longest + lengths - 1,
+        minlength=len(images) * g * longest,
+    )
+    return counts.reshape(batch + (g, longest))
 
 
 GLRLM_FEATURE_NAMES = (
@@ -189,30 +254,37 @@ GLRLM_FEATURE_NAMES = (
 
 
 def glrlm_features(run_lengths: np.ndarray, n_pixels: int) -> np.ndarray:
-    """The 11 standard run-length features; gray levels weighted from 1."""
+    """The 11 standard run-length features of each run-length matrix in the
+    last two axes; gray levels weighted from 1."""
     if n_pixels <= 0:
         raise ValueError("n_pixels must be positive")
-    counts = run_lengths.astype(float)
-    n_runs = counts.sum()
-    if n_runs == 0:
+    counts = np.asarray(run_lengths).astype(float)
+    batch, shape = counts.shape[:-2], counts.shape[-2:]
+    counts = counts.reshape((-1,) + shape)
+    n_runs = counts.reshape(len(counts), -1).sum(axis=1)
+    if np.any(n_runs == 0):
         raise ValueError("run-length matrix holds no runs")
-    g_idx, l_idx = np.indices(counts.shape)
-    gray = (g_idx + 1).astype(float)  # 1-based gray weighting
-    length = (l_idx + 1).astype(float)
-    sre = np.sum(counts / length**2) / n_runs
-    lre = np.sum(counts * length**2) / n_runs
-    gln = np.sum(counts.sum(axis=1) ** 2) / n_runs
-    rln = np.sum(counts.sum(axis=0) ** 2) / n_runs
-    rp = n_runs / float(n_pixels)
-    lgre = np.sum(counts / gray**2) / n_runs
-    hgre = np.sum(counts * gray**2) / n_runs
-    srlge = np.sum(counts / (gray**2 * length**2)) / n_runs
-    srhge = np.sum(counts * gray**2 / length**2) / n_runs
-    lrlge = np.sum(counts * length**2 / gray**2) / n_runs
-    lrhge = np.sum(counts * gray**2 * length**2) / n_runs
-    return np.array(
-        [sre, lre, gln, rln, rp, lgre, hgre, srlge, srhge, lrlge, lrhge]
-    )
+
+    def per_run(t):
+        return t.reshape(len(counts), -1).sum(axis=1) / n_runs
+
+    g_idx, l_idx = np.indices(shape)
+    gray2 = (g_idx + 1).astype(float) ** 2  # 1-based gray weighting
+    length2 = (l_idx + 1).astype(float) ** 2
+    out = np.stack([
+        per_run(counts / length2),  # SRE
+        per_run(counts * length2),  # LRE
+        (counts.sum(axis=2) ** 2).sum(axis=1) / n_runs,  # GLN
+        (counts.sum(axis=1) ** 2).sum(axis=1) / n_runs,  # RLN
+        n_runs / float(n_pixels),  # RP
+        per_run(counts / gray2),  # LGRE
+        per_run(counts * gray2),  # HGRE
+        per_run(counts / (gray2 * length2)),  # SRLGE
+        per_run(counts * gray2 / length2),  # SRHGE
+        per_run(counts * length2 / gray2),  # LRLGE
+        per_run(counts * gray2 * length2),  # LRHGE
+    ], axis=1)
+    return out.reshape(batch + (len(GLRLM_FEATURE_NAMES),))
 
 
 METHOD_TAGS = ("FOS", "FFT+FOS", "DCT+FOS", "DWT+FOS", "STFT+GLCM", "STFT+GLRLM")
@@ -272,20 +344,8 @@ class FeatureVector:
     method_tag: str
 
 
-def _stft_image(mag: np.ndarray, params: FeatureParams) -> np.ndarray:
-    frames = transforms.stft(
-        mag,
-        window_len=params.stft_window_len,
-        hop=params.stft_hop,
-        fft_len=params.stft_fft_len,
-    )
-    return quantize(np.abs(frames), params.gray_levels)
-
-
-def extract(
-    ascan: AScan, method_tag: str, params: FeatureParams = FeatureParams()
-) -> FeatureVector:
-    """Run one method chain on an A-scan.
+def _chain(samples: np.ndarray, method_tag: str, params: FeatureParams) -> np.ndarray:
+    """Run one method chain on an (n_scans, n_freq) complex array; one row per scan.
 
     Real-valued chains operate on the magnitude sequence of the complex
     sweep; the FFT chain transforms the complex samples directly.
@@ -294,39 +354,62 @@ def extract(
         raise InvalidParameterError(
             f"unknown method {method_tag!r}; available: {METHOD_TAGS}"
         )
-    mag = np.abs(ascan.samples)
+    mag = np.abs(samples)
     if method_tag == "FOS":
-        values = fos(mag)
-    elif method_tag == "FFT+FOS":
-        values = fos(np.abs(transforms.fft(ascan.samples)))
-    elif method_tag == "DCT+FOS":
-        values = fos(transforms.dct(mag))
-    elif method_tag == "DWT+FOS":
-        bands = transforms.dwt_multilevel(mag, params.dwt_levels, params.dwt_wavelet)
-        values = np.concatenate([fos(band) for band in bands])
-    elif method_tag == "STFT+GLCM":
-        pixels = _stft_image(mag, params)
-        values = np.concatenate([
-            glcm_features(glcm(pixels, params.gray_levels, ANGLE_OFFSETS[a]))
-            for a in GLCM_ANGLES
-        ])
-    else:  # STFT+GLRLM
-        pixels = _stft_image(mag, params)
-        values = np.concatenate([
-            glrlm_features(glrlm(pixels, params.gray_levels, d), pixels.size)
-            for d in GLCM_ANGLES
-        ])
-    return FeatureVector(values, method_tag)
+        return fos(mag)
+    if method_tag == "FFT+FOS":
+        return fos(np.abs(transforms.fft(samples)))
+    if method_tag == "DCT+FOS":
+        return fos(transforms.dct(mag))
+    if method_tag == "DWT+FOS":
+        # np.correlate filters one vector at a time; FOS runs on each level's bands
+        bands = [transforms.dwt_multilevel(m, params.dwt_levels, params.dwt_wavelet) for m in mag]
+        return np.concatenate([fos(np.stack(level)) for level in zip(*bands)], axis=1)
+    frames = transforms.stft(
+        mag,
+        window_len=params.stft_window_len,
+        hop=params.stft_hop,
+        fft_len=params.stft_fft_len,
+    )
+    pixels = quantize(np.abs(frames), params.gray_levels)
+    n_pixels = pixels.shape[1] * pixels.shape[2]
+
+    def texture(images, angle):
+        if method_tag == "STFT+GLCM":
+            return glcm_features(glcm(images, params.gray_levels, ANGLE_OFFSETS[angle]))
+        return glrlm_features(glrlm(images, params.gray_levels, angle), n_pixels)
+
+    # at most TEXTURE_CELLS G x G cells per step keeps the temporaries cache-sized at any G
+    step = max(1, TEXTURE_CELLS // params.gray_levels**2)
+    return np.vstack([
+        np.concatenate([texture(pixels[i : i + step], a) for a in GLCM_ANGLES], axis=1)
+        for i in range(0, len(pixels), step)
+    ])
+
+
+def extract(
+    ascan: AScan, method_tag: str, params: FeatureParams = FeatureParams()
+) -> FeatureVector:
+    """Run one method chain on an A-scan: extract_matrix's chain on a batch of one."""
+    return FeatureVector(_chain(ascan.samples[None, :], method_tag, params)[0], method_tag)
 
 
 def extract_matrix(
     ascans: Sequence[AScan], method_tag: str, params: FeatureParams = FeatureParams()
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Stack per-scan feature vectors into (X, labels)."""
+    """One chain's feature rows of the stacked scans, CHUNK_SCANS at a time: (X, labels)."""
     if len(ascans) == 0:
         raise DataError("no A-scans to extract from")
-    params.check_sweep(method_tag, ascans[0].samples.size)
-    X = np.vstack([extract(a, method_tag, params).values for a in ascans])
+    lengths = sorted({a.samples.size for a in ascans})
+    if len(lengths) > 1:
+        raise DimensionMismatchError(
+            f"the A-scans hold sweeps of {lengths} points; a feature matrix needs one length"
+        )
+    params.check_sweep(method_tag, lengths[0])
+    X = np.vstack([
+        _chain(np.stack([a.samples for a in ascans[i : i + CHUNK_SCANS]]), method_tag, params)
+        for i in range(0, len(ascans), CHUNK_SCANS)
+    ])
     bad = np.flatnonzero(~np.all(np.isfinite(X), axis=1))
     if bad.size:
         raise DataError(f"{method_tag} features of scan {bad[0]} are not finite")
@@ -341,9 +424,7 @@ def export_features_csv(
     X, y = extract_matrix(ascans, method_tag, params)
     header = ["method_tag", "label"] + [f"f_{i}" for i in range(X.shape[1])]
     lines = list(provenance) + [",".join(header)]
-    for label, row in zip(y, X):
-        lines.append(
-            ",".join([method_tag, str(int(label))] + [repr(float(v)) for v in row])
-        )
+    for label, row in zip(y.tolist(), X.tolist()):
+        lines.append(f"{method_tag},{label}," + ",".join(map(repr, row)))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
     return X

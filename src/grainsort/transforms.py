@@ -14,7 +14,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 
 def fft(signal) -> np.ndarray:
-    """Standard unnormalised forward DFT of a (possibly complex) vector."""
+    """Unnormalised forward DFT of each (possibly complex) signal along the last axis."""
     x = np.asarray(signal)
     if x.size == 0:
         raise ValueError("cannot transform an empty signal")
@@ -23,7 +23,7 @@ def fft(signal) -> np.ndarray:
 
 # scipy.fft is imported on first use: only the DCT chain needs its start-up cost
 def dct(signal) -> np.ndarray:
-    """Orthonormal DCT-II coefficients of a real vector."""
+    """Orthonormal DCT-II coefficients of each real signal along the last axis."""
     import scipy.fft
 
     x = np.asarray(signal, dtype=float)
@@ -121,16 +121,18 @@ def subband_lengths(n: int, levels: int, wavelet_id: str) -> List[int]:
 
 
 def stft(signal, window_len: int = 64, hop: int = 32, fft_len: int = 64) -> np.ndarray:
-    """Hamming-windowed, hopped, zero-padded one-sided DFT frames.
+    """Hamming-windowed, hopped, zero-padded one-sided DFT frames of each
+    signal along the last axis.
 
-    Returns the complex spectra, shape (fft_len // 2 + 1, n_frames).
+    Returns the complex spectra, shape (..., fft_len // 2 + 1, n_frames).
     """
     x = np.asarray(signal, dtype=float)
-    if window_len > x.size:
-        raise ValueError(f"window_len {window_len} exceeds signal length {x.size}")
+    if window_len > x.shape[-1]:
+        raise ValueError(f"window_len {window_len} exceeds signal length {x.shape[-1]}")
     if hop < 1:
         raise ValueError("hop must be >= 1")
     if fft_len < window_len:
         raise ValueError("fft_len must be >= window_len")
-    frames = sliding_window_view(x, window_len)[::hop]
-    return np.fft.rfft(frames * np.hamming(window_len), n=fft_len, axis=1).T
+    frames = sliding_window_view(x, window_len, axis=-1)[..., ::hop, :]
+    spectra = np.fft.rfft(frames * np.hamming(window_len), n=fft_len, axis=-1)
+    return np.swapaxes(spectra, -1, -2)

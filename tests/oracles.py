@@ -3,11 +3,14 @@
 Everything here favours obviousness over speed: an extended-precision
 phasor sum for the radar model, direct O(N^2) transform sums, an STFT that
 transforms one frame at a time, per-pixel double loops for texture
-counting, a projected-gradient solver for the SVM dual and the original
-whole-vector SMO loop.  None of it shares code with the package paths it
-checks, except the inverse transforms: the DCT inverse delegates to scipy,
-and the wavelet synthesis bank reads the package's filter taps and subband
-lengths to check that analysis reconstructs.
+counting, a projected-gradient solver for the SVM dual, the original
+whole-vector SMO loop and the original one-scan-at-a-time feature chains.
+None of it shares code with the package paths it checks, except the inverse
+transforms and the per-scan chains: the DCT inverse delegates to scipy, the
+wavelet synthesis bank reads the package's filter taps and subband lengths
+to check that analysis reconstructs, and the per-scan chains call the
+package's transforms on one vector and its glcm/glrlm counters on one image,
+whose integer counts the brute-force counters here pin.
 """
 
 from typing import List
@@ -15,7 +18,12 @@ from typing import List
 import numpy as np
 import scipy.fft
 
-from grainsort.errors import DimensionMismatchError
+from grainsort import transforms
+from grainsort.errors import DataError, DimensionMismatchError, InvalidParameterError
+from grainsort.features import (
+    _DEGENERATE_SPREAD, _DEGENERATE_VAR, ANGLE_OFFSETS, ENTROPY_BINS, GLCM_ANGLES,
+    METHOD_TAGS, glcm, glrlm,
+)
 from grainsort.transforms import _filters, subband_lengths
 
 
@@ -301,3 +309,166 @@ def seed_smo(K, y, c, tol, max_passes):
         np.clip(alpha, 0.0, c, out=alpha)
         f_cache += step * (K[:, i] - K[:, j])
         n_updates += 1
+
+
+# --- the per-scan feature chains, as they were before extraction ran on stacked scans ---
+
+def seed_fos(x) -> np.ndarray:
+    """First-order statistics of a value distribution, in FOS_NAMES order.
+
+    Population moments; skewness and excess kurtosis are defined as 0 for
+    (near-)constant input, entropy is Shannon entropy (natural log) of a
+    64-bin equal-width histogram over [min, max], and 0 when that range is
+    below float resolution.  Non-finite input is a data error.
+    """
+    x = np.asarray(x, dtype=float).ravel()
+    if x.size == 0:
+        raise ValueError("cannot summarise an empty vector")
+    lo, hi = float(np.min(x)), float(np.max(x))
+    if not np.isfinite(hi - lo):
+        raise DataError("values are not finite or span past the float range")
+    # numpy scalars overflow to inf, which extract_matrix rejects; floats would raise
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(np.mean(x))
+        centred = x - mean
+        m2 = np.mean(centred**2)
+        if m2 < _DEGENERATE_VAR:
+            skew = kurt = 0.0
+        else:
+            skew = float(np.mean(centred**3) / m2**1.5)
+            kurt = float(np.mean(centred**4) / m2**2 - 3.0)
+        energy = float(np.sum(x**2))
+    if hi - lo < max(_DEGENERATE_VAR, _DEGENERATE_SPREAD * max(abs(lo), abs(hi))):
+        entropy = 0.0
+    else:
+        hist, _ = np.histogram(x, bins=ENTROPY_BINS, range=(lo, hi))
+        p = hist[hist > 0] / x.size
+        entropy = float(-np.sum(p * np.log(p)))
+    return np.array([mean, float(m2), skew, kurt, entropy, energy])
+
+
+def _seed_quantize(m, gray_levels: int = 16) -> np.ndarray:
+    """dB-scale a non-negative matrix, then map [min, max] to integer pixels 0..G-1.
+
+    A constant matrix maps to all zeros; otherwise the maximum element always
+    lands on G-1.
+    """
+    if gray_levels < 2:
+        raise InvalidParameterError("need at least 2 gray levels")
+    m = np.asarray(m, dtype=float)
+    if not np.all(np.isfinite(m)):
+        raise InvalidParameterError("matrix entries must be finite")
+    if np.any(m < 0):
+        raise InvalidParameterError("dB quantization expects non-negative magnitudes")
+    db = 20.0 * np.log10(m + 1e-12)
+    lo, hi = db.min(), db.max()
+    if hi - lo < 1e-12:
+        pixels = np.zeros(m.shape, dtype=np.int64)
+    else:
+        pixels = np.floor((db - lo) / (hi - lo) * gray_levels).astype(np.int64)
+        pixels = np.clip(pixels, 0, gray_levels - 1)
+    return pixels
+
+
+def _seed_glcm_features(p: np.ndarray) -> np.ndarray:
+    """Haralick-style subset of a normalised co-occurrence matrix: contrast,
+    correlation, angular second moment (energy), homogeneity, entropy,
+    dissimilarity."""
+    if abs(p.sum() - 1.0) > 1e-9:
+        raise InvalidParameterError("co-occurrence matrix must be normalised")
+    g = p.shape[0]
+    i, j = np.indices((g, g))
+    diff = i - j
+    contrast = float(np.sum(p * diff**2))
+    dissimilarity = float(np.sum(p * np.abs(diff)))
+    energy = float(np.sum(p**2))
+    homogeneity = float(np.sum(p / (1.0 + diff**2)))
+    nonzero = p[p > 0]
+    entropy = float(-np.sum(nonzero * np.log(nonzero)))
+    pi = p.sum(axis=1)
+    mu_i = float(np.sum(np.arange(g) * pi))
+    var_i = float(np.sum((np.arange(g) - mu_i) ** 2 * pi))
+    pj = p.sum(axis=0)
+    mu_j = float(np.sum(np.arange(g) * pj))
+    var_j = float(np.sum((np.arange(g) - mu_j) ** 2 * pj))
+    if var_i < _DEGENERATE_VAR or var_j < _DEGENERATE_VAR:
+        correlation = 0.0
+    else:
+        correlation = float(
+            np.sum((i - mu_i) * (j - mu_j) * p) / np.sqrt(var_i * var_j)
+        )
+    return np.array(
+        [contrast, correlation, energy, homogeneity, entropy, dissimilarity]
+    )
+
+
+def _seed_glrlm_features(run_lengths: np.ndarray, n_pixels: int) -> np.ndarray:
+    """The 11 standard run-length features; gray levels weighted from 1."""
+    if n_pixels <= 0:
+        raise ValueError("n_pixels must be positive")
+    counts = run_lengths.astype(float)
+    n_runs = counts.sum()
+    if n_runs == 0:
+        raise ValueError("run-length matrix holds no runs")
+    g_idx, l_idx = np.indices(counts.shape)
+    gray = (g_idx + 1).astype(float)  # 1-based gray weighting
+    length = (l_idx + 1).astype(float)
+    sre = np.sum(counts / length**2) / n_runs
+    lre = np.sum(counts * length**2) / n_runs
+    gln = np.sum(counts.sum(axis=1) ** 2) / n_runs
+    rln = np.sum(counts.sum(axis=0) ** 2) / n_runs
+    rp = n_runs / float(n_pixels)
+    lgre = np.sum(counts / gray**2) / n_runs
+    hgre = np.sum(counts * gray**2) / n_runs
+    srlge = np.sum(counts / (gray**2 * length**2)) / n_runs
+    srhge = np.sum(counts * gray**2 / length**2) / n_runs
+    lrlge = np.sum(counts * length**2 / gray**2) / n_runs
+    lrhge = np.sum(counts * gray**2 * length**2) / n_runs
+    return np.array(
+        [sre, lre, gln, rln, rp, lgre, hgre, srlge, srhge, lrlge, lrhge]
+    )
+
+
+def _seed_stft_image(mag: np.ndarray, params) -> np.ndarray:
+    frames = transforms.stft(
+        mag,
+        window_len=params.stft_window_len,
+        hop=params.stft_hop,
+        fft_len=params.stft_fft_len,
+    )
+    return _seed_quantize(np.abs(frames), params.gray_levels)
+
+
+def seed_extract(ascan, method_tag: str, params) -> np.ndarray:
+    """Run one method chain on an A-scan; returns its feature vector.
+
+    Real-valued chains operate on the magnitude sequence of the complex
+    sweep; the FFT chain transforms the complex samples directly.
+    """
+    if method_tag not in METHOD_TAGS:
+        raise InvalidParameterError(
+            f"unknown method {method_tag!r}; available: {METHOD_TAGS}"
+        )
+    mag = np.abs(ascan.samples)
+    if method_tag == "FOS":
+        values = seed_fos(mag)
+    elif method_tag == "FFT+FOS":
+        values = seed_fos(np.abs(transforms.fft(ascan.samples)))
+    elif method_tag == "DCT+FOS":
+        values = seed_fos(transforms.dct(mag))
+    elif method_tag == "DWT+FOS":
+        bands = transforms.dwt_multilevel(mag, params.dwt_levels, params.dwt_wavelet)
+        values = np.concatenate([seed_fos(band) for band in bands])
+    elif method_tag == "STFT+GLCM":
+        pixels = _seed_stft_image(mag, params)
+        values = np.concatenate([
+            _seed_glcm_features(glcm(pixels, params.gray_levels, ANGLE_OFFSETS[a]))
+            for a in GLCM_ANGLES
+        ])
+    else:  # STFT+GLRLM
+        pixels = _seed_stft_image(mag, params)
+        values = np.concatenate([
+            _seed_glrlm_features(glrlm(pixels, params.gray_levels, d), pixels.size)
+            for d in GLCM_ANGLES
+        ])
+    return values

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -444,3 +446,16 @@ class TestReport:
         bad.write_text("{\"not\": \"a summary\"}")
         result = runner.invoke(cli, ["report", str(bad)])
         assert result.exit_code == 3
+
+
+def test_importing_the_cli_loads_no_scipy():
+    """Only the DCT chain needs scipy, and importing it adds to every command's
+    start-up, so it is imported inside transforms.dct."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    code = "import sys, grainsort.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

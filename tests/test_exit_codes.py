@@ -323,16 +323,26 @@ OTHER_TYPES = st.sampled_from([None, True, "x", -1.5, 0, 7, [], {}, [1.0], {"a":
 
 
 @st.composite
-def model_mutations(draw, model):
+def model_mutations(draw, paths):
+    """("drop", path) or ("set", path, value) for one of the key paths into
+    the model document: a few values, not the document, so a falsifying
+    example prints short."""
+    path = draw(st.sampled_from(paths))
+    if draw(st.booleans()):
+        return ("drop", path)
+    return ("set", path, draw(OTHER_TYPES))
+
+
+def _mutate_model(model, mutation):
     doc = json.loads(json.dumps(model))
-    path = draw(st.sampled_from(_key_paths(doc)))
+    path = mutation[1]
     parent = doc
     for key in path[:-1]:
         parent = parent[key]
-    if draw(st.booleans()):
+    if mutation[0] == "drop":
         del parent[path[-1]]
     else:
-        parent[path[-1]] = draw(OTHER_TYPES)
+        parent[path[-1]] = mutation[2]
     return json.dumps(doc)
 
 
@@ -353,7 +363,9 @@ class TestMutatedInputs:
     @FAST
     @given(data=st.data())
     def test_mutated_model_exits_documented(self, runner, files, data):
-        _assert_exits(_predict(runner, files, data.draw(model_mutations(_model(files)))))
+        model = _model(files)
+        mutation = data.draw(model_mutations(_key_paths(model)))
+        _assert_exits(_predict(runner, files, _mutate_model(model, mutation)))
 
 
 TINY_CONFIG = {

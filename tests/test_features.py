@@ -8,8 +8,9 @@ from hypothesis.extra.numpy import arrays
 
 from grainsort import InvalidParameterError, SurfaceClass
 from grainsort import features as ft
+from grainsort.errors import DimensionMismatchError, exit_code_for
 from grainsort.radar import AScan
-from oracles import brute_force_glcm, brute_force_glrlm
+from oracles import brute_force_glcm, brute_force_glrlm, seed_extract
 
 
 def _named_fos(x):
@@ -281,3 +282,98 @@ class TestExtract:
         assert lines[0].split(",")[:2] == ["method_tag", "label"]
         assert len(lines) == 4
         assert len(lines[1].split(",")) == 2 + 6
+
+    def test_mixed_sweep_lengths_are_a_data_error(self):
+        scans = [_test_scan(0), AScan(_test_scan(1).samples[:300], SurfaceClass.LEVELLED)]
+        with pytest.raises(DimensionMismatchError) as info:
+            ft.extract_matrix(scans, "FOS")
+        assert exit_code_for(info.value) == 3
+
+
+
+# feature parameter sets the batched chains are checked under
+PARAM_SETS = {
+    "default": ft.FeatureParams(),
+    "g8": ft.FeatureParams(gray_levels=8, stft_window_len=16, stft_hop=8,
+                           stft_fft_len=16, dwt_wavelet="haar", dwt_levels=2),
+    "g256": ft.FeatureParams(gray_levels=256, stft_window_len=32, stft_hop=7,
+                             stft_fft_len=50, dwt_wavelet="db2", dwt_levels=5),
+}
+
+
+def _edge_rows(base):
+    """Rows at FOS's degenerate branches and the histogram's float edges."""
+    half_zero = base.copy()
+    half_zero[base.size // 2 :] = 0.0
+    return {
+        "constant": np.full(base.size, 0.3 - 0.4j),
+        "tiny": base * 1e-9,
+        "half_zero": half_zero,
+        "huge": base * 1e6,
+    }
+
+
+class _Sweeps:
+    """Stacked sweeps behind a short repr: hypothesis prints every test argument."""
+
+    def __init__(self, ascans):
+        self.samples = np.stack([a.samples for a in ascans])
+
+    def __repr__(self):
+        return f"<{len(self.samples)} simulated sweeps>"
+
+
+@pytest.fixture(scope="module")
+def simulated(tiny_ascans):
+    return _Sweeps(tiny_ascans)
+
+
+class TestBatchedChains:
+    @settings(derandomize=True, max_examples=9, deadline=None)
+    @given(data=st.data())
+    def test_rows_equal_the_per_scan_chain(self, simulated, data):
+        """extract_matrix's rows and extract's vector are bit for bit the
+        per-scan chain's, across a chunk boundary and at the edge rows."""
+        n = data.draw(st.sampled_from([1, ft.CHUNK_SCANS, ft.CHUNK_SCANS + 1]), label="n_scans")
+        params = PARAM_SETS[data.draw(st.sampled_from(sorted(PARAM_SETS)), label="params")]
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        # simulated sweeps mixed with complex white noise
+        samples = simulated.samples[rng.integers(0, len(simulated.samples), n)]
+        noisy = rng.random(n) < 0.5
+        shape = (int(noisy.sum()), samples.shape[1])
+        samples[noisy] = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        for name, row in _edge_rows(samples[0]).items():
+            at = data.draw(st.none() | st.integers(0, n - 1), label=name)
+            if at is not None:
+                samples[at] = row
+        scans = [AScan(s, SurfaceClass(i % 3)) for i, s in enumerate(samples)]
+        for method in ft.METHOD_TAGS:
+            X, _ = ft.extract_matrix(scans, method, params)
+            expected = np.array([seed_extract(a, method, params) for a in scans])
+            assert np.array_equal(X, expected), (method, np.argwhere(X != expected)[:5])
+            assert np.array_equal(ft.extract(scans[-1], method, params).values, expected[-1])
+
+    def test_leading_batch_axes(self):
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal((2, 3, 20))
+        assert ft.fos(x).shape == (2, 3, 6)
+        assert np.array_equal(ft.fos(x)[1, 2], ft.fos(x[1, 2]))
+        m = rng.random((2, 3, 5, 4))
+        pixels = ft.quantize(m, 4)
+        assert np.array_equal(pixels[1, 0], ft.quantize(m[1, 0], 4))
+        glcms = ft.glcm(pixels, 4, (0, 1))
+        assert glcms.shape == (2, 3, 4, 4)
+        assert np.array_equal(ft.glcm_features(glcms)[1, 0], ft.glcm_features(glcms[1, 0]))
+        runs = ft.glrlm(pixels, 4, 45)
+        assert runs.shape == (2, 3, 4, 5)
+        assert np.array_equal(runs[1, 0], ft.glrlm(pixels[1, 0], 4, 45))
+        assert np.array_equal(ft.glrlm_features(runs, 20)[1, 0], ft.glrlm_features(runs[1, 0], 20))
+
+    def test_pixels_outside_the_gray_levels_rejected(self):
+        for bad in (-1, 4):
+            pixels = np.zeros((3, 3), dtype=np.int64)
+            pixels[1, 1] = bad
+            with pytest.raises(InvalidParameterError):
+                ft.glcm(pixels, 4, (0, 1))
+            with pytest.raises(InvalidParameterError):
+                ft.glrlm(pixels, 4, 0)
