@@ -1,8 +1,10 @@
-"""Experiment configuration: defaults, JSON-schema validation and hashing.
+"""Experiment configuration: defaults, validation and hashing.
 
 A config file only needs to name a ``seed``; everything else deep-merges
-over the defaults below.  The sha256 of the canonical merged document is
-embedded in every output artifact, so equal hashes imply byte-identical
+over the defaults below.  A key must be one of the defaults' and take the
+JSON type of its default; each value's bounds are checked by building the
+parameter object it becomes.  The sha256 of the canonical merged document
+is embedded in every output artifact, so equal hashes imply byte-identical
 reports.
 """
 
@@ -12,14 +14,13 @@ import copy
 import dataclasses
 import hashlib
 import json
+import math
+import sys
 from pathlib import Path
 from typing import Optional, Union
 
-from jsonschema.exceptions import best_match
-from jsonschema.validators import validator_for
-
-from .errors import ConfigError
-from .features import MAX_GRAY_LEVELS, METHOD_TAGS, FeatureParams
+from .errors import ConfigError, InvalidParameterError
+from .features import METHOD_TAGS, FeatureParams
 from .radar import RadarParams, SiloScene
 from .svm import KernelSpec
 
@@ -57,142 +58,6 @@ DEFAULT_CONFIG = {
     "cv": {"k": 10},
 }
 
-_POS_NUM = {"type": "number", "exclusiveMinimum": 0}
-_RANGE2 = {
-    "type": "array",
-    "items": {"type": "number"},
-    "minItems": 2,
-    "maxItems": 2,
-}
-
-CONFIG_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["seed"],
-    "properties": {
-        "seed": {"type": "integer", "minimum": 0},
-        "out_dir": {"type": "string"},
-        "radar": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "f_start_hz": _POS_NUM,
-                "f_stop_hz": _POS_NUM,
-                "n_freq": {"type": "integer", "minimum": 2},
-            },
-        },
-        "scene": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "diameter_m": _POS_NUM,
-                "antenna_height_m": _POS_NUM,
-                "rim_range_m": _POS_NUM,
-                "fill_fraction": {
-                    "type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1
-                },
-                "cone_height_m": {"type": "number"},
-                "surface_roughness_sigma_m": {"type": "number", "minimum": 0},
-                "scatterers_per_scene": {"type": "integer", "minimum": 10},
-                "apex_offset_fraction": {"type": "number", "minimum": 0, "maximum": 1},
-                "peaked_shape_exponent": _POS_NUM,
-                "inverted_shape_exponent": _POS_NUM,
-                "ripple_amplitude_m": {"type": "number", "minimum": 0},
-                "ripple_wavelength_m": _POS_NUM,
-                "ripple_crater_factor": {"type": "number", "minimum": 0, "maximum": 1},
-                "pour_roughness_factor": {"type": "number", "minimum": 0},
-                "drain_roughness_factor": {"type": "number", "minimum": 0},
-                "wall_clutter": {"type": "boolean"},
-                "wall_clutter_scatterers": {"type": "integer", "minimum": 0},
-                "wall_clutter_amplitude": {"type": "number", "minimum": 0},
-                "contact_clutter_amplitude": {"type": "number", "minimum": 0},
-                "dihedral_gain": {"type": "number", "minimum": 0, "maximum": 1},
-                "gain_jitter_db": {"type": "number", "minimum": 0},
-            },
-        },
-        "dataset": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "per_class_counts": {
-                    "type": "array",
-                    "items": {"type": "integer", "minimum": 1},
-                    "minItems": 3,
-                    "maxItems": 3,
-                },
-                "snr_db": {
-                    "type": "array",
-                    "items": {"type": ["number", "null"]},
-                    "minItems": 1,
-                },
-                "fill_fraction_range": _RANGE2,
-                "cone_height_range": _RANGE2,
-            },
-        },
-        "features": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "gray_levels": {"type": "integer", "minimum": 2, "maximum": MAX_GRAY_LEVELS},
-                "stft": {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "properties": {
-                        "window_len": {"type": "integer", "minimum": 2},
-                        "hop": {"type": "integer", "minimum": 1},
-                        "fft_len": {"type": "integer", "minimum": 2},
-                    },
-                },
-                "dwt": {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "properties": {
-                        "wavelet": {"type": "string"},
-                        "levels": {"type": "integer", "minimum": 1},
-                    },
-                },
-            },
-        },
-        "methods": {
-            "type": "array",
-            "items": {"enum": list(METHOD_TAGS)},
-            "minItems": 1,
-        },
-        "kernel": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "kind": {"enum": ["linear", "rbf"]},
-                "C": _POS_NUM,
-                "gamma": {
-                    "anyOf": [{"enum": ["scale"]}, {"type": "number", "exclusiveMinimum": 0}]
-                },
-            },
-        },
-        "grid": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "C": {"type": "array", "items": _POS_NUM, "minItems": 1},
-                "gamma": {"type": "array", "items": _POS_NUM, "minItems": 1},
-            },
-        },
-        "svm": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "tol": _POS_NUM,
-                "max_passes": {"type": "integer", "minimum": 1},
-            },
-        },
-        "cv": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {"k": {"type": "integer", "minimum": 2}},
-        },
-    },
-}
-
 
 def _deep_merge(base: dict, override: dict) -> dict:
     merged = copy.deepcopy(base)
@@ -208,18 +73,92 @@ def default_config() -> dict:
     return copy.deepcopy(DEFAULT_CONFIG)
 
 
-# CONFIG_SCHEMA is a constant, so it is checked against the meta-schema by
-# the test suite rather than on every load (that check dominated load time).
-_VALIDATOR = validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
+def _is_number(value) -> bool:
+    """A number a float holds: not a bool, NaN, an infinity or an integer
+    beyond the float range."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return math.isfinite(value) if isinstance(value, float) else abs(value) <= sys.float_info.max
+
+
+# the JSON type a default's Python type asks for: (test, description)
+_TYPES = {
+    bool: (lambda v: isinstance(v, bool), "a boolean"),
+    int: (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
+    float: (_is_number, "a finite number"),
+    str: (lambda v: isinstance(v, str), "a string"),
+}
+# what the defaults cannot type: the values of these keys (or items of these
+# lists), and the lengths of these lists (the others need at least one item)
+_RULES = {
+    ("dataset", "snr_db"): (lambda v: v is None or _is_number(v), "a finite number or null"),
+    ("methods",): (lambda v: v in METHOD_TAGS, f"one of {list(METHOD_TAGS)}"),
+    ("kernel", "gamma"): (lambda v: v == "scale" or _is_number(v), "'scale' or a finite number"),
+}
+_LENGTHS = {
+    ("dataset", "per_class_counts"): 3,
+    ("dataset", "fill_fraction_range"): 2,
+    ("dataset", "cone_height_range"): 2,
+}
+
+
+def _invalid(path, message: str) -> ConfigError:
+    at = "$" + "".join(f"[{p!r}]" if isinstance(p, str) else f"[{p}]" for p in path)
+    return ConfigError(f"config invalid at {at}: {message}")
+
+
+def _check_shape(value, default, path=()) -> None:
+    """Raise ConfigError unless every key of value is one of default's at the
+    same path and holds a value of its default's JSON type."""
+    if isinstance(default, dict):
+        if not isinstance(value, dict):
+            raise _invalid(path, f"{value!r} is not an object")
+        for key, item in value.items():
+            if key not in default:
+                raise _invalid(path, f"unknown key {key!r}")
+            _check_shape(item, default[key], path + (key,))
+    elif isinstance(default, list):
+        n = _LENGTHS.get(path)
+        if not isinstance(value, list) or not (len(value) == n if n else value):
+            raise _invalid(path, f"{value!r} is not a list of {n or 'one or more'} items")
+        for i, item in enumerate(value):
+            _check_shape(item, default[0], path + (i,))
+    else:
+        accepts, kind = _RULES.get(tuple(p for p in path if isinstance(p, str)),
+                                   _TYPES[type(default)])
+        if not accepts(value):
+            raise _invalid(path, f"{value!r} is not {kind}")
+
+
+def _grid_specs(cfg: dict) -> list:
+    grid = cfg["grid"]
+    return [kernel_spec(cfg, c=c, gamma=g) for c in grid["C"] for g in grid["gamma"]]
 
 
 def validate_config(doc: dict) -> None:
-    exc = best_match(_VALIDATOR.iter_errors(doc))
-    if exc is not None:
-        path = "$" + "".join(
-            f"[{p!r}]" if isinstance(p, str) else f"[{p}]" for p in exc.absolute_path
-        )
-        raise ConfigError(f"config invalid at {path}: {exc.message}") from exc
+    """Raise ConfigError unless doc names a seed, has the keys and JSON types
+    of DEFAULT_CONFIG and, merged over it, is a usable experiment."""
+    _check_shape(doc, DEFAULT_CONFIG)
+    if "seed" not in doc:
+        raise _invalid((), "'seed' is a required property")
+    cfg = _deep_merge(DEFAULT_CONFIG, doc)
+    # the bounds no parameter object checks
+    lows = [(("seed",), cfg["seed"], 0), (("svm", "max_passes"), cfg["svm"]["max_passes"], 1),
+            (("cv", "k"), cfg["cv"]["k"], 2)]
+    lows += [(("dataset", "per_class_counts", i), n, 1)
+             for i, n in enumerate(cfg["dataset"]["per_class_counts"])]
+    for path, value, low in lows:
+        if value < low:
+            raise _invalid(path, f"{value} is less than the minimum of {low}")
+    if cfg["svm"]["tol"] <= 0:
+        raise _invalid(("svm", "tol"), f"{cfg['svm']['tol']} is not positive")
+    for section, build in (("radar", radar_params), ("scene", scene),
+                           ("features", feature_params), ("kernel", kernel_spec),
+                           ("grid", _grid_specs)):
+        try:
+            build(cfg)
+        except InvalidParameterError as exc:
+            raise _invalid((section,), str(exc)) from None
 
 
 def load_config(path: Optional[Union[str, Path]] = None, seed: Optional[int] = None,

@@ -128,8 +128,6 @@ def cross_validate(
     With return_models=True the per-fold fitted models come back alongside
     the report (echo mode yields None entries).
     """
-    if k < 2:
-        raise DataError("cross-validation needs k >= 2")
     folds = kfold_split(y, k, seed)
 
     fold_macro = np.zeros((k, len(METRIC_NAMES)))

@@ -371,7 +371,11 @@ def _chain(samples: np.ndarray, method_tag: str, params: FeatureParams) -> np.nd
         hop=params.stft_hop,
         fft_len=params.stft_fft_len,
     )
-    pixels = quantize(np.abs(frames), params.gray_levels)
+    magnitudes = np.abs(frames)
+    # finite samples can still overflow to an infinite magnitude: a data fault
+    if not np.all(np.isfinite(magnitudes)):
+        raise DataError(f"{method_tag}: the STFT magnitudes of a scan are not finite")
+    pixels = quantize(magnitudes, params.gray_levels)
     n_pixels = pixels.shape[1] * pixels.shape[2]
 
     def texture(images, angle):

@@ -68,10 +68,7 @@ class RadarParams:
 
 def range_resolution(params: RadarParams) -> float:
     """Range bin size dz = c / (2 B)."""
-    bw = params.bandwidth
-    if bw <= 0:
-        raise InvalidParameterError("bandwidth must be positive")
-    return params.c / (2.0 * bw)
+    return params.c / (2.0 * params.bandwidth)
 
 
 def max_unambiguous_range(params: RadarParams) -> float:
@@ -182,6 +179,13 @@ class SiloScene:
             raise InvalidParameterError("shape exponents must be positive")
         if self.ripple_amplitude < 0 or self.ripple_wavelength <= 0:
             raise InvalidParameterError("ripple amplitude >= 0 and wavelength > 0")
+        for name in ("apex_offset_fraction", "ripple_crater_factor", "dihedral_gain"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise InvalidParameterError(f"{name} must lie in [0, 1]")
+        for name in ("pour_roughness_factor", "drain_roughness_factor", "wall_clutter_scatterers",
+                     "wall_clutter_amplitude", "contact_clutter_amplitude", "gain_jitter_db"):
+            if not getattr(self, name) >= 0:
+                raise InvalidParameterError(f"{name} must be >= 0")
 
     @property
     def mean_surface_range(self) -> float:

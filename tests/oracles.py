@@ -4,13 +4,14 @@ Everything here favours obviousness over speed: an extended-precision
 phasor sum for the radar model, direct O(N^2) transform sums, an STFT that
 transforms one frame at a time, per-pixel double loops for texture
 counting, a projected-gradient solver for the SVM dual, the original
-whole-vector SMO loop and the original one-scan-at-a-time feature chains.
-None of it shares code with the package paths it checks, except the inverse
-transforms and the per-scan chains: the DCT inverse delegates to scipy, the
-wavelet synthesis bank reads the package's filter taps and subband lengths
-to check that analysis reconstructs, and the per-scan chains call the
-package's transforms on one vector and its glcm/glrlm counters on one image,
-whose integer counts the brute-force counters here pin.
+whole-vector SMO loop, the original one-scan-at-a-time feature chains and
+the original config schema.  None of it shares code with the package paths
+it checks, except the inverse transforms and the per-scan chains: the DCT
+inverse delegates to scipy, the wavelet synthesis bank reads the package's
+filter taps and subband lengths to check that analysis reconstructs, and
+the per-scan chains call the package's transforms on one vector and its
+glcm/glrlm counters on one image, whose integer counts the brute-force
+counters here pin.
 """
 
 from typing import List
@@ -22,7 +23,7 @@ from grainsort import transforms
 from grainsort.errors import DataError, DimensionMismatchError, InvalidParameterError
 from grainsort.features import (
     _DEGENERATE_SPREAD, _DEGENERATE_VAR, ANGLE_OFFSETS, ENTROPY_BINS, GLCM_ANGLES,
-    METHOD_TAGS, glcm, glrlm,
+    MAX_GRAY_LEVELS, METHOD_TAGS, glcm, glrlm,
 )
 from grainsort.transforms import _filters, subband_lengths
 
@@ -472,3 +473,143 @@ def seed_extract(ascan, method_tag: str, params) -> np.ndarray:
             for d in GLCM_ANGLES
         ])
     return values
+
+
+# The JSON schema config files were validated against before the parameter
+# objects took over the bounds, kept verbatim as the reference the config
+# checks are tested against: whatever it rejects must still be rejected.
+_POS_NUM = {"type": "number", "exclusiveMinimum": 0}
+_RANGE2 = {
+    "type": "array",
+    "items": {"type": "number"},
+    "minItems": 2,
+    "maxItems": 2,
+}
+
+CONFIG_SCHEMA = {
+    "type": "object",
+    "additionalProperties": False,
+    "required": ["seed"],
+    "properties": {
+        "seed": {"type": "integer", "minimum": 0},
+        "out_dir": {"type": "string"},
+        "radar": {
+            "type": "object",
+            "additionalProperties": False,
+            "properties": {
+                "f_start_hz": _POS_NUM,
+                "f_stop_hz": _POS_NUM,
+                "n_freq": {"type": "integer", "minimum": 2},
+            },
+        },
+        "scene": {
+            "type": "object",
+            "additionalProperties": False,
+            "properties": {
+                "diameter_m": _POS_NUM,
+                "antenna_height_m": _POS_NUM,
+                "rim_range_m": _POS_NUM,
+                "fill_fraction": {
+                    "type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1
+                },
+                "cone_height_m": {"type": "number"},
+                "surface_roughness_sigma_m": {"type": "number", "minimum": 0},
+                "scatterers_per_scene": {"type": "integer", "minimum": 10},
+                "apex_offset_fraction": {"type": "number", "minimum": 0, "maximum": 1},
+                "peaked_shape_exponent": _POS_NUM,
+                "inverted_shape_exponent": _POS_NUM,
+                "ripple_amplitude_m": {"type": "number", "minimum": 0},
+                "ripple_wavelength_m": _POS_NUM,
+                "ripple_crater_factor": {"type": "number", "minimum": 0, "maximum": 1},
+                "pour_roughness_factor": {"type": "number", "minimum": 0},
+                "drain_roughness_factor": {"type": "number", "minimum": 0},
+                "wall_clutter": {"type": "boolean"},
+                "wall_clutter_scatterers": {"type": "integer", "minimum": 0},
+                "wall_clutter_amplitude": {"type": "number", "minimum": 0},
+                "contact_clutter_amplitude": {"type": "number", "minimum": 0},
+                "dihedral_gain": {"type": "number", "minimum": 0, "maximum": 1},
+                "gain_jitter_db": {"type": "number", "minimum": 0},
+            },
+        },
+        "dataset": {
+            "type": "object",
+            "additionalProperties": False,
+            "properties": {
+                "per_class_counts": {
+                    "type": "array",
+                    "items": {"type": "integer", "minimum": 1},
+                    "minItems": 3,
+                    "maxItems": 3,
+                },
+                "snr_db": {
+                    "type": "array",
+                    "items": {"type": ["number", "null"]},
+                    "minItems": 1,
+                },
+                "fill_fraction_range": _RANGE2,
+                "cone_height_range": _RANGE2,
+            },
+        },
+        "features": {
+            "type": "object",
+            "additionalProperties": False,
+            "properties": {
+                "gray_levels": {"type": "integer", "minimum": 2, "maximum": MAX_GRAY_LEVELS},
+                "stft": {
+                    "type": "object",
+                    "additionalProperties": False,
+                    "properties": {
+                        "window_len": {"type": "integer", "minimum": 2},
+                        "hop": {"type": "integer", "minimum": 1},
+                        "fft_len": {"type": "integer", "minimum": 2},
+                    },
+                },
+                "dwt": {
+                    "type": "object",
+                    "additionalProperties": False,
+                    "properties": {
+                        "wavelet": {"type": "string"},
+                        "levels": {"type": "integer", "minimum": 1},
+                    },
+                },
+            },
+        },
+        "methods": {
+            "type": "array",
+            "items": {"enum": list(METHOD_TAGS)},
+            "minItems": 1,
+        },
+        "kernel": {
+            "type": "object",
+            "additionalProperties": False,
+            "properties": {
+                "kind": {"enum": ["linear", "rbf"]},
+                "C": _POS_NUM,
+                "gamma": {
+                    "anyOf": [{"enum": ["scale"]}, {"type": "number", "exclusiveMinimum": 0}]
+                },
+            },
+        },
+        "grid": {
+            "type": "object",
+            "additionalProperties": False,
+            "properties": {
+                "C": {"type": "array", "items": _POS_NUM, "minItems": 1},
+                "gamma": {"type": "array", "items": _POS_NUM, "minItems": 1},
+            },
+        },
+        "svm": {
+            "type": "object",
+            "additionalProperties": False,
+            "properties": {
+                "tol": _POS_NUM,
+                "max_passes": {"type": "integer", "minimum": 1},
+            },
+        },
+        "cv": {
+            "type": "object",
+            "additionalProperties": False,
+            "properties": {"k": {"type": "integer", "minimum": 2}},
+        },
+    },
+}

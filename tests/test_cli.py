@@ -448,13 +448,16 @@ class TestReport:
         assert result.exit_code == 3
 
 
-def test_importing_the_cli_loads_no_scipy():
-    """Only the DCT chain needs scipy, and importing it adds to every command's
-    start-up, so it is imported inside transforms.dct."""
+@pytest.mark.parametrize("package", ["scipy", "jsonschema"])
+def test_importing_the_cli_does_not_load(package):
+    """Importing either adds to every command's start-up: only the DCT chain
+    needs scipy, so it is imported inside transforms.dct, and only the tests
+    use jsonschema, as the reference for the config checks."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    code = "import sys, grainsort.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    code = ("import sys, grainsort.cli; "
+            f"print([m for m in sys.modules if m.split('.')[0] == {package!r}])")
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                             text=True, timeout=60)
     assert result.returncode == 0, result.stderr

@@ -1,14 +1,18 @@
 import json
+import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from jsonschema.validators import validator_for
 
-from grainsort import ConfigError
+from grainsort import ConfigError, InvalidParameterError
 from grainsort import config as cfgmod
+from oracles import CONFIG_SCHEMA
 
 
 def test_schema_is_valid_against_its_meta_schema():
-    validator_for(cfgmod.CONFIG_SCHEMA).check_schema(cfgmod.CONFIG_SCHEMA)
+    validator_for(CONFIG_SCHEMA).check_schema(CONFIG_SCHEMA)
 
 
 def test_defaults_validate():
@@ -95,6 +99,134 @@ def test_default_config_hash_is_pinned():
 
 
 def test_scene_schema_names_every_scene_default():
-    schema = cfgmod.CONFIG_SCHEMA["properties"]["scene"]["properties"]
+    schema = CONFIG_SCHEMA["properties"]["scene"]["properties"]
     assert set(schema) == set(cfgmod.DEFAULT_CONFIG["scene"])
     assert cfgmod.scene(cfgmod.default_config()) == cfgmod.SiloScene()
+
+
+def _bound_values(path):
+    """The values at and one either side of each bound the schema puts on ``path``."""
+    node = CONFIG_SCHEMA
+    for key in path:
+        node = node["items"] if isinstance(key, int) else node["properties"][key]
+    names = ("minimum", "maximum", "exclusiveMinimum", "exclusiveMaximum")
+    return [node[name] + shift for name in names if name in node for shift in (-1, 0, 1)]
+
+
+def _value_paths(node, prefix=()):
+    """Every key and list item of a config document, as a path into it."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    paths = []
+    for key, child in items:
+        paths.append(prefix + (key,))
+        if isinstance(child, (dict, list)):
+            paths += _value_paths(child, prefix + (key,))
+    return paths
+
+
+BASE_DOC = dict(cfgmod.default_config(), methods=["FOS", "STFT+GLCM"])
+VALUE_PATHS = _value_paths(BASE_DOC)
+OTHER_VALUES = [None, True, "x", "scale", "haar", "linear", "FOS", -1, 0, 1, 2, 300, 257,
+                -0.5, 0.0, 0.5, 1.0, 1.5, 1e12, [], [1], [1.0, 2.0], {}, {"a": 1}]
+
+
+@st.composite
+def mutated_docs(draw):
+    """BASE_DOC with one to three keys dropped, added or set: to another
+    value, to a multiple of the number there, to just inside or outside a
+    bound of the schema, to the integer-valued float of an integer, or to
+    NaN or Infinity."""
+    doc = json.loads(json.dumps(BASE_DOC))
+    for _ in range(draw(st.sampled_from([1, 1, 1, 2, 3]))):
+        path = draw(st.sampled_from(VALUE_PATHS))
+        parent = doc
+        try:
+            for key in path[:-1]:
+                parent = parent[key]
+            current = parent[path[-1]]
+        except (KeyError, IndexError, TypeError):
+            continue  # an earlier mutation moved it
+        bounds = _bound_values(path)
+        kind = draw(st.sampled_from(["other", "scaled", "bound", "bound", "float",
+                                     "non-finite", "drop", "add"]))
+        if kind == "drop" and isinstance(parent, dict) and path != ("seed",):
+            del parent[path[-1]]
+        elif kind == "add" and isinstance(parent, dict):
+            parent["extra"] = 1
+        elif kind == "bound" and bounds:
+            parent[path[-1]] = draw(st.sampled_from(bounds))
+        elif kind == "scaled" and type(current) in (int, float):
+            parent[path[-1]] = current * draw(st.sampled_from([-1, 0, 0.5, 2, 10]))
+        elif kind == "float" and type(current) is int:
+            parent[path[-1]] = float(current)
+        elif kind == "non-finite":
+            parent[path[-1]] = draw(st.sampled_from([float("nan"), float("inf"), -float("inf")]))
+        else:
+            parent[path[-1]] = draw(st.sampled_from(OTHER_VALUES))
+    return doc
+
+
+def _leaves(value, default):
+    """(value, default) for every scalar of a document the schema accepts."""
+    if isinstance(value, dict):
+        return [pair for k, v in value.items() for pair in _leaves(v, default[k])]
+    if isinstance(value, list):
+        return [pair for v in value for pair in _leaves(v, default[0])]
+    return [(value, default)]
+
+
+def _objects_reject(doc) -> bool:
+    cfg = cfgmod._deep_merge(cfgmod.DEFAULT_CONFIG, doc)
+    try:
+        for build in (cfgmod.radar_params, cfgmod.scene, cfgmod.feature_params,
+                      cfgmod.kernel_spec):
+            build(cfg)
+        for c in cfg["grid"]["C"]:
+            for gamma in cfg["grid"]["gamma"]:
+                cfgmod.kernel_spec(cfg, c=c, gamma=gamma)
+    except InvalidParameterError:
+        return True
+    return False
+
+
+def _assert_rejects_as_the_schema_did(tmp_path, doc):
+    """load_config rejects every document the schema rejects; whatever else it
+    rejects holds an integer-valued float at an integer key, a non-finite
+    number or a value a parameter object rejects."""
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(doc))
+    schema_accepts = validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA).is_valid(doc)
+    try:
+        cfgmod.load_config(path)
+    except ConfigError:
+        if schema_accepts:
+            leaves = _leaves(doc, cfgmod.DEFAULT_CONFIG)
+            assert (
+                any(isinstance(v, float) and type(d) is int for v, d in leaves)
+                or any(isinstance(v, float) and not math.isfinite(v) for v, _ in leaves)
+                or _objects_reject(doc)
+            ), doc
+    else:
+        assert schema_accepts, doc
+
+
+@settings(derandomize=True, deadline=None, max_examples=400,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=mutated_docs())
+def test_rejects_what_the_schema_rejected_and_little_more(tmp_path, doc):
+    _assert_rejects_as_the_schema_did(tmp_path, doc)
+
+
+def test_every_bound_of_the_schema_still_holds(tmp_path):
+    """Each value at, just inside or just outside a bound of the schema."""
+    for path in VALUE_PATHS:
+        for value in _bound_values(path):
+            doc = json.loads(json.dumps(BASE_DOC))
+            parent = doc
+            for key in path[:-1]:
+                parent = parent[key]
+            parent[path[-1]] = value
+            try:
+                _assert_rejects_as_the_schema_did(tmp_path, doc)
+            except AssertionError:
+                pytest.fail(f"{path} = {value!r}: load_config and the schema disagree")

@@ -2,6 +2,7 @@
 ``error:`` line, never in a traceback with exit 1."""
 
 import json
+import struct
 
 import pytest
 from click.testing import CliRunner
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from grainsort import config as cfgmod
 from grainsort import dataset as ds
 from grainsort.cli import cli
+from oracles import CONFIG_SCHEMA
 
 DOCUMENTED = {0, 2, 3, 4}
 HEADER = ds._HEADER.size
@@ -144,6 +146,15 @@ class TestDataFaultsExit3:
         _assert_data_error(result)
         assert "MCC" in result.output
 
+    @pytest.mark.parametrize("method", ["STFT+GLCM", "STFT+GLRLM"])
+    def test_sample_whose_magnitude_overflows(self, runner, files, method):
+        # finite, but |1.7e308 + 1.7e308j| is inf, and so is the STFT built on it
+        blob = bytearray(files["gsrd"].read_bytes())
+        record = HEADER + files["record_size"]  # second record
+        sample = record + RECORD_FIXED
+        blob[sample : sample + 16] = struct.pack("<dd", 1.7e308, 1.7e308)
+        _assert_data_error(_extract(runner, files, bytes(blob), method))
+
     def test_missing_input_files(self, runner, files):
         missing = str(files["root"] / "missing")
         _assert_data_error(runner.invoke(
@@ -268,6 +279,56 @@ def test_sweep_too_coarse_for_the_scene_exits_2(runner, files):
     _assert_one_error(result, 2, "unambiguous range")
 
 
+# one malformed value per key, each caught before any work starts: an
+# integer-valued float at an integer key, NaN or Infinity (which Python's json
+# module reads) at a number key, or an integer too large for a float
+MALFORMED_CONFIG_VALUES = [
+    (("seed",), 1234.0),
+    (("radar", "n_freq"), 301.0),
+    (("scene", "scatterers_per_scene"), 40.0),
+    (("scene", "wall_clutter_scatterers"), 24.0),
+    (("dataset", "per_class_counts", 0), 12.0),
+    (("features", "gray_levels"), 16.0),
+    (("features", "stft", "window_len"), 64.0),
+    (("features", "stft", "hop"), 32.0),
+    (("features", "stft", "fft_len"), 64.0),
+    (("features", "dwt", "levels"), 4.0),
+    (("svm", "max_passes"), 50.0),
+    (("cv", "k"), 3.0),
+    (("kernel", "C"), float("nan")),
+    (("svm", "tol"), float("nan")),
+    (("kernel", "gamma"), float("inf")),
+    (("radar", "f_stop_hz"), float("inf")),
+    (("dataset", "snr_db", 0), float("nan")),
+    (("dataset", "fill_fraction_range", 0), float("nan")),
+    (("scene", "diameter_m"), float("inf")),
+    (("scene", "gain_jitter_db"), float("nan")),
+    (("kernel", "C"), 10**400),  # an integer no float holds
+]
+
+
+def _case_id(path, value):
+    shown = value if isinstance(value, float) else f"10**{len(str(value)) - 1}"
+    return ".".join(map(str, path)) + f"={shown}"
+
+
+@pytest.mark.parametrize("path, value", MALFORMED_CONFIG_VALUES,
+                         ids=[_case_id(*case) for case in MALFORMED_CONFIG_VALUES])
+def test_malformed_config_value_exits_2_at_load(runner, files, path, value):
+    doc = cfgmod.load_config(files["config"])
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    config = files["root"] / "config_malformed_value.json"
+    config.write_text(json.dumps(doc))
+    out = files["root"] / "malformed_value"
+    result = runner.invoke(cli, ["evaluate", "--config", str(config), "--out", str(out),
+                                 "--method", "FOS"])
+    _assert_one_error(result, 2, "$" + "".join(f"[{k!r}]" for k in path))
+    assert not out.exists()
+
+
 def _assert_exits(result, codes=DOCUMENTED):
     assert result.exit_code in codes, result.output
     assert result.exception is None or isinstance(result.exception, SystemExit), (
@@ -389,7 +450,7 @@ KEEP = {("dataset",), ("dataset", "per_class_counts")}
 
 def _out_of_range(path):
     """Values just outside the schema's bounds for the key at ``path``."""
-    node = cfgmod.CONFIG_SCHEMA
+    node = CONFIG_SCHEMA
     for key in path:
         node = node["items"] if isinstance(key, int) else node["properties"][key]
     bounds = {"minimum": -1, "exclusiveMinimum": 0, "maximum": 1, "exclusiveMaximum": 0}

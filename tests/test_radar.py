@@ -241,6 +241,22 @@ class TestSurfaceSynthesis:
         with pytest.raises(InvalidParameterError):
             SiloScene(diameter=-1.0)
 
+    @pytest.mark.parametrize("field, bad, edge", [
+        ("apex_offset_fraction", 1.01, 1.0),
+        ("ripple_crater_factor", -0.01, 0.0),
+        ("dihedral_gain", 1.5, 1.0),
+        ("pour_roughness_factor", -1.0, 0.0),
+        ("drain_roughness_factor", -1.0, 0.0),
+        ("wall_clutter_scatterers", -1, 0),
+        ("wall_clutter_amplitude", -0.5, 0.0),
+        ("contact_clutter_amplitude", -0.5, 0.0),
+        ("gain_jitter_db", -1.0, 0.0),
+    ])
+    def test_scene_bounds(self, field, bad, edge):
+        assert getattr(SiloScene(**{field: edge}), field) == edge
+        with pytest.raises(InvalidParameterError, match=field):
+            SiloScene(**{field: bad})
+
 
 class TestGenerateDataset:
     def test_balanced_counts(self, default_params):
