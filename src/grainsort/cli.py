@@ -59,6 +59,17 @@ def _provenance_lines(config_hash, seed, **extra) -> List[str]:
     return [f"# {key}={value}" for key, value in fields.items()]
 
 
+def _write_csv(path: Path, header, rows, provenance=()) -> None:
+    """The one CSV writer: provenance lines, the header, then one line per row.
+
+    Cells are str, int or float (numpy values go through ``.tolist()``), for
+    which str is repr, so a float cell reads back exactly.
+    """
+    lines = [*provenance, ",".join(header)]
+    lines += [",".join(map(str, row)) for row in rows]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
 def _snr_tag(snr) -> str:
     return "noiseless" if snr is None else f"snr{snr:g}"
 
@@ -99,6 +110,7 @@ def simulate(config_path, seed, out_dir, snr_override, also_csv):
     cfg = cfgmod.load_config(config_path, seed=seed, out_dir=out_dir)
     if snr_override is not None:
         cfg["dataset"]["snr_db"] = [snr_override]
+        cfgmod.validate_config(cfg)
     out = _out_dir(cfg["out_dir"])
     params = cfgmod.radar_params(cfg)
     manifest = {
@@ -119,7 +131,10 @@ def simulate(config_path, seed, out_dir, snr_override, also_csv):
         click.echo(f"wrote {out / name} ({len(ascans)} records)")
         if also_csv:
             csv_name = f"dataset_{_snr_tag(snr)}.csv"
-            ds.export_csv(out / csv_name, ascans)
+            header = ["label"] + [f"{part}_{i}" for i in range(params.n_freq)
+                                  for part in ("re", "im")]
+            _write_csv(out / csv_name, header,
+                       ([int(a.label)] + a.samples.view(np.float64).tolist() for a in ascans))
             click.echo(f"wrote {out / csv_name}")
     (out / "manifest.json").write_text(
         json.dumps(manifest, indent=1, sort_keys=True), encoding="utf-8"
@@ -141,11 +156,11 @@ def extract(dataset_path, method_tag, config_path, out_dir):
     _, ascans = ds.load_dataset(dataset_path)
     file_hash = hashlib.sha256(Path(dataset_path).read_bytes()).hexdigest()
     name = "features_" + method_tag.replace("+", "_") + ".csv"
-    X = features.export_features_csv(
-        out / name, ascans, method_tag, cfgmod.feature_params(cfg),
-        provenance=_provenance_lines(
-            cfgmod.config_hash(cfg), cfg["seed"], dataset_sha256=file_hash
-        ),
+    X, y = features.extract_matrix(ascans, method_tag, cfgmod.feature_params(cfg))
+    _write_csv(
+        out / name, ["method_tag", "label"] + [f"f_{i}" for i in range(X.shape[1])],
+        ([method_tag, label] + row for label, row in zip(y.tolist(), X.tolist())),
+        _provenance_lines(cfgmod.config_hash(cfg), cfg["seed"], dataset_sha256=file_hash),
     )
     click.echo(f"wrote {out / name} ({X.shape[0]} rows x {X.shape[1]} features)")
 
@@ -222,15 +237,15 @@ def predict(model_path, dataset_path, out_dir):
                         f"{len(radar.CLASS_NAMES)}")
     fparams = _model_feature_params(doc.get("feature_params"), method_tag, params.n_freq)
     X, _ = features.extract_matrix(ascans, method_tag, fparams)
-    labels = np.asarray(svm.predict(model, X))
+    labels = svm.predict(model, X).tolist()
     for value in labels:
-        click.echo(radar.CLASS_NAMES[int(value)])
+        click.echo(radar.CLASS_NAMES[value])
     if out is not None:
-        lines = _provenance_lines(doc.get("config_hash", ""), doc.get("seed", ""))
-        lines.append("index,label_id,label_name")
-        for i, value in enumerate(labels):
-            lines.append(f"{i},{int(value)},{radar.CLASS_NAMES[int(value)]}")
-        (out / "predictions.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        _write_csv(
+            out / "predictions.csv", ["index", "label_id", "label_name"],
+            ([i, value, radar.CLASS_NAMES[value]] for i, value in enumerate(labels)),
+            _provenance_lines(doc.get("config_hash", ""), doc.get("seed", "")),
+        )
         click.echo(f"wrote {out / 'predictions.csv'}")
 
 
@@ -271,15 +286,14 @@ def _grid_search(cfg, cross_validate):
 
 def _write_report_files(out: Path, tag: str, cfg: dict, block: dict, table: str) -> List[Path]:
     provenance = _provenance_lines(cfgmod.config_hash(cfg), cfg["seed"])
-    csv_lines = provenance + [
-        ",".join(["method", "metric", "mean", "std"]
-                 + [f"fold_{i}" for i in range(cfg["cv"]["k"])])
-    ]
-    for method_tag in cfg["methods"]:
-        for row in evaluation.report_rows(block[method_tag]):
-            csv_lines.append(",".join(row))
     csv_path = out / f"report_{tag}.csv"
-    csv_path.write_text("\n".join(csv_lines) + "\n", encoding="utf-8")
+    _write_csv(
+        csv_path,
+        ["method", "metric", "mean", "std"] + [f"fold_{i}" for i in range(cfg["cv"]["k"])],
+        (row for method_tag in cfg["methods"]
+         for row in evaluation.report_rows(block[method_tag])),
+        provenance,
+    )
 
     txt_path = out / f"report_{tag}.txt"
     txt_path.write_text(

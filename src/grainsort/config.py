@@ -176,10 +176,10 @@ def load_config(path: Optional[Union[str, Path]] = None, seed: Optional[int] = N
             raise ConfigError(f"config file not found: {path}")
         try:
             doc = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from exc
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+        except ValueError as exc:  # malformed JSON, or an integer too long to convert
+            raise ConfigError(f"config is not valid JSON: {exc}") from exc
         if not isinstance(doc, dict):
             raise ConfigError("config root must be a JSON object")
         validate_config(doc)

@@ -1,4 +1,4 @@
-"""Binary dataset container (magic ``GSRD``) and CSV export.
+"""Binary dataset container (magic ``GSRD``).
 
 Layout, all little-endian:
 
@@ -98,21 +98,3 @@ def load_dataset(path: Union[str, Path]) -> Tuple[RadarParams, List[AScan]]:
             )
         )
     return params, ascans
-
-
-def export_csv(path: Union[str, Path], ascans: List[AScan]) -> None:
-    """Flat CSV export: label, then interleaved re/im sample columns."""
-    path = Path(path)
-    if not ascans:
-        raise DimensionMismatchError("nothing to export")
-    n_freq = ascans[0].samples.size
-    header = ["label"]
-    for i in range(n_freq):
-        header += [f"re_{i}", f"im_{i}"]
-    lines = [",".join(header)]
-    for scan in ascans:
-        parts = [str(int(scan.label))]
-        interleaved = scan.samples.view(np.float64)
-        parts += [repr(float(v)) for v in interleaved]
-        lines.append(",".join(parts))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")

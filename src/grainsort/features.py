@@ -9,7 +9,6 @@ run-length texture off it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -419,16 +418,3 @@ def extract_matrix(
         raise DataError(f"{method_tag} features of scan {bad[0]} are not finite")
     y = np.array([int(a.label) for a in ascans], dtype=np.int64)
     return X, y
-
-
-def export_features_csv(
-    path, ascans, method_tag, params=FeatureParams(), provenance: Sequence[str] = ()
-) -> np.ndarray:
-    """Feature CSV: provenance lines, then method_tag, label, f_0..f_{d-1}; returns X."""
-    X, y = extract_matrix(ascans, method_tag, params)
-    header = ["method_tag", "label"] + [f"f_{i}" for i in range(X.shape[1])]
-    lines = list(provenance) + [",".join(header)]
-    for label, row in zip(y.tolist(), X.tolist()):
-        lines.append(f"{method_tag},{label}," + ",".join(map(repr, row)))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return X

@@ -172,16 +172,11 @@ def train_binary(
     diag = SMODiagnostics(objective_trace=[] if debug else None)
     prev_objective = 0.0
 
-    def _sets() -> Tuple[np.ndarray, np.ndarray]:
-        up = ((y > 0) & (alpha < c_box - _BOUND_EPS)) | ((y < 0) & (alpha > _BOUND_EPS))
-        low = ((y < 0) & (alpha < c_box - _BOUND_EPS)) | ((y > 0) & (alpha > _BOUND_EPS))
-        return up, low
-
-    def _finalize(violation: float) -> BinarySVM:
-        errors = f_cache - y
-        up, low = _sets()
-        if up.any() and low.any():
-            bias = -0.5 * (float(errors[up].min()) + float(errors[low].max()))
+    def _finalize(violation: float, up_min: float, low_max: float) -> BinarySVM:
+        # up_min and low_max are the extreme f_k - y_k over the up and low sets,
+        # infinite when the set is empty
+        if np.isfinite(up_min) and np.isfinite(low_max):
+            bias = -0.5 * (up_min + low_max)
         else:
             bias = float(np.mean(y - f_cache))
         keep = alpha > _BOUND_EPS
@@ -202,21 +197,24 @@ def train_binary(
     # (low) otherwise, which argmin/argmax pass over.  argmin/argmax return
     # the first of equal values, so ties still go to the lowest index.  K is
     # exactly symmetric, so the contiguous row K[i] equals the column K[:, i].
-    up, low = _sets()
-    up_off, low_off = np.where(up, -y, np.inf), np.where(low, -y, -np.inf)
+    # At alpha = 0 the up set holds the y = +1 rows and the low set the y = -1
+    # rows, both empty when C leaves no room above 0.
+    hi = c_box - _BOUND_EPS
+    up_off = np.where((y > 0) & (0.0 < hi), -y, np.inf)
+    low_off = np.where((y < 0) & (0.0 < hi), -y, -np.inf)
     e_up, e_low, delta = np.empty(n), np.empty(n), np.empty(n)
     y_list = y.tolist()
-    hi = c_box - _BOUND_EPS
     while True:
         i = int(np.add(f_cache, up_off, out=e_up).argmin())
         j = int(np.add(f_cache, low_off, out=e_low).argmax())
-        violation = float(e_low[j] - e_up[i])
+        up_min, low_max = float(e_up[i]), float(e_low[j])
+        violation = low_max - up_min
         if violation == -np.inf:  # the up or the low set is empty
-            return _finalize(0.0)
+            return _finalize(0.0, up_min, low_max)
         if violation <= tol:
-            return _finalize(violation)
+            return _finalize(violation, up_min, low_max)
         if diag.n_updates >= budget:
-            model = _finalize(violation)
+            model = _finalize(violation, up_min, low_max)
             raise ConvergenceError(
                 f"SMO exhausted {budget} updates with KKT violation "
                 f"{violation:.3g} > tol {tol:.3g}",
@@ -406,6 +404,6 @@ def save_model(path: Union[str, Path], model: MulticlassSVM, extra: Optional[dic
 def load_model(path: Union[str, Path]) -> Tuple[MulticlassSVM, dict]:
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: unreadable text or JSON
         raise DataError(f"cannot read model {path}: {exc}") from None
     return model_from_dict(doc), doc

@@ -5,9 +5,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from grainsort import config as cfgmod
 from grainsort import features
 from grainsort.cli import cli
 from grainsort.dataset import load_dataset
@@ -91,9 +93,20 @@ class TestSimulate:
             cli, ["simulate", "--config", str(config), "--out", str(out), "--csv"]
         )
         assert result.exit_code == 0, result.output
-        lines = (out / "dataset_snr20.csv").read_text().strip().split("\n")
-        assert lines[0].split(",")[:3] == ["label", "re_0", "im_0"]
-        assert len(lines) == 1 + 18
+        params, ascans = load_dataset(out / "dataset_snr20.gsrd")
+        text = (out / "dataset_snr20.csv").read_text()
+        assert text.endswith("\n") and not text.endswith("\n\n")
+        lines = text.split("\n")[:-1]
+        header = lines[0].split(",")
+        assert header[:5] == ["label", "re_0", "im_0", "re_1", "im_1"]
+        assert len(header) == 1 + 2 * params.n_freq
+        assert len(lines) == 1 + len(ascans) == 1 + 18
+        for line, scan in zip(lines[1:], ascans):
+            cells = line.split(",")
+            assert int(cells[0]) == int(scan.label)
+            # every float cell reads back exactly: the writer's str is repr
+            values = [float(c) for c in cells[1:]]
+            assert values == scan.samples.view(np.float64).tolist()
 
     def test_seed_override_changes_data(self, runner, tmp_path):
         config = _write_config(tmp_path)
@@ -152,9 +165,16 @@ class TestExtract:
         assert any("config_hash=" in l for l in provenance)
         assert any("seed=" in l for l in provenance)
         data = [l for l in lines if not l.startswith("#")]
-        assert data[0].split(",")[:2] == ["method_tag", "label"]
+        assert data[0].split(",") == ["method_tag", "label"] + [f"f_{i}" for i in range(6)]
         assert len(data) == 1 + 18
-        assert len(data[1].split(",")) == 2 + 6
+        _, ascans = load_dataset(dataset)
+        fparams = cfgmod.feature_params(cfgmod.load_config(config))
+        X, y = features.extract_matrix(ascans, "FOS", fparams)
+        for line, label, row in zip(data[1:], y.tolist(), X.tolist()):
+            cells = line.split(",")
+            assert cells[:2] == ["FOS", str(label)]
+            # every float cell reads back exactly: the writer's str is repr
+            assert [float(c) for c in cells[2:]] == row
 
     def test_glrlm_dimension(self, runner, simulated):
         config, dataset, tmp_path = simulated

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from grainsort import CorruptDatasetError, RadarParams, SurfaceClass
-from grainsort.dataset import export_csv, load_dataset, save_dataset
+from grainsort.dataset import load_dataset, save_dataset
 from grainsort.radar import AScan
 
 
@@ -75,18 +75,3 @@ def test_bad_version(tmp_path, small_set):
     with pytest.raises(CorruptDatasetError, match="version"):
         load_dataset(path)
 
-
-def test_csv_export(tmp_path, small_set):
-    _, ascans = small_set
-    path = tmp_path / "d.csv"
-    export_csv(path, ascans)
-    lines = path.read_text().strip().split("\n")
-    header = lines[0].split(",")
-    assert header[0] == "label"
-    assert header[1:3] == ["re_0", "im_0"]
-    assert len(header) == 1 + 2 * 16
-    assert len(lines) == 1 + len(ascans)
-    first = lines[1].split(",")
-    assert int(first[0]) == int(ascans[0].label)
-    assert float(first[1]) == ascans[0].samples[0].real
-    assert float(first[2]) == ascans[0].samples[0].imag

@@ -17,6 +17,8 @@ from oracles import CONFIG_SCHEMA
 DOCUMENTED = {0, 2, 3, 4}
 HEADER = ds._HEADER.size
 RECORD_FIXED = ds._RECORD_FIXED.size
+# a JSON integer literal longer than Python's integer string-conversion limit
+HUGE_INTEGER = "1" + "0" * 5000
 
 
 @pytest.fixture(scope="module")
@@ -125,6 +127,10 @@ class TestDataFaultsExit3:
     def test_model_not_json(self, runner, files):
         _assert_data_error(_predict(runner, files, "{nope"))
 
+    def test_model_with_huge_integer(self, runner, files):
+        text = json.dumps(dict(_model(files), seed="HUGE")).replace('"HUGE"', HUGE_INTEGER)
+        _assert_data_error(_predict(runner, files, text))
+
     def test_model_without_scaler(self, runner, files):
         doc = _model(files)
         del doc["scaler"]
@@ -158,7 +164,8 @@ class TestDataFaultsExit3:
     def test_missing_input_files(self, runner, files):
         missing = str(files["root"] / "missing")
         _assert_data_error(runner.invoke(
-            cli, ["extract", missing, "--method", "FOS", "--config", str(files["config"])]
+            cli, ["extract", missing, "--method", "FOS", "--config", str(files["config"]),
+                  "--out", str(files["root"] / "missing_out")]
         ))
         _assert_data_error(runner.invoke(cli, ["predict", missing, str(files["gsrd"])]))
 
@@ -277,6 +284,24 @@ def test_sweep_too_coarse_for_the_scene_exits_2(runner, files):
     result = runner.invoke(cli, ["simulate", "--config", str(config),
                                  "--out", str(files["root"] / "coarse")])
     _assert_one_error(result, 2, "unambiguous range")
+
+
+@pytest.mark.parametrize("snr", ["inf", "nan", "-inf"])
+def test_non_finite_snr_override_exits_2_before_simulating(runner, files, snr):
+    out = files["root"] / f"snr_{snr}"
+    result = runner.invoke(cli, ["simulate", "--config", str(files["config"]),
+                                 "--out", str(out), f"--snr={snr}"])
+    _assert_one_error(result, 2, "snr_db")
+    assert not out.exists()
+
+
+def test_huge_integer_in_config_exits_2(runner, files):
+    config = files["root"] / "config_huge_integer.json"
+    config.write_text(f'{{"seed": {HUGE_INTEGER}}}')
+    out = files["root"] / "huge_integer"
+    result = runner.invoke(cli, ["simulate", "--config", str(config), "--out", str(out)])
+    _assert_one_error(result, 2, "not valid JSON")
+    assert not out.exists()
 
 
 # one malformed value per key, each caught before any work starts: an

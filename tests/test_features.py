@@ -274,15 +274,6 @@ class TestExtract:
         assert X.shape == (4, 30)
         assert y.tolist() == [0, 0, 0, 0]
 
-    def test_features_csv(self, tmp_path):
-        scans = [_test_scan(i) for i in range(3)]
-        path = tmp_path / "f.csv"
-        ft.export_features_csv(path, scans, "FOS")
-        lines = path.read_text().strip().split("\n")
-        assert lines[0].split(",")[:2] == ["method_tag", "label"]
-        assert len(lines) == 4
-        assert len(lines[1].split(",")) == 2 + 6
-
     def test_mixed_sweep_lengths_are_a_data_error(self):
         scans = [_test_scan(0), AScan(_test_scan(1).samples[:300], SurfaceClass.LEVELLED)]
         with pytest.raises(DimensionMismatchError) as info:
