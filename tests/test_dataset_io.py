@@ -1,7 +1,11 @@
+import json
+
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 from grainsort import CorruptDatasetError, RadarParams, SurfaceClass
+from grainsort.cli import cli
 from grainsort.dataset import load_dataset, save_dataset
 from grainsort.radar import AScan
 
@@ -75,3 +79,30 @@ def test_bad_version(tmp_path, small_set):
     with pytest.raises(CorruptDatasetError, match="version"):
         load_dataset(path)
 
+
+def test_csv_export(tmp_path):
+    """`simulate --csv` writes one flat CSV beside each GSRD file, cell for cell."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "seed": 5,
+        "dataset": {"per_class_counts": [1, 1, 1], "snr_db": [3.5, None]},
+        "scene": {"scatterers_per_scene": 30},
+    }))
+    out = tmp_path / "run"
+    result = CliRunner().invoke(
+        cli, ["simulate", "--config", str(config), "--out", str(out), "--csv"]
+    )
+    assert result.exit_code == 0, result.output
+    for tag in ("snr3.5", "noiseless"):
+        params, ascans = load_dataset(out / f"dataset_{tag}.gsrd")
+        lines = (out / f"dataset_{tag}.csv").read_text().strip().split("\n")
+        header = lines[0].split(",")
+        assert header[0] == "label"
+        assert header[1:3] == ["re_0", "im_0"]
+        assert len(header) == 1 + 2 * params.n_freq
+        assert len(lines) == 1 + len(ascans) == 1 + 3
+        for line, scan in zip(lines[1:], ascans):
+            cells = line.split(",")
+            assert int(cells[0]) == int(scan.label)
+            assert float(cells[1]) == scan.samples[0].real
+            assert float(cells[2]) == scan.samples[0].imag

@@ -2,12 +2,15 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from grainsort import InvalidParameterError, SurfaceClass
+from grainsort import InvalidParameterError, RadarParams, SurfaceClass
 from grainsort import features as ft
+from grainsort.cli import cli
+from grainsort.dataset import save_dataset
 from grainsort.errors import DimensionMismatchError, exit_code_for
 from grainsort.radar import AScan
 from oracles import brute_force_glcm, brute_force_glrlm, seed_extract
@@ -273,6 +276,24 @@ class TestExtract:
         X, y = ft.extract_matrix(scans, "DWT+FOS")
         assert X.shape == (4, 30)
         assert y.tolist() == [0, 0, 0, 0]
+
+    def test_features_csv(self, tmp_path):
+        """`extract` writes one CSV row of tag, label and features per scan."""
+        scans = [_test_scan(i) for i in range(3)]
+        dataset = tmp_path / "d.gsrd"
+        save_dataset(dataset, RadarParams(), scans)
+        out = tmp_path / "out"
+        result = CliRunner().invoke(
+            cli, ["extract", str(dataset), "--method", "FOS", "--out", str(out)]
+        )
+        assert result.exit_code == 0, result.output
+        lines = [
+            l for l in (out / "features_FOS.csv").read_text().strip().split("\n")
+            if not l.startswith("#")
+        ]
+        assert lines[0].split(",")[:2] == ["method_tag", "label"]
+        assert len(lines) == 4
+        assert len(lines[1].split(",")) == 2 + 6
 
     def test_mixed_sweep_lengths_are_a_data_error(self):
         scans = [_test_scan(0), AScan(_test_scan(1).samples[:300], SurfaceClass.LEVELLED)]
