@@ -26,7 +26,6 @@ from .radar import (
     backscatter,
     generate_dataset,
     max_unambiguous_range,
-    range_profile,
     range_resolution,
     synth_surface,
 )
@@ -51,7 +50,6 @@ __all__ = [
     "backscatter",
     "generate_dataset",
     "max_unambiguous_range",
-    "range_profile",
     "range_resolution",
     "synth_surface",
     "__version__",

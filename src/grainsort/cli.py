@@ -275,7 +275,7 @@ def _grid_search(cfg, cross_validate):
                     "kkt_violation": exc.model.diagnostics.final_violation,
                 })
                 continue
-            acc = report.metric("ACC")[0]
+            acc = evaluation.report_payload(report)["mean"]["ACC"]
             scan.append({"C": c_val, "gamma": gamma, "macro_acc": acc})
             if best is None or acc > best[0]:
                 best = (acc, kernel, report)

@@ -11,8 +11,9 @@ Per one-vs-rest class view the six metrics are
 
 with any zero denominator yielding 0 (flagged, so degenerate folds are
 visible in reports).  Multiclass results are macro-averaged over the
-one-vs-rest views; cross-validation reports mean and sample standard
-deviation across folds.
+one-vs-rest views.  Cross-validation keeps each fold's confusion matrix;
+every reported number (per-fold macro means, their mean and sample standard
+deviation across folds) is derived from those matrices.
 """
 
 from __future__ import annotations
@@ -92,19 +93,17 @@ def kfold_split(labels, k: int, seed: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MetricsReport:
-    """Per-fold, per-class and aggregate metrics for one method chain."""
+    """One method chain's cross-validation: the confusion matrix of every fold.
+
+    Every reported number is derived from ``confusions`` by :func:`report_payload`.
+    """
 
     method_tag: str
-    k: int
-    fold_macro: np.ndarray  # (k, 6)
-    fold_per_class: np.ndarray  # (k, n_classes, 6)
-    mean: np.ndarray  # (6,)
-    std: np.ndarray  # (6,) sample std over folds
-    zeroed_folds: Tuple[Tuple[str, ...], ...] = ()
+    confusions: np.ndarray  # (k, n_classes, n_classes) int64
 
-    def metric(self, name: str) -> Tuple[float, float]:
-        i = METRIC_NAMES.index(name)
-        return float(self.mean[i]), float(self.std[i])
+    @property
+    def k(self) -> int:
+        return len(self.confusions)
 
 
 def cross_validate(
@@ -118,60 +117,44 @@ def cross_validate(
     tol: float = 1e-3,
     max_passes: int = 10,
     classifier: str = "svm",
-    return_models: bool = False,
-):
+) -> MetricsReport:
     """Stratified k-fold evaluation of one method chain's feature matrix.
 
     X holds one feature row per scan and y its class id.  Per fold the
-    scaler and SVM see the training split only.  classifier "echo"
-    replaces predictions with the true labels (reporting-path oracle).
-    With return_models=True the per-fold fitted models come back alongside
-    the report (echo mode yields None entries).
+    scaler and SVM see the training split only, and the fold's test split
+    is scored into a confusion matrix.  classifier "echo" replaces
+    predictions with the true labels (reporting-path oracle).
     """
     folds = kfold_split(y, k, seed)
-
-    fold_macro = np.zeros((k, len(METRIC_NAMES)))
-    fold_per_class = np.zeros((k, n_classes, len(METRIC_NAMES)))
-    zeroed_folds: List[Tuple[str, ...]] = []
-    models = []
+    confusions = []
     for fold in range(k):
         test = folds == fold
-        train = ~test
         try:
             if classifier == "echo":
                 predictions = y[test]
-                models.append(None)
             else:
                 model = svm.train_multiclass(
-                    X[train], y[train], kernel,
+                    X[~test], y[~test], kernel,
                     n_classes=n_classes, tol=tol, max_passes=max_passes,
                 )
-                predictions = np.asarray(svm.predict(model, X[test]))
-                models.append(model)
+                predictions = svm.predict(model, X[test])
         except Exception as exc:
             exc.args = (f"fold {fold}: {exc}",) + exc.args[1:]
             raise
-        cm = confusion(y[test], predictions, n_classes)
-        fold_per_class[fold], zeroed = class_metrics(cm)
-        fold_macro[fold] = fold_per_class[fold].mean(axis=0)
-        zeroed_folds.append(zeroed)
-
-    report = MetricsReport(
-        method_tag=method_tag,
-        k=k,
-        fold_macro=fold_macro,
-        fold_per_class=fold_per_class,
-        mean=fold_macro.mean(axis=0),
-        std=fold_macro.std(axis=0, ddof=1),
-        zeroed_folds=tuple(zeroed_folds),
-    )
-    if return_models:
-        return report, models
-    return report
+        confusions.append(confusion(y[test], predictions, n_classes))
+    return MetricsReport(method_tag, np.stack(confusions))
 
 
 def report_payload(report: MetricsReport) -> dict:
-    """The JSON-ready summary of one chain that every report is rendered from."""
+    """The JSON-ready summary of one chain that every report is rendered from.
+
+    Per fold: the one-vs-rest metrics of every class and their macro mean;
+    across folds: the mean and sample std (ddof=1) of the macro means, and
+    the per-class means.
+    """
+    scored = [class_metrics(cm) for cm in report.confusions]
+    per_class = np.stack([values for values, _ in scored])  # (k, n_classes, 6)
+    macro = per_class.mean(axis=1)  # (k, 6)
 
     def per_metric(values: np.ndarray) -> dict:
         return {n: values[..., i].tolist() for i, n in enumerate(METRIC_NAMES)}
@@ -179,11 +162,11 @@ def report_payload(report: MetricsReport) -> dict:
     return {
         "method_tag": report.method_tag,
         "k": report.k,
-        "mean": per_metric(report.mean),
-        "std": per_metric(report.std),
-        "folds": per_metric(report.fold_macro),
-        "per_class_mean": per_metric(report.fold_per_class.mean(axis=0)),
-        "zeroed_folds": [list(z) for z in report.zeroed_folds],
+        "mean": per_metric(macro.mean(axis=0)),
+        "std": per_metric(macro.std(axis=0, ddof=1)),
+        "folds": per_metric(macro),
+        "per_class_mean": per_metric(per_class.mean(axis=0)),
+        "zeroed_folds": [list(zeroed) for _, zeroed in scored],
     }
 
 

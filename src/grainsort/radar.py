@@ -17,7 +17,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import AliasingError, DimensionMismatchError, InvalidParameterError
+from .errors import AliasingError, InvalidParameterError
 from .seeding import RECORD_STREAM, record_seed
 
 SPEED_OF_LIGHT = 2.99792458e8
@@ -95,9 +95,6 @@ class ScattererCloud:
             raise InvalidParameterError("amplitudes must be finite and >= 0")
         if np.any(rng_ <= 0) or not np.all(np.isfinite(rng_)):
             raise InvalidParameterError("ranges must be finite and > 0")
-
-    def __len__(self) -> int:
-        return int(self.amplitudes.size)
 
 
 @dataclass(frozen=True)
@@ -386,16 +383,6 @@ def backscatter(
         samples = samples + noise
 
     return AScan(samples, cloud.class_label, seed=int(seed), snr_db=snr_db)
-
-
-def range_profile(ascan: AScan, params: RadarParams) -> np.ndarray:
-    """Complex range bins: the inverse DFT of the sweep.  Magnitude peaks locate
-    scatterers; the bin spacing is range_resolution(params)."""
-    if ascan.samples.size != params.n_freq:
-        raise DimensionMismatchError(
-            f"A-scan has {ascan.samples.size} samples, sweep defines {params.n_freq}"
-        )
-    return np.fft.ifft(ascan.samples)
 
 
 def generate_dataset(

@@ -251,19 +251,16 @@ def train_binary(
             diag.objective_trace.append(objective)
 
 
-def decision(model: BinarySVM, x: np.ndarray) -> Union[float, np.ndarray]:
-    """Signed margin sum_i coef_i * k(sv_i, x) + bias; vectorised over rows."""
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    rows = np.atleast_2d(x)
+def decision(model: BinarySVM, rows: np.ndarray) -> np.ndarray:
+    """Signed margin sum_i coef_i * k(sv_i, x) + bias of every row x."""
+    rows = np.atleast_2d(np.asarray(rows, dtype=float))
     if rows.shape[1] != model.support_vectors.shape[1]:
         raise DimensionMismatchError(
             f"input has {rows.shape[1]} features, model expects "
             f"{model.support_vectors.shape[1]}"
         )
     scores = kernel_matrix(model.kernel, rows, model.support_vectors) @ model.dual_coef
-    scores = scores + model.bias
-    return float(scores[0]) if single else scores
+    return scores + model.bias
 
 
 @dataclass(frozen=True)
@@ -308,21 +305,19 @@ def train_multiclass(
     return MulticlassSVM(class_ids, pairwise, scaler, kernel)
 
 
-def predict(model: MulticlassSVM, x: np.ndarray) -> Union[int, np.ndarray]:
-    """Majority vote over the pairwise machines.
+def predict(model: MulticlassSVM, rows: np.ndarray) -> np.ndarray:
+    """Class id of every row by majority vote over the pairwise machines.
 
     Vote ties go to the class with the largest summed |margin| among its
     winning votes, then to the lowest class id.
     """
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    rows = model.scaler.transform(np.atleast_2d(x))
+    rows = model.scaler.transform(rows)
     n = rows.shape[0]
     k = len(model.class_ids)
     votes = np.zeros((n, k), dtype=int)
     margins = np.zeros((n, k), dtype=float)
     for (a, b), machine in model.pairwise.items():
-        scores = np.asarray(decision(machine, rows), dtype=float).ravel()
+        scores = decision(machine, rows)
         pick_a = scores >= 0.0
         votes[pick_a, a] += 1
         votes[~pick_a, b] += 1
@@ -330,8 +325,7 @@ def predict(model: MulticlassSVM, x: np.ndarray) -> Union[int, np.ndarray]:
         margins[~pick_a, b] += np.abs(scores[~pick_a])
     # margins of the most-voted classes; argmax gives equal margins to the lowest id
     tied = votes == votes.max(axis=1, keepdims=True)
-    best = np.where(tied, margins, -np.inf).argmax(axis=1)
-    return int(best[0]) if single else best
+    return np.where(tied, margins, -np.inf).argmax(axis=1)
 
 
 def model_to_dict(model: MulticlassSVM) -> dict:

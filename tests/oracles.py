@@ -4,14 +4,15 @@ Everything here favours obviousness over speed: an extended-precision
 phasor sum for the radar model, direct O(N^2) transform sums, an STFT that
 transforms one frame at a time, per-pixel double loops for texture
 counting, a projected-gradient solver for the SVM dual, the original
-whole-vector SMO loop, the original one-scan-at-a-time feature chains and
-the original config schema.  None of it shares code with the package paths
-it checks, except the inverse transforms and the per-scan chains: the DCT
-inverse delegates to scipy, the wavelet synthesis bank reads the package's
-filter taps and subband lengths to check that analysis reconstructs, and
-the per-scan chains call the package's transforms on one vector and its
-glcm/glrlm counters on one image, whose integer counts the brute-force
-counters here pin.
+whole-vector SMO loop, the original one-scan-at-a-time feature chains, the
+original config schema and the inverse-DFT range profile of a sweep (which
+the radar tests check the simulated scatterer ranges with).  None of it
+shares code with the package paths it checks, except the inverse transforms
+and the per-scan chains: the DCT inverse delegates to scipy, the wavelet
+synthesis bank reads the package's filter taps and subband lengths to check
+that analysis reconstructs, and the per-scan chains call the package's
+transforms on one vector and its glcm/glrlm counters on one image, whose
+integer counts the brute-force counters here pin.
 """
 
 from typing import List
@@ -65,6 +66,16 @@ def direct_inverse_dft(x):
     for t in range(n):
         out[t] = np.sum(x * np.exp(2j * np.pi * t * np.arange(n) / n)) / n
     return out
+
+
+def range_profile(ascan, params) -> np.ndarray:
+    """Complex range bins: the inverse DFT of the sweep.  Magnitude peaks locate
+    scatterers; the bin spacing is range_resolution(params)."""
+    if ascan.samples.size != params.n_freq:
+        raise DimensionMismatchError(
+            f"A-scan has {ascan.samples.size} samples, sweep defines {params.n_freq}"
+        )
+    return np.fft.ifft(ascan.samples)
 
 
 def direct_dct2_ortho(x):

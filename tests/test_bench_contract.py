@@ -56,8 +56,6 @@ def test_cross_validate_description(tracer, tiny_ascans):
     kwargs = {"k": 3, "classifier": "echo"}
     report = evaluation.cross_validate(*args, **kwargs)
     assert describe(args, kwargs, report) == {"folds": 3}
-    with_models = evaluation.cross_validate(*args, return_models=True, **kwargs)
-    assert describe(args, kwargs, with_models) == {"folds": 3}
 
 
 def test_grid_search_description(tracer, tiny_config, tiny_ascans):

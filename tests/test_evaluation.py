@@ -1,5 +1,6 @@
 import json
 import math
+import statistics
 
 import numpy as np
 import pytest
@@ -254,41 +255,51 @@ class TestCrossValidate:
             X, y, "FOS", svm.KernelSpec(kind="rbf", c=10.0),
             k=4, seed=0, classifier="echo",
         )
-        assert np.allclose(report.fold_macro, 1.0)
-        assert np.allclose(report.mean, 1.0)
-        assert np.allclose(report.std, 0.0)
+        assert report.confusions.shape == (4, 3, 3)
+        assert not np.any(report.confusions * (1 - np.eye(3, dtype=int)))
+        payload = ev.report_payload(report)
+        for name in ev.METRIC_NAMES:
+            assert np.allclose(payload["folds"][name], 1.0)
+            assert payload["mean"][name] == pytest.approx(1.0)
+            assert payload["std"][name] == pytest.approx(0.0)
 
     def test_deterministic_reports(self, tiny_ascans, tiny_config):
         kernel = svm.KernelSpec(kind="rbf", c=10.0)
         X, y = ft.extract_matrix(tiny_ascans, "FOS")
         a = ev.cross_validate(X, y, "FOS", kernel, k=3, seed=11, max_passes=50)
         b = ev.cross_validate(X, y, "FOS", kernel, k=3, seed=11, max_passes=50)
-        assert np.array_equal(a.fold_macro, b.fold_macro)
-        assert np.array_equal(a.mean, b.mean)
+        assert np.array_equal(a.confusions, b.confusions)
+        assert ev.report_payload(a) == ev.report_payload(b)
 
     def test_no_leakage_from_test_fold(self, tiny_ascans):
         kernel = svm.KernelSpec(kind="rbf", c=10.0)
         X, y = ft.extract_matrix(tiny_ascans, "FOS")
-        report_a, models_a = ev.cross_validate(
-            X, y, "FOS", kernel, k=3, seed=2, max_passes=50, return_models=True
-        )
+        folds = ev.kfold_split(y, 3, 2)
+
+        def fold_model(features, fold):
+            train = folds != fold
+            return svm.train_multiclass(features[train], y[train], kernel, max_passes=50)
+
+        # cross_validate scores each fold with the model of its training split
+        report = ev.cross_validate(X, y, "FOS", kernel, k=3, seed=2, max_passes=50)
+        for fold in range(3):
+            test = folds == fold
+            predictions = svm.predict(fold_model(X, fold), X[test])
+            assert np.array_equal(report.confusions[fold], ev.confusion(y[test], predictions, 3))
+
         # perturb one feature row heavily; only the fold holding it as a test
         # sample must keep an identical model
-        folds = ev.kfold_split(y, 3, 2)
         victim = 4
         fold_of_victim = int(folds[victim])
         mutated = X.copy()
         mutated[victim] = X[victim] * 25.0 + 3.0
-        report_b, models_b = ev.cross_validate(
-            mutated, y, "FOS", kernel, k=3, seed=2, max_passes=50, return_models=True
-        )
-        doc_a = json.dumps(svm.model_to_dict(models_a[fold_of_victim]), sort_keys=True)
-        doc_b = json.dumps(svm.model_to_dict(models_b[fold_of_victim]), sort_keys=True)
-        assert doc_a == doc_b
+
+        def model_doc(features, fold):
+            return json.dumps(svm.model_to_dict(fold_model(features, fold)), sort_keys=True)
+
+        assert model_doc(X, fold_of_victim) == model_doc(mutated, fold_of_victim)
         other = (fold_of_victim + 1) % 3
-        doc_a2 = json.dumps(svm.model_to_dict(models_a[other]), sort_keys=True)
-        doc_b2 = json.dumps(svm.model_to_dict(models_b[other]), sort_keys=True)
-        assert doc_a2 != doc_b2
+        assert model_doc(X, other) != model_doc(mutated, other)
 
     def test_training_errors_name_the_fold(self):
         # noise features, wide kernel, huge C: needs far more than n updates
@@ -312,3 +323,38 @@ class TestCrossValidate:
         assert all(len(row) == 4 + 3 for row in rows)
         table = ev.format_table({"FOS": payload}, ["FOS"])
         assert "FOS+SVM" in table and "100.00±0.00" in table
+
+
+class TestReportPayload:
+    def test_hand_built_stack_with_a_fold_that_never_predicts_class_2(self):
+        confusions = np.array([
+            [[2, 0, 0], [0, 2, 0], [0, 0, 2]],  # perfect
+            [[2, 0, 0], [0, 1, 1], [0, 1, 1]],  # classes 1 and 2 swap once
+            [[2, 0, 0], [0, 2, 0], [1, 1, 0]],  # column 2 empty: nothing predicted 2
+        ])
+        # one-vs-rest SEN, SPE, ACC, PRE, F1, MCC of each class, worked by hand
+        ones = [1.0] * 6
+        swapped = [1 / 2, 3 / 4, 2 / 3, 1 / 2, 1 / 2, 1 / 4]  # TP 1, FN 1, FP 1, TN 3
+        over = [1.0, 3 / 4, 5 / 6, 2 / 3, 4 / 5, 1 / math.sqrt(2)]  # TP 2, FN 0, FP 1, TN 3
+        never = [0.0, 1.0, 2 / 3, 0.0, 0.0, 0.0]  # TP 0, FN 2, FP 0, TN 4
+        per_class = [[ones, ones, ones], [ones, swapped, swapped], [over, over, never]]
+
+        payload = ev.report_payload(ev.MetricsReport("FOS", confusions))
+
+        assert payload["method_tag"] == "FOS" and payload["k"] == 3
+        assert payload["zeroed_folds"] == [[], [], ["MCC", "PRE"]]
+        for i, name in enumerate(ev.METRIC_NAMES):
+            folds = [statistics.fmean(cls[i] for cls in fold) for fold in per_class]
+            assert payload["folds"][name] == pytest.approx(folds, rel=1e-12)
+            assert payload["mean"][name] == pytest.approx(statistics.fmean(folds), rel=1e-12)
+            assert payload["std"][name] == pytest.approx(statistics.stdev(folds), rel=1e-12)
+            assert payload["per_class_mean"][name] == pytest.approx(
+                [statistics.fmean(fold[c][i] for fold in per_class) for c in range(3)],
+                rel=1e-12,
+            )
+        # the worked macro values of the two imperfect folds
+        assert payload["folds"]["ACC"] == pytest.approx([1.0, 7 / 9, 7 / 9], rel=1e-12)
+        assert payload["folds"]["PRE"] == pytest.approx([1.0, 2 / 3, 4 / 9], rel=1e-12)
+        assert payload["folds"]["MCC"] == pytest.approx(
+            [1.0, 1 / 2, math.sqrt(2) / 3], rel=1e-12
+        )

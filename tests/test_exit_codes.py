@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from grainsort import config as cfgmod
 from grainsort import dataset as ds
 from grainsort.cli import cli
+from grainsort.features import METHOD_TAGS
 from oracles import CONFIG_SCHEMA
 
 DOCUMENTED = {0, 2, 3, 4}
@@ -443,7 +444,7 @@ class TestMutatedInputs:
     @given(data=st.data())
     def test_mutated_dataset_exits_documented(self, runner, files, data):
         blob = _mutate(files["gsrd"].read_bytes(), data.draw(gsrd_mutations(files)))
-        method = data.draw(st.sampled_from(["FOS", "FFT+FOS", "DCT+FOS", "DWT+FOS"]))
+        method = data.draw(st.sampled_from(METHOD_TAGS))
         _assert_exits(_extract(runner, files, blob, method))
 
     @FAST

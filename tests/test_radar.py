@@ -16,11 +16,10 @@ from grainsort import (
     backscatter,
     generate_dataset,
     max_unambiguous_range,
-    range_profile,
     range_resolution,
     synth_surface,
 )
-from oracles import direct_inverse_dft, longdouble_backscatter
+from oracles import direct_inverse_dft, longdouble_backscatter, range_profile
 
 C_LIGHT = 2.99792458e8
 

@@ -60,8 +60,8 @@ class TestBinaryTraining:
         X = np.array([[-1.0], [1.0]])
         y = np.array([-1.0, 1.0])
         model = svm.train_binary(X, y, svm.KernelSpec(kind="linear", c=1.0), debug=True)
-        assert svm.decision(model, np.array([0.0])) == pytest.approx(0.0, abs=1e-9)
-        assert np.sign(svm.decision(model, np.array([0.5]))) == 1.0
+        assert svm.decision(model, np.array([[0.0]]))[0] == pytest.approx(0.0, abs=1e-9)
+        assert np.sign(svm.decision(model, np.array([[0.5]]))[0]) == 1.0
 
     def test_xor_with_rbf(self):
         X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
@@ -236,7 +236,7 @@ class TestDecision:
         y = np.array([-1.0, 1.0])
         model = svm.train_binary(X, y, svm.KernelSpec(kind="linear", c=1.0))
         with pytest.raises(DimensionMismatchError):
-            svm.decision(model, np.zeros(3))
+            svm.decision(model, np.zeros((1, 3)))
 
     def test_smoothness_under_perturbation(self):
         X, y = _blobs(3, n_per=20, centres=((0, 0), (3, 3)))
@@ -245,12 +245,12 @@ class TestDecision:
         model = svm.train_binary(X, y, kernel, max_passes=200)
         # rbf gradient bound: sum|coef| * sqrt(2 gamma / e)
         lipschitz = np.sum(np.abs(model.dual_coef)) * np.sqrt(2 * 0.5 / np.e)
-        x0 = np.array([1.5, 1.5])
-        base = svm.decision(model, x0)
+        x0 = np.array([[1.5, 1.5]])
+        base = svm.decision(model, x0)[0]
         rng = np.random.default_rng(4)
         for _ in range(20):
             delta = rng.standard_normal(2) * 1e-4
-            moved = svm.decision(model, x0 + delta)
+            moved = svm.decision(model, x0 + delta)[0]
             assert abs(moved - base) <= lipschitz * np.linalg.norm(delta) + 1e-12
 
     def test_correct_signs_on_separable_training_set(self):
@@ -270,9 +270,8 @@ class TestMulticlass:
     def test_blob_centres_classified(self):
         X, y = _blobs(1)
         model = svm.train_multiclass(X, y, svm.KernelSpec(kind="rbf", c=10.0))
-        assert svm.predict(model, np.array([0.0, 0.0])) == 0
-        assert svm.predict(model, np.array([5.0, 0.0])) == 1
-        assert svm.predict(model, np.array([0.0, 5.0])) == 2
+        centres = np.array([[0.0, 0.0], [5.0, 0.0], [0.0, 5.0]])
+        assert svm.predict(model, centres).tolist() == [0, 1, 2]
 
     def test_row_permutation_invariant_predictions(self):
         X, y = _blobs(2)
@@ -296,7 +295,7 @@ class TestMulticlass:
         for r in range(0, len(y), 7):
             votes = np.zeros(3, dtype=int)
             for (a, b), machine in model.pairwise.items():
-                score = svm.decision(machine, rows[r])
+                score = svm.decision(machine, rows[r : r + 1])[0]
                 votes[a if score >= 0 else b] += 1
             assert votes.sum() == 3
             if votes.max() > 1:  # unambiguous majority
@@ -305,8 +304,8 @@ class TestMulticlass:
     def test_pure_function_on_duplicates(self):
         X, y = _blobs(5)
         model = svm.train_multiclass(X, y, svm.KernelSpec(kind="rbf", c=10.0))
-        point = X[3]
-        assert svm.predict(model, point) == svm.predict(model, point.copy())
+        point = X[3:4]
+        assert np.array_equal(svm.predict(model, point), svm.predict(model, point.copy()))
 
     def test_three_way_vote_tie_goes_to_largest_margin_then_lowest_id(self):
         # linear machines scoring x[0], -x[1] and x[2]: on positive rows the
@@ -331,7 +330,7 @@ class TestMulticlass:
             [0.1, -5.0, 9.0],  # two votes for class 0 beat a larger margin
         ])
         assert svm.predict(model, rows).tolist() == [0, 2, 1, 0, 1, 0]
-        assert [svm.predict(model, row) for row in rows] == [0, 2, 1, 0, 1, 0]
+        assert [svm.predict(model, row[None]).item() for row in rows] == [0, 2, 1, 0, 1, 0]
 
     def test_unit_rescaling_with_refit_scaler_is_neutral(self):
         X, y = _blobs(6)
