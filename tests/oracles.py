@@ -4,10 +4,11 @@ Everything here favours obviousness over speed: an extended-precision
 phasor sum for the radar model, direct O(N^2) transform sums, an STFT that
 transforms one frame at a time, per-pixel double loops for texture
 counting, a projected-gradient solver for the SVM dual, the original
-whole-vector SMO loop, the original one-scan-at-a-time feature chains, the
-original config schema and the inverse-DFT range profile of a sweep (which
-the radar tests check the simulated scatterer ranges with).  None of it
-shares code with the package paths it checks, except the inverse transforms
+one-exponential-per-cell backscatter tables, the original whole-vector SMO
+loop, the original one-scan-at-a-time feature chains, the original config
+schema and the inverse-DFT range profile of a sweep (which the radar tests
+check the simulated scatterer ranges with).  None of it shares code with
+the package paths it checks, except the inverse transforms
 and the per-scan chains: the DCT inverse delegates to scipy, the wavelet
 synthesis bank reads the package's filter taps and subband lengths to check
 that analysis reconstructs, and the per-scan chains call the package's
@@ -15,6 +16,7 @@ transforms on one vector and its glcm/glrlm counters on one image, whose
 integer counts the brute-force counters here pin.
 """
 
+import math
 from typing import List
 
 import numpy as np
@@ -45,6 +47,26 @@ def longdouble_backscatter(amplitudes, ranges, f_start, f_stop, n_freq, c):
     real = (np.cos(phase) * amps).sum(axis=1)
     imag = (np.sin(phase) * amps).sum(axis=1)
     return real.astype(float) + 1j * imag.astype(float)
+
+
+def seed_backscatter(cloud, params) -> np.ndarray:
+    """Noiseless sweep from two tables holding one complex exponential per cell.
+
+    This was grainsort.radar.backscatter's kernel until its table rows
+    became running products; the radar tests bound how far that moves a
+    scan.
+    """
+    n = params.n_freq
+    width = math.isqrt(n - 1) + 1  # ceil(sqrt(n))
+    rows = -(-n // width)
+    df = params.bandwidth / (n - 1)
+    wavenumber = -4.0j * np.pi / params.c
+    coarse = np.exp(
+        wavenumber
+        * np.outer(params.f_start + df * width * np.arange(rows), cloud.ranges)
+    )
+    fine = np.exp(wavenumber * np.outer(df * np.arange(width), cloud.ranges))
+    return ((coarse * cloud.amplitudes) @ fine.T).ravel()[:n]
 
 
 def direct_dft(x):
