@@ -152,6 +152,10 @@ def validate_config(doc: dict) -> None:
             raise _invalid(path, f"{value} is less than the minimum of {low}")
     if cfg["svm"]["tol"] <= 0:
         raise _invalid(("svm", "tol"), f"{cfg['svm']['tol']} is not positive")
+    for key in ("fill_fraction_range", "cone_height_range"):
+        low, high = cfg["dataset"][key]
+        if low > high:
+            raise _invalid(("dataset", key), f"low end {low} is above high end {high}")
     for section, build in (("radar", radar_params), ("scene", scene),
                            ("features", feature_params), ("kernel", kernel_spec),
                            ("grid", _grid_specs)):
@@ -159,6 +163,12 @@ def validate_config(doc: dict) -> None:
             build(cfg)
         except InvalidParameterError as exc:
             raise _invalid((section,), str(exc)) from None
+    # a drawn fill fraction lies between the range's ends, so the scene takes both
+    for end in cfg["dataset"]["fill_fraction_range"]:
+        try:
+            dataclasses.replace(scene(cfg), fill_fraction=end)
+        except InvalidParameterError as exc:
+            raise _invalid(("dataset", "fill_fraction_range"), str(exc)) from None
 
 
 def load_config(path: Optional[Union[str, Path]] = None, seed: Optional[int] = None,

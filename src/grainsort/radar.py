@@ -121,11 +121,12 @@ class SiloScene:
 
     The grain column occupies ranges rim_range (silo top) .. antenna_height
     (silo floor); fill_fraction sets the mean surface depth inside that span.
-    cone_height is signed: positive piles up towards the antenna, negative
-    digs a crater, zero is a levelled surface.  Shape exponents control the
-    radial profile curvature (piles are rounded by avalanching, unloading
-    craters are funnel-like), which is what makes the two cone classes more
-    than mirror images of each other.
+    cone_height is the apex-to-wall relief; its sign is ignored, because the
+    surface class decides whether it piles up towards the antenna (peaked),
+    digs a crater (inverted) or is not used (levelled).  Shape exponents
+    control the radial profile curvature (piles are rounded by avalanching,
+    unloading craters are funnel-like), which is what makes the two cone
+    classes more than mirror images of each other.
     """
 
     diameter: float = 0.36
@@ -190,73 +191,20 @@ class SiloScene:
         return self.antenna_height - self.fill_fraction * span
 
 
-def _roughness_sigma(scene: SiloScene, surface_class: SurfaceClass) -> float:
-    if surface_class is SurfaceClass.PEAKED_CONE:
-        return scene.surface_roughness_sigma * scene.pour_roughness_factor
-    if surface_class is SurfaceClass.INVERTED_CONE:
-        return scene.surface_roughness_sigma * scene.drain_roughness_factor
-    return scene.surface_roughness_sigma
+def _shape(scene: SiloScene, surface_class: SurfaceClass) -> tuple:
+    """The one place a class decides its surface: (cone direction, radial
+    exponent, roughness factor, ripple factor).
 
-
-def _wall_slope(scene: SiloScene, surface_class: SurfaceClass) -> float:
-    """Surface grade d(depth)/d(radius) where the profile meets the wall.
-
-    Positive means the surface deepens towards the wall (peaked pile, acute
-    wall corner); negative means it rises to meet it (crater, obtuse corner).
+    The direction turns the unsigned cone height into a signed one: +1 piles
+    grain up towards the antenna, -1 digs a crater, 0 levels the surface.
+    The factors scale the scene's roughness sigma and ripple amplitude.
     """
-    h = abs(scene.cone_height)
-    if surface_class is SurfaceClass.LEVELLED or h == 0.0:
-        return 0.0
-    radius = scene.diameter / 2.0
     if surface_class is SurfaceClass.PEAKED_CONE:
-        return h * scene.peaked_shape_exponent / radius
-    return -h * scene.inverted_shape_exponent / radius
-
-
-def _surface_depths(
-    scene: SiloScene,
-    surface_class: SurfaceClass,
-    radial: np.ndarray,
-    mean_depth: float,
-) -> np.ndarray:
-    """Depth profile (range from antenna) at normalised radial coordinates.
-
-    radial is the distance from the cone apex in units of the silo radius,
-    clipped to [0, 1].  Profiles conserve the mean depth so fill_fraction
-    alone fixes the grain volume: for depth = base + h * t**q over an
-    area-uniform disk, E[t**q] = 2 / (q + 2).
-    """
-    h = abs(scene.cone_height)
-    if surface_class is SurfaceClass.LEVELLED or h == 0.0:
-        return np.full_like(radial, mean_depth)
-    t = np.clip(radial, 0.0, 1.0)
-    if surface_class is SurfaceClass.PEAKED_CONE:
-        q = scene.peaked_shape_exponent
-        apex_depth = mean_depth - 2.0 * h / (q + 2.0)
-        return apex_depth + h * t**q
-    q = scene.inverted_shape_exponent
-    crater_depth = mean_depth + 2.0 * h / (q + 2.0)
-    return crater_depth - h * t**q
-
-
-def _ripple(
-    scene: SiloScene,
-    surface_class: SurfaceClass,
-    radial: np.ndarray,
-    phase: float,
-) -> np.ndarray:
-    """Radial corrugation of sloped surfaces; zero on a levelled bed."""
-    if (
-        surface_class is SurfaceClass.LEVELLED
-        or abs(scene.cone_height) == 0.0
-        or scene.ripple_amplitude == 0.0
-    ):
-        return np.zeros_like(radial)
-    amp = scene.ripple_amplitude
+        return 1.0, scene.peaked_shape_exponent, scene.pour_roughness_factor, 1.0
     if surface_class is SurfaceClass.INVERTED_CONE:
-        amp *= scene.ripple_crater_factor
-    rho = np.clip(radial, 0.0, 1.0) * (scene.diameter / 2.0)
-    return amp * np.cos(2.0 * np.pi * rho / scene.ripple_wavelength + phase)
+        return (-1.0, scene.inverted_shape_exponent, scene.drain_roughness_factor,
+                scene.ripple_crater_factor)
+    return 0.0, 1.0, 1.0, 0.0
 
 
 def synth_surface(
@@ -278,6 +226,8 @@ def synth_surface(
     silo_radius = scene.diameter / 2.0
     mean_depth = scene.mean_surface_range
     n = scene.scatterers_per_scene
+    direction, q, roughness, ripple = _shape(scene, surface_class)
+    height = direction * abs(scene.cone_height)
 
     # surface points, area-uniform over the disk
     rho = silo_radius * np.sqrt(rng.random(n))
@@ -291,15 +241,24 @@ def synth_surface(
     ax, ay = offset_r * np.cos(offset_t), offset_r * np.sin(offset_t)
 
     ripple_phase = 2.0 * np.pi * rng.random()
-    sigma = _roughness_sigma(scene, surface_class)
-    radial = np.hypot(px - ax, py - ay) / silo_radius
-    depths = _surface_depths(scene, surface_class, radial, mean_depth)
-    depths = depths + _ripple(scene, surface_class, radial, ripple_phase)
-    depths = depths + rng.normal(0.0, sigma, n)
-    amps = rng.rayleigh(1.0, n)
+    sigma = scene.surface_roughness_sigma * roughness
 
-    ranges = [depths]
-    amplitudes = [amps]
+    def depths(radial: np.ndarray) -> np.ndarray:
+        """Depth (range from antenna) at distances from the apex in silo radii.
+
+        The profile conserves the mean depth so fill_fraction alone fixes the
+        grain volume: for depth = base + h * t**q over an area-uniform disk,
+        E[t**q] = 2 / (q + 2).  Sloped surfaces carry a radial ripple.
+        """
+        if height == 0.0:
+            return np.full_like(radial, mean_depth)
+        t = np.clip(radial, 0.0, 1.0)
+        profile = (mean_depth - 2.0 * height / (q + 2.0)) + height * t**q
+        wave = 2.0 * np.pi * (t * silo_radius) / scene.ripple_wavelength + ripple_phase
+        return profile + scene.ripple_amplitude * ripple * np.cos(wave)
+
+    ranges = [depths(np.hypot(px - ax, py - ay) / silo_radius) + rng.normal(0.0, sigma, n)]
+    amplitudes = [rng.rayleigh(1.0, n)]
 
     if scene.wall_clutter and scene.wall_clutter_scatterers > 0:
         n_c = scene.wall_clutter_scatterers
@@ -315,13 +274,10 @@ def synth_surface(
                      silo_radius * np.sin(ring_theta) - ay)
             / silo_radius
         )
-        contact = _surface_depths(scene, surface_class, wall_radial, mean_depth)
-        contact = contact + _ripple(scene, surface_class, wall_radial, ripple_phase)
-        contact = contact + rng.normal(0.0, sigma, n_c)
-        ranges.append(contact)
-        corner_factor = 1.0 + scene.dihedral_gain * np.tanh(
-            _wall_slope(scene, surface_class) / 0.5
-        )
+        ranges.append(depths(wall_radial) + rng.normal(0.0, sigma, n_c))
+        # the surface grade d(depth)/d(radius) at the wall: positive deepens
+        # towards it (acute corner), negative rises to meet it (obtuse)
+        corner_factor = 1.0 + scene.dihedral_gain * np.tanh(height * q / silo_radius / 0.5)
         amplitudes.append(
             rng.rayleigh(scene.contact_clutter_amplitude * corner_factor, n_c)
         )
@@ -387,7 +343,14 @@ def backscatter(
             np.random.SeedSequence(entropy=int(seed), spawn_key=(_NOISE_KEY,))
         )
         signal_power = float(np.mean(np.abs(samples) ** 2))
-        noise_power = signal_power * 10.0 ** (-float(snr_db) / 10.0)
+        try:
+            noise_power = signal_power * 10.0 ** (-float(snr_db) / 10.0)
+        except OverflowError:
+            noise_power = math.inf
+        if not math.isfinite(noise_power):
+            raise InvalidParameterError(
+                f"snr_db={snr_db} gives a noise power that is not a finite float"
+            )
         sigma = np.sqrt(noise_power / 2.0)
         noise = rng.normal(0.0, sigma, samples.shape) + 1j * rng.normal(
             0.0, sigma, samples.shape
@@ -408,10 +371,11 @@ def generate_dataset(
 ) -> list:
     """Simulate a labelled A-scan dataset, fully deterministic from ``seed``.
 
-    Per sample, fill_fraction and |cone_height| are re-drawn uniformly from
+    Per sample, fill_fraction and cone_height are re-drawn uniformly from
     the given ranges (falling back to the template values when a range is
-    None).  Records are emitted class-major: all levelled scans first, then
-    peaked, then inverted.
+    None); the class alone gives the cone its direction.  Records are
+    emitted class-major: all levelled scans first, then peaked, then
+    inverted.
     """
     if isinstance(per_class_counts, int):
         counts = [per_class_counts] * len(SurfaceClass)
@@ -429,20 +393,13 @@ def generate_dataset(
             jitter = np.random.default_rng(
                 np.random.SeedSequence(entropy=rseed, spawn_key=(_JITTER_KEY,))
             )
-            fill = scene.fill_fraction
+            fill, height = scene.fill_fraction, scene.cone_height
             if fill_fraction_range is not None:
                 fill = jitter.uniform(*fill_fraction_range)
-            height = abs(scene.cone_height)
             if cone_height_range is not None:
                 height = jitter.uniform(*cone_height_range)
-            if cls is SurfaceClass.LEVELLED:
-                signed_height = 0.0
-            elif cls is SurfaceClass.PEAKED_CONE:
-                signed_height = height
-            else:
-                signed_height = -height
             sample_scene = replace(
-                scene, fill_fraction=float(fill), cone_height=float(signed_height)
+                scene, fill_fraction=float(fill), cone_height=float(height)
             )
             cloud = synth_surface(sample_scene, cls, rseed)
             ascans.append(backscatter(cloud, params, snr_db, rseed))

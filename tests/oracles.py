@@ -4,16 +4,17 @@ Everything here favours obviousness over speed: an extended-precision
 phasor sum for the radar model, direct O(N^2) transform sums, an STFT that
 transforms one frame at a time, per-pixel double loops for texture
 counting, a projected-gradient solver for the SVM dual, the original
-one-exponential-per-cell backscatter tables, the original whole-vector SMO
-loop, the original one-scan-at-a-time feature chains, the original config
-schema and the inverse-DFT range profile of a sweep (which the radar tests
-check the simulated scatterer ranges with).  None of it shares code with
-the package paths it checks, except the inverse transforms
-and the per-scan chains: the DCT inverse delegates to scipy, the wavelet
-synthesis bank reads the package's filter taps and subband lengths to check
-that analysis reconstructs, and the per-scan chains call the package's
-transforms on one vector and its glcm/glrlm counters on one image, whose
-integer counts the brute-force counters here pin.
+one-exponential-per-cell backscatter tables, the original class-branching
+surface synthesis, the original whole-vector SMO loop, the original
+one-scan-at-a-time feature chains, the original config schema and the
+inverse-DFT range profile of a sweep (which the radar tests check the
+simulated scatterer ranges with).  None of it shares code with the package
+paths it checks, except the inverse transforms and the per-scan chains:
+the DCT inverse delegates to scipy, the wavelet synthesis bank reads the
+package's filter taps and subband lengths to check that analysis
+reconstructs, and the per-scan chains call the package's transforms on one
+vector and its glcm/glrlm counters on one image, whose integer counts the
+brute-force counters here pin.
 """
 
 import math
@@ -28,6 +29,7 @@ from grainsort.features import (
     _DEGENERATE_SPREAD, _DEGENERATE_VAR, ANGLE_OFFSETS, ENTROPY_BINS, GLCM_ANGLES,
     MAX_GRAY_LEVELS, METHOD_TAGS, glcm, glrlm,
 )
+from grainsort.radar import _SURFACE_KEY, ScattererCloud, SurfaceClass
 from grainsort.transforms import _filters, subband_lengths
 
 
@@ -67,6 +69,115 @@ def seed_backscatter(cloud, params) -> np.ndarray:
     )
     fine = np.exp(wavenumber * np.outer(df * np.arange(width), cloud.ranges))
     return ((coarse * cloud.amplitudes) @ fine.T).ravel()[:n]
+
+
+def _seed_roughness_sigma(scene, surface_class) -> float:
+    if surface_class is SurfaceClass.PEAKED_CONE:
+        return scene.surface_roughness_sigma * scene.pour_roughness_factor
+    if surface_class is SurfaceClass.INVERTED_CONE:
+        return scene.surface_roughness_sigma * scene.drain_roughness_factor
+    return scene.surface_roughness_sigma
+
+
+def _seed_wall_slope(scene, surface_class) -> float:
+    h = abs(scene.cone_height)
+    if surface_class is SurfaceClass.LEVELLED or h == 0.0:
+        return 0.0
+    radius = scene.diameter / 2.0
+    if surface_class is SurfaceClass.PEAKED_CONE:
+        return h * scene.peaked_shape_exponent / radius
+    return -h * scene.inverted_shape_exponent / radius
+
+
+def _seed_surface_depths(scene, surface_class, radial, mean_depth) -> np.ndarray:
+    h = abs(scene.cone_height)
+    if surface_class is SurfaceClass.LEVELLED or h == 0.0:
+        return np.full_like(radial, mean_depth)
+    t = np.clip(radial, 0.0, 1.0)
+    if surface_class is SurfaceClass.PEAKED_CONE:
+        q = scene.peaked_shape_exponent
+        apex_depth = mean_depth - 2.0 * h / (q + 2.0)
+        return apex_depth + h * t**q
+    q = scene.inverted_shape_exponent
+    crater_depth = mean_depth + 2.0 * h / (q + 2.0)
+    return crater_depth - h * t**q
+
+
+def _seed_ripple(scene, surface_class, radial, phase) -> np.ndarray:
+    if (
+        surface_class is SurfaceClass.LEVELLED
+        or abs(scene.cone_height) == 0.0
+        or scene.ripple_amplitude == 0.0
+    ):
+        return np.zeros_like(radial)
+    amp = scene.ripple_amplitude
+    if surface_class is SurfaceClass.INVERTED_CONE:
+        amp *= scene.ripple_crater_factor
+    rho = np.clip(radial, 0.0, 1.0) * (scene.diameter / 2.0)
+    return amp * np.cos(2.0 * np.pi * rho / scene.ripple_wavelength + phase)
+
+
+def seed_synth_surface(scene, surface_class, seed) -> ScattererCloud:
+    """One scatterer cloud, each class's shape decided in four helpers.
+
+    This was grainsort.radar.synth_surface until one per-class lookup took
+    the class decision; the radar tests require equal ranges and amplitudes.
+    """
+    surface_class = SurfaceClass(surface_class)
+    rng = np.random.default_rng(
+        np.random.SeedSequence(entropy=int(seed), spawn_key=(_SURFACE_KEY,))
+    )
+    silo_radius = scene.diameter / 2.0
+    mean_depth = scene.mean_surface_range
+    n = scene.scatterers_per_scene
+
+    rho = silo_radius * np.sqrt(rng.random(n))
+    theta = 2.0 * np.pi * rng.random(n)
+    px = rho * np.cos(theta)
+    py = rho * np.sin(theta)
+
+    offset_r = scene.apex_offset_fraction * silo_radius * np.sqrt(rng.random())
+    offset_t = 2.0 * np.pi * rng.random()
+    ax, ay = offset_r * np.cos(offset_t), offset_r * np.sin(offset_t)
+
+    ripple_phase = 2.0 * np.pi * rng.random()
+    sigma = _seed_roughness_sigma(scene, surface_class)
+    radial = np.hypot(px - ax, py - ay) / silo_radius
+    depths = _seed_surface_depths(scene, surface_class, radial, mean_depth)
+    depths = depths + _seed_ripple(scene, surface_class, radial, ripple_phase)
+    depths = depths + rng.normal(0.0, sigma, n)
+    amps = rng.rayleigh(1.0, n)
+
+    ranges = [depths]
+    amplitudes = [amps]
+
+    if scene.wall_clutter and scene.wall_clutter_scatterers > 0:
+        n_c = scene.wall_clutter_scatterers
+        ring_theta = 2.0 * np.pi * np.arange(n_c) / n_c
+        rim = np.full(n_c, scene.rim_range)
+        rim = rim + rng.normal(0.0, 0.001, n_c)
+        ranges.append(rim)
+        amplitudes.append(rng.rayleigh(scene.wall_clutter_amplitude, n_c))
+        wall_radial = (
+            np.hypot(silo_radius * np.cos(ring_theta) - ax,
+                     silo_radius * np.sin(ring_theta) - ay)
+            / silo_radius
+        )
+        contact = _seed_surface_depths(scene, surface_class, wall_radial, mean_depth)
+        contact = contact + _seed_ripple(scene, surface_class, wall_radial, ripple_phase)
+        contact = contact + rng.normal(0.0, sigma, n_c)
+        ranges.append(contact)
+        corner_factor = 1.0 + scene.dihedral_gain * np.tanh(
+            _seed_wall_slope(scene, surface_class) / 0.5
+        )
+        amplitudes.append(
+            rng.rayleigh(scene.contact_clutter_amplitude * corner_factor, n_c)
+        )
+
+    gain = 10.0 ** (rng.uniform(-1.0, 1.0) * scene.gain_jitter_db / 20.0)
+    all_ranges = np.concatenate(ranges)
+    all_amps = gain * np.concatenate(amplitudes)
+    return ScattererCloud(all_amps, all_ranges, surface_class)
 
 
 def direct_dft(x):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -177,10 +178,16 @@ def _leaves(value, default):
 
 def _objects_reject(doc) -> bool:
     cfg = cfgmod._deep_merge(cfgmod.DEFAULT_CONFIG, doc)
+    dataset = cfg["dataset"]
+    if any(low > high for low, high in (dataset["fill_fraction_range"],
+                                        dataset["cone_height_range"])):
+        return True
     try:
         for build in (cfgmod.radar_params, cfgmod.scene, cfgmod.feature_params,
                       cfgmod.kernel_spec):
             build(cfg)
+        for end in dataset["fill_fraction_range"]:
+            dataclasses.replace(cfgmod.scene(cfg), fill_fraction=end)
         for c in cfg["grid"]["C"]:
             for gamma in cfg["grid"]["gamma"]:
                 cfgmod.kernel_spec(cfg, c=c, gamma=gamma)
@@ -192,7 +199,7 @@ def _objects_reject(doc) -> bool:
 def _assert_rejects_as_the_schema_did(tmp_path, doc):
     """load_config rejects every document the schema rejects; whatever else it
     rejects holds an integer-valued float at an integer key, a non-finite
-    number or a value a parameter object rejects."""
+    number, a value a parameter object rejects or a reversed dataset range."""
     path = tmp_path / "c.json"
     path.write_text(json.dumps(doc))
     schema_accepts = validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA).is_valid(doc)

@@ -296,6 +296,14 @@ def test_non_finite_snr_override_exits_2_before_simulating(runner, files, snr):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("snr", ["-4000", "-3070"])
+def test_snr_too_low_for_a_float_noise_power_exits_2(runner, files, snr):
+    # 10 ** 400 overflows; 10 ** 307 times the signal power is infinite
+    result = runner.invoke(cli, ["simulate", "--config", str(files["config"]),
+                                 "--out", str(files["root"] / f"snr_{snr}"), f"--snr={snr}"])
+    _assert_one_error(result, 2, "snr_db")
+
+
 def test_huge_integer_in_config_exits_2(runner, files):
     config = files["root"] / "config_huge_integer.json"
     config.write_text(f'{{"seed": {HUGE_INTEGER}}}')
@@ -307,7 +315,8 @@ def test_huge_integer_in_config_exits_2(runner, files):
 
 # one malformed value per key, each caught before any work starts: an
 # integer-valued float at an integer key, NaN or Infinity (which Python's json
-# module reads) at a number key, or an integer too large for a float
+# module reads) at a number key, an integer too large for a float, a range
+# whose low end is above its high end, or a fill range reaching a full silo
 MALFORMED_CONFIG_VALUES = [
     (("seed",), 1234.0),
     (("radar", "n_freq"), 301.0),
@@ -330,11 +339,15 @@ MALFORMED_CONFIG_VALUES = [
     (("scene", "diameter_m"), float("inf")),
     (("scene", "gain_jitter_db"), float("nan")),
     (("kernel", "C"), 10**400),  # an integer no float holds
+    (("dataset", "fill_fraction_range"), [0.7, 0.2]),
+    (("dataset", "cone_height_range"), [0.3, 0.1]),
+    (("dataset", "fill_fraction_range"), [0.5, 1.5]),
+    (("dataset", "fill_fraction_range"), [0.5, 1.0]),
 ]
 
 
 def _case_id(path, value):
-    shown = value if isinstance(value, float) else f"10**{len(str(value)) - 1}"
+    shown = f"10**{len(str(value)) - 1}" if isinstance(value, int) else value
     return ".".join(map(str, path)) + f"={shown}"
 
 

@@ -1,4 +1,5 @@
 import cmath
+import itertools
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from grainsort import (
 )
 from oracles import (
     direct_inverse_dft, longdouble_backscatter, range_profile, seed_backscatter,
+    seed_synth_surface,
 )
 
 C_LIGHT = 2.99792458e8
@@ -244,6 +246,25 @@ class TestSurfaceSynthesis:
         # piled surfaces put their mass deep with a tail towards the apex;
         # craters mirror that about the mean depth
         assert skew(peaked.ranges) < 0 < skew(inverted.ranges)
+
+    def test_equals_seed_synthesis(self):
+        # every shape branch of the class-branching original: cone height
+        # positive, negative and zero, ripple off, roughness and crater
+        # factors, wall clutter off and dihedral gain off
+        variants = itertools.product(
+            [0.16, -0.16, 0.0],
+            [{}, {"ripple_amplitude": 0.0}, {"ripple_crater_factor": 0.0}],
+            [{}, {"pour_roughness_factor": 0.4, "drain_roughness_factor": 2.5}],
+            [{}, {"wall_clutter": False}, {"dihedral_gain": 0.0}],
+        )
+        for height, *fields in variants:
+            scene = SiloScene(cone_height=height, scatterers_per_scene=60,
+                              **{k: v for f in fields for k, v in f.items()})
+            for surface_class, seed in itertools.product(SurfaceClass, range(3)):
+                cloud = synth_surface(scene, surface_class, seed)
+                ref = seed_synth_surface(scene, surface_class, seed)
+                assert np.array_equal(cloud.ranges, ref.ranges), (scene, surface_class, seed)
+                assert np.array_equal(cloud.amplitudes, ref.amplitudes)
 
     def test_scene_validation(self):
         with pytest.raises(InvalidParameterError):
