@@ -163,12 +163,18 @@ def validate_config(doc: dict) -> None:
             build(cfg)
         except InvalidParameterError as exc:
             raise _invalid((section,), str(exc)) from None
-    # a drawn fill fraction lies between the range's ends, so the scene takes both
-    for end in cfg["dataset"]["fill_fraction_range"]:
+    # a drawn fill fraction and cone height lie between their ranges' ends, and
+    # the surface's nearest range falls as the fill or |cone height| grows, so
+    # the scene takes each fill end, then each pair of ends
+    fills, heights = cfg["dataset"]["fill_fraction_range"], cfg["dataset"]["cone_height_range"]
+    ends = [("fill_fraction_range", {"fill_fraction": f}) for f in fills]
+    ends += [("cone_height_range", {"fill_fraction": f, "cone_height": h})
+             for f in fills for h in heights]
+    for key, values in ends:
         try:
-            dataclasses.replace(scene(cfg), fill_fraction=end)
+            dataclasses.replace(scene(cfg), **values)
         except InvalidParameterError as exc:
-            raise _invalid(("dataset", "fill_fraction_range"), str(exc)) from None
+            raise _invalid(("dataset", key), str(exc)) from None
 
 
 def load_config(path: Optional[Union[str, Path]] = None, seed: Optional[int] = None,

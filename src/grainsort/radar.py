@@ -184,6 +184,17 @@ class SiloScene:
                      "wall_clutter_amplitude", "contact_clutter_amplitude", "gain_jitter_db"):
             if not getattr(self, name) >= 0:
                 raise InvalidParameterError(f"{name} must be >= 0")
+        # before roughness, the profile synth_surface draws comes nearest the
+        # antenna at a pile's apex or a crater's rim, less a ripple crest
+        for surface_class in (SurfaceClass.PEAKED_CONE, SurfaceClass.INVERTED_CONE):
+            direction, q, _, ripple = _shape(self, surface_class)
+            height = direction * abs(self.cone_height)
+            base = self.mean_surface_range - 2.0 * height / (q + 2.0)
+            nearest = min(base, base + height) - self.ripple_amplitude * ripple
+            if height != 0.0 and not nearest > 0.0:
+                raise InvalidParameterError(
+                    f"cone height {self.cone_height} brings the surface to a range <= 0"
+                )
 
     @property
     def mean_surface_range(self) -> float:

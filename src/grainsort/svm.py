@@ -30,6 +30,9 @@ from .errors import (
 )
 
 _BOUND_EPS = 1e-12
+# entries of a kernel_matrix tile temporary: 64 KiB, under glibc's 128 KiB
+# mmap threshold, so no tile is a fresh mapping that page-faults on first use
+_TILE_ENTRIES = 8192
 
 
 @dataclass(frozen=True)
@@ -65,21 +68,37 @@ def resolve_gamma(spec: KernelSpec, X: np.ndarray) -> KernelSpec:
     return KernelSpec(kind=spec.kind, c=spec.c, gamma=gamma)
 
 
-def kernel_matrix(spec: KernelSpec, A: np.ndarray, B: Optional[np.ndarray] = None) -> np.ndarray:
-    """Gram matrix K[i, j] = k(A_i, B_j); B defaults to A."""
+def kernel_matrix(
+    spec: KernelSpec,
+    A: np.ndarray,
+    B: Optional[np.ndarray] = None,
+    out: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Gram matrix K[i, j] = k(A_i, B_j); B defaults to A.
+
+    With out given, K is written into it (shape (len(A), len(B)), float64) and
+    out is returned.  The RBF kernel is built in place: no temporary is as
+    large as K, whatever its size.
+    """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = A if B is None else np.atleast_2d(np.asarray(B, dtype=float))
     if spec.kind == "linear":
-        return A @ B.T
+        return np.matmul(A, B.T, out=out)
     if spec.gamma is None:
         raise InvalidParameterError("rbf kernel needs a resolved gamma")
-    sq = (
-        np.sum(A**2, axis=1)[:, None]
-        + np.sum(B**2, axis=1)[None, :]
-        - 2.0 * (A @ B.T)
-    )
-    np.maximum(sq, 0.0, out=sq)
-    return np.exp(-spec.gamma * sq)
+    a2, b2 = np.sum(A**2, axis=1), np.sum(B**2, axis=1)
+    K = np.matmul(A, B.T, out=out)
+    K *= 2.0
+    # squared distances (a2_i + b2_j) - 2 A_i.B_j, one tile at a time
+    cols = max(1, min(K.shape[1], _TILE_ENTRIES))
+    rows = _TILE_ENTRIES // cols
+    for r in range(0, K.shape[0], rows):
+        for c in range(0, K.shape[1], cols):
+            tile = K[r:r + rows, c:c + cols]
+            np.subtract(a2[r:r + rows, None] + b2[c:c + cols], tile, out=tile)
+    np.maximum(K, 0.0, out=K)
+    K *= -spec.gamma
+    return np.exp(K, out=K)
 
 
 @dataclass(frozen=True)
@@ -141,13 +160,16 @@ def train_binary(
     tol: float = 1e-3,
     max_passes: int = 10,
     debug: bool = False,
+    gram_buffer: Optional[np.ndarray] = None,
 ) -> BinarySVM:
     """Fit one soft-margin machine on labels in {-1, +1}.
 
     max_passes * n bounds the number of pair updates; running out raises
     ConvergenceError with the best iterate attached.  With debug=True the
     dual objective is recomputed after every accepted update and asserted
-    non-decreasing (slow; for small problems and tests).
+    non-decreasing (slow; for small problems and tests).  A float64
+    gram_buffer of at least n * n entries holds the Gram matrix instead of a
+    fresh array; nothing in the returned machine refers to it.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float).ravel()
@@ -159,14 +181,15 @@ def train_binary(
         raise InvalidParameterError("labels must be -1 or +1")
     if np.unique(y).size < 2:
         raise DegenerateTrainingError("training set holds a single class")
+    if max_passes < 1:
+        raise InvalidParameterError("max_passes must be >= 1")
 
     kernel = resolve_gamma(kernel, X)
     n = y.size
-    c_box = kernel.c
-    K = kernel_matrix(kernel, X)
-    if max_passes < 1:
-        raise InvalidParameterError("max_passes must be >= 1")
-    alpha = np.zeros(n)
+    c_box = float(kernel.c)
+    out = None if gram_buffer is None else gram_buffer[: n * n].reshape(n, n)
+    K = kernel_matrix(kernel, X, out=out)
+    alpha = np.zeros(n)  # refreshed from alpha_list before it is read
     f_cache = np.zeros(n)  # f_i = sum_j alpha_j y_j K_ij
     budget = max_passes * n
     diag = SMODiagnostics(objective_trace=[] if debug else None)
@@ -175,6 +198,8 @@ def train_binary(
     def _finalize(violation: float, up_min: float, low_max: float) -> BinarySVM:
         # up_min and low_max are the extreme f_k - y_k over the up and low sets,
         # infinite when the set is empty
+        alpha[:] = alpha_list
+        diag.n_updates = updates
         if np.isfinite(up_min) and np.isfinite(low_max):
             bias = -0.5 * (up_min + low_max)
         else:
@@ -199,11 +224,16 @@ def train_binary(
     # exactly symmetric, so the contiguous row K[i] equals the column K[:, i].
     # At alpha = 0 the up set holds the y = +1 rows and the low set the y = -1
     # rows, both empty when C leaves no room above 0.
+    # The scalar work runs on Python floats (alpha, y and the diagonal of K
+    # are held as lists); each min and max is spelled as the comparison that
+    # picks the operand min/max would, ties and NaN included.  alpha is copied
+    # back to its array wherever the array is read.
     hi = c_box - _BOUND_EPS
     up_off = np.where((y > 0) & (0.0 < hi), -y, np.inf)
     low_off = np.where((y < 0) & (0.0 < hi), -y, -np.inf)
     e_up, e_low, delta = np.empty(n), np.empty(n), np.empty(n)
-    y_list = y.tolist()
+    alpha_list, y_list, k_diag = alpha.tolist(), y.tolist(), K.diagonal().tolist()
+    updates = 0
     while True:
         i = int(np.add(f_cache, up_off, out=e_up).argmin())
         j = int(np.add(f_cache, low_off, out=e_low).argmax())
@@ -213,7 +243,7 @@ def train_binary(
             return _finalize(0.0, up_min, low_max)
         if violation <= tol:
             return _finalize(violation, up_min, low_max)
-        if diag.n_updates >= budget:
+        if updates >= budget:
             model = _finalize(violation, up_min, low_max)
             raise ConvergenceError(
                 f"SMO exhausted {budget} updates with KKT violation "
@@ -223,25 +253,32 @@ def train_binary(
 
         # move alpha_i by +y_i * t and alpha_j by -y_j * t (keeps sum y.a fixed);
         # exact minimiser along the direction is violation / eta, capped by the box
-        a_i, a_j, y_i, y_j = float(alpha[i]), float(alpha[j]), y_list[i], y_list[j]
+        a_i, a_j, y_i, y_j = alpha_list[i], alpha_list[j], y_list[i], y_list[j]
         K_i, K_j = K[i], K[j]
         cap_i = (c_box - a_i) if y_i > 0 else a_i
         cap_j = a_j if y_j > 0 else (c_box - a_j)
-        eta = float(K_i[i] + K_j[j] - 2.0 * K_i[j])
-        step = min(cap_i, cap_j)
-        if eta > _BOUND_EPS:
-            step = min(step, violation / eta)
-        for k, a in ((i, a_i + y_i * step), (j, a_j - y_j * step)):
-            a = min(max(a, 0.0), c_box)  # the other entries are already in the box
-            alpha[k] = a
-            in_up, in_low = (a < hi, a > _BOUND_EPS) if y_list[k] > 0 else (a > _BOUND_EPS, a < hi)
-            up_off[k] = -y_list[k] if in_up else np.inf
-            low_off[k] = -y_list[k] if in_low else -np.inf
+        eta = k_diag[i] + k_diag[j] - 2.0 * float(K_i[j])
+        step = cap_j if cap_j < cap_i else cap_i
+        if eta > _BOUND_EPS and violation / eta < step:
+            step = violation / eta
+        # clip to [0, C] (the other entries are already in the box), then
+        # refresh the moved entries' set offsets
+        a = a_i + y_i * step
+        a = 0.0 if a < 0.0 else (c_box if a > c_box else a)
+        alpha_list[i] = a
+        up_off[i] = -y_i if (a < hi if y_i > 0 else a > _BOUND_EPS) else np.inf
+        low_off[i] = -y_i if (a > _BOUND_EPS if y_i > 0 else a < hi) else -np.inf
+        a = a_j - y_j * step
+        a = 0.0 if a < 0.0 else (c_box if a > c_box else a)
+        alpha_list[j] = a
+        up_off[j] = -y_j if (a < hi if y_j > 0 else a > _BOUND_EPS) else np.inf
+        low_off[j] = -y_j if (a > _BOUND_EPS if y_j > 0 else a < hi) else -np.inf
         np.subtract(K_i, K_j, out=delta)
         delta *= step
         f_cache += delta
-        diag.n_updates += 1
+        updates += 1
         if debug:
+            alpha[:] = alpha_list
             objective = _dual_objective(alpha, y, K)
             if objective < prev_objective - 1e-9:
                 raise AssertionError(
@@ -283,7 +320,8 @@ def train_multiclass(
 ) -> MulticlassSVM:
     """Standardize on the full training fold, then fit every class pair.
 
-    In each pairwise machine the lower class id takes label +1.
+    In each pairwise machine the lower class id takes label +1.  The pairs
+    build their Gram matrices in turn into one buffer sized for the largest.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     labels = np.asarray(labels, dtype=int).ravel()
@@ -295,12 +333,14 @@ def train_multiclass(
     scaler = standardize_fit(X)
     Xs = scaler.transform(X)
     kernel = resolve_gamma(kernel, Xs)
+    masks = {(a, b): (labels == a) | (labels == b) for a, b in combinations(class_ids, 2)}
+    n_max = max((int(mask.sum()) for mask in masks.values()), default=0)
+    gram_buffer = np.empty(n_max * n_max)
     pairwise = {}
-    for a, b in combinations(class_ids, 2):
-        mask = (labels == a) | (labels == b)
+    for (a, b), mask in masks.items():
         y = np.where(labels[mask] == a, 1.0, -1.0)
         pairwise[(a, b)] = train_binary(
-            Xs[mask], y, kernel, tol=tol, max_passes=max_passes
+            Xs[mask], y, kernel, tol=tol, max_passes=max_passes, gram_buffer=gram_buffer
         )
     return MulticlassSVM(class_ids, pairwise, scaler, kernel)
 

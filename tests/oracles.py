@@ -5,8 +5,8 @@ phasor sum for the radar model, direct O(N^2) transform sums, an STFT that
 transforms one frame at a time, per-pixel double loops for texture
 counting, a projected-gradient solver for the SVM dual, the original
 one-exponential-per-cell backscatter tables, the original class-branching
-surface synthesis, the original whole-vector SMO loop, the original
-one-scan-at-a-time feature chains, the original config schema and the
+surface synthesis, the original whole-vector SMO loop and Gram expression,
+the original one-scan-at-a-time feature chains, the original config schema and the
 inverse-DFT range profile of a sweep (which the radar tests check the
 simulated scatterer ranges with).  None of it shares code with the package
 paths it checks, except the inverse transforms and the per-scan chains:
@@ -388,6 +388,21 @@ def qp_decision_values(alpha, K, y, box_c):
     else:
         bias = float(np.mean(y - f_vals))
     return f_vals + bias
+
+
+def seed_kernel_matrix(spec, A, B=None):
+    """The original Gram expression: fresh n x m temporaries, whole-array steps."""
+    A = np.atleast_2d(np.asarray(A, dtype=float))
+    B = A if B is None else np.atleast_2d(np.asarray(B, dtype=float))
+    if spec.kind == "linear":
+        return A @ B.T
+    sq = (
+        np.sum(A**2, axis=1)[:, None]
+        + np.sum(B**2, axis=1)[None, :]
+        - 2.0 * (A @ B.T)
+    )
+    np.maximum(sq, 0.0, out=sq)
+    return np.exp(-spec.gamma * sq)
 
 
 def seed_smo(K, y, c, tol, max_passes):

@@ -188,6 +188,8 @@ def _objects_reject(doc) -> bool:
             build(cfg)
         for end in dataset["fill_fraction_range"]:
             dataclasses.replace(cfgmod.scene(cfg), fill_fraction=end)
+            for height in dataset["cone_height_range"]:
+                dataclasses.replace(cfgmod.scene(cfg), fill_fraction=end, cone_height=height)
         for c in cfg["grid"]["C"]:
             for gamma in cfg["grid"]["gamma"]:
                 cfgmod.kernel_spec(cfg, c=c, gamma=gamma)

@@ -341,6 +341,7 @@ MALFORMED_CONFIG_VALUES = [
     (("kernel", "C"), 10**400),  # an integer no float holds
     (("dataset", "fill_fraction_range"), [0.7, 0.2]),
     (("dataset", "cone_height_range"), [0.3, 0.1]),
+    (("dataset", "cone_height_range"), [5.0, 6.0]),  # the surface reaches the antenna
     (("dataset", "fill_fraction_range"), [0.5, 1.5]),
     (("dataset", "fill_fraction_range"), [0.5, 1.0]),
 ]

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from grainsort import ConvergenceError, DegenerateTrainingError, DimensionMismatchError
 from grainsort import svm
-from oracles import qp_decision_values, qp_dual_oracle, seed_smo
+from oracles import qp_decision_values, qp_dual_oracle, seed_kernel_matrix, seed_smo
 
 
 def _blobs(seed=0, n_per=30, centres=((0, 0), (5, 0), (0, 5)), sigma=0.5):
@@ -119,6 +119,8 @@ class TestBinaryTraining:
         trace = model.diagnostics.objective_trace
         assert len(trace) == model.diagnostics.n_updates
         assert all(b >= a - 1e-9 for a, b in zip(trace, trace[1:]))
+        # the trace reads the current iterate: its last entry is the final objective
+        assert trace[-1] == model.diagnostics.dual_objective > 0.0
 
     def test_single_class_rejected(self):
         X = np.ones((4, 2))
@@ -153,6 +155,36 @@ def test_gram_matrix_exactly_symmetric(kind, order, n):
         assert np.array_equal(K, K.T)
 
 
+@pytest.mark.parametrize("kind", ["linear", "rbf"])
+@pytest.mark.parametrize("in_buffer", [False, True])
+@pytest.mark.parametrize(
+    "n, m",
+    [
+        (1, None),  # n = 1
+        (1, 5),
+        (100, None),  # 81 rows per tile: two tiles, the last one short
+        (37, 250),
+        (540, None),  # 36 tiles
+        (3, 2 * svm._TILE_ENTRIES + 5),  # wider than a tile: column tiles too
+    ],
+)
+def test_gram_matrix_matches_seed_expression(kind, in_buffer, n, m):
+    """kernel_matrix, into a fresh array or a view of a larger NaN-filled
+    buffer, equals the original whole-array expression bit for bit."""
+    rng = np.random.default_rng(n)
+    A = rng.standard_normal((n, 6)) * 2.0
+    B = None if m is None else rng.standard_normal((m, 6))
+    kernel = svm.KernelSpec(kind=kind, gamma=0.3)
+    expected = seed_kernel_matrix(kernel, A, B)
+    out = None
+    if in_buffer:
+        out = np.full(expected.size + 11, np.nan)[: expected.size].reshape(expected.shape)
+    K = svm.kernel_matrix(kernel, A, B, out=out)
+    assert np.array_equal(K, expected)
+    if in_buffer:
+        assert K is out
+
+
 def _seed_loop_problem(data):
     """A small binary problem: Gaussian rows, some rows repeated or drawn from
     a handful of distinct points (so eta can be 0), both labels present."""
@@ -177,7 +209,7 @@ class TestSeedLoopBitIdentity:
     @staticmethod
     def _compare(X, y, kernel, max_passes):
         kernel = svm.resolve_gamma(kernel, X)
-        ref = seed_smo(svm.kernel_matrix(kernel, X), y, kernel.c, 1e-3, max_passes)
+        ref = seed_smo(seed_kernel_matrix(kernel, X), y, kernel.c, 1e-3, max_passes)
         try:
             model = svm.train_binary(X, y, kernel, max_passes=max_passes)
         except ConvergenceError as exc:
@@ -280,6 +312,27 @@ class TestMulticlass:
         perm = rng.permutation(len(y))
         model_b = svm.train_multiclass(X[perm], y[perm], svm.KernelSpec(kind="rbf", c=10.0))
         assert np.array_equal(svm.predict(model_a, X), svm.predict(model_b, X))
+
+    @pytest.mark.parametrize("kind", ["linear", "rbf"])
+    def test_shared_gram_buffer_leaks_nothing(self, kind):
+        """Pairs of 32, 27 and 19 rows train in turn in one Gram buffer, each
+        smaller pair over a larger one's entries; each machine equals the
+        pair trained alone in a fresh Gram matrix."""
+        rng = np.random.default_rng(5)
+        labels = np.repeat([0, 1, 2], [20, 12, 7])
+        X = rng.standard_normal((labels.size, 3)) + labels[:, None]
+        kernel = svm.KernelSpec(kind=kind, c=1.0)
+        model = svm.train_multiclass(X, labels, kernel)
+        Xs = svm.standardize_fit(X).transform(X)
+        for (a, b), machine in model.pairwise.items():
+            mask = (labels == a) | (labels == b)
+            alone = svm.train_binary(
+                Xs[mask], np.where(labels[mask] == a, 1.0, -1.0), model.kernel
+            )
+            assert np.array_equal(machine.dual_coef, alone.dual_coef)
+            assert machine.bias == alone.bias
+            assert np.array_equal(machine.sv_indices, alone.sv_indices)
+            assert machine.diagnostics.n_updates == alone.diagnostics.n_updates
 
     def test_missing_class_rejected(self):
         X, y = _blobs(3)
