@@ -322,9 +322,11 @@ def evaluate(config_path, seed, out_dir, method_tags, echo_classifier, use_grid)
     k, counts = cfg["cv"]["k"], cfg["dataset"]["per_class_counts"]
     if k > min(counts):
         raise ConfigError(f"cv.k={k} exceeds the smallest per-class count {min(counts)}")
+    fparams = cfgmod.feature_params(cfg)
+    for method_tag in cfg["methods"]:
+        fparams.check_sweep(method_tag, cfg["radar"]["n_freq"])
     out = _out_dir(cfg["out_dir"])
     classifier = "echo" if echo_classifier else "svm"
-    fparams = cfgmod.feature_params(cfg)
     summary = {
         "config_hash": cfgmod.config_hash(cfg),
         "seed": cfg["seed"],

@@ -81,6 +81,14 @@ def _is_number(value) -> bool:
     return math.isfinite(value) if isinstance(value, float) else abs(value) <= sys.float_info.max
 
 
+def _is_snr(value) -> bool:
+    """null, or a number whose noise scale 10 ** (-snr_db / 10) is a finite float."""
+    try:
+        return value is None or _is_number(value) and math.isfinite(10.0 ** (-value / 10.0))
+    except OverflowError:
+        return False
+
+
 # the JSON type a default's Python type asks for: (test, description)
 _TYPES = {
     bool: (lambda v: isinstance(v, bool), "a boolean"),
@@ -91,7 +99,7 @@ _TYPES = {
 # what the defaults cannot type: the values of these keys (or items of these
 # lists), and the lengths of these lists (the others need at least one item)
 _RULES = {
-    ("dataset", "snr_db"): (lambda v: v is None or _is_number(v), "a finite number or null"),
+    ("dataset", "snr_db"): (_is_snr, "null or a finite number above -3082.5 dB"),
     ("methods",): (lambda v: v in METHOD_TAGS, f"one of {list(METHOD_TAGS)}"),
     ("kernel", "gamma"): (lambda v: v == "scale" or _is_number(v), "'scale' or a finite number"),
 }

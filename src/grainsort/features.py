@@ -23,10 +23,10 @@ _DEGENERATE_SPREAD = 1e-12
 ENTROPY_BINS = 64
 # texture matrices grow with G per image; cap G at the range of one byte
 MAX_GRAY_LEVELS = 256
-# scans per extract_matrix step: bounds the chains' temporaries, and a row
+# scans per extract_matrix chunk: bounds the chains' temporaries, and a row
 # does not depend on the other scans of its chunk
 CHUNK_SCANS = 128
-# G x G cells per texture step: all 128 images of a chunk at G = 16, four at G = 256
+# G x G texture cells per chunk, cache-sized: all 128 images at G = 16, four at G = 256
 TEXTURE_CELLS = 2**18
 
 FOS_NAMES = ("mean", "variance", "skewness", "kurtosis", "entropy", "energy")
@@ -361,9 +361,8 @@ def _chain(samples: np.ndarray, method_tag: str, params: FeatureParams) -> np.nd
     if method_tag == "DCT+FOS":
         return fos(transforms.dct(mag))
     if method_tag == "DWT+FOS":
-        # np.correlate filters one vector at a time; FOS runs on each level's bands
-        bands = [transforms.dwt_multilevel(m, params.dwt_levels, params.dwt_wavelet) for m in mag]
-        return np.concatenate([fos(np.stack(level)) for level in zip(*bands)], axis=1)
+        bands = transforms.dwt_multilevel(mag, params.dwt_levels, params.dwt_wavelet)
+        return np.concatenate([fos(band) for band in bands], axis=1)
     frames = transforms.stft(
         mag,
         window_len=params.stft_window_len,
@@ -375,19 +374,13 @@ def _chain(samples: np.ndarray, method_tag: str, params: FeatureParams) -> np.nd
     if not np.all(np.isfinite(magnitudes)):
         raise DataError(f"{method_tag}: the STFT magnitudes of a scan are not finite")
     pixels = quantize(magnitudes, params.gray_levels)
-    n_pixels = pixels.shape[1] * pixels.shape[2]
-
-    def texture(images, angle):
-        if method_tag == "STFT+GLCM":
-            return glcm_features(glcm(images, params.gray_levels, ANGLE_OFFSETS[angle]))
-        return glrlm_features(glrlm(images, params.gray_levels, angle), n_pixels)
-
-    # at most TEXTURE_CELLS G x G cells per step keeps the temporaries cache-sized at any G
-    step = max(1, TEXTURE_CELLS // params.gray_levels**2)
-    return np.vstack([
-        np.concatenate([texture(pixels[i : i + step], a) for a in GLCM_ANGLES], axis=1)
-        for i in range(0, len(pixels), step)
-    ])
+    if method_tag == "STFT+GLCM":
+        texture = [glcm_features(glcm(pixels, params.gray_levels, ANGLE_OFFSETS[a]))
+                   for a in GLCM_ANGLES]
+    else:
+        texture = [glrlm_features(glrlm(pixels, params.gray_levels, a), pixels[0].size)
+                   for a in GLCM_ANGLES]
+    return np.concatenate(texture, axis=1)
 
 
 def extract(
@@ -400,7 +393,7 @@ def extract(
 def extract_matrix(
     ascans: Sequence[AScan], method_tag: str, params: FeatureParams = FeatureParams()
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """One chain's feature rows of the stacked scans, CHUNK_SCANS at a time: (X, labels)."""
+    """One chain's feature rows of the stacked scans, a chunk at a time: (X, labels)."""
     if len(ascans) == 0:
         raise DataError("no A-scans to extract from")
     lengths = sorted({a.samples.size for a in ascans})
@@ -409,9 +402,10 @@ def extract_matrix(
             f"the A-scans hold sweeps of {lengths} points; a feature matrix needs one length"
         )
     params.check_sweep(method_tag, lengths[0])
+    chunk = min(CHUNK_SCANS, TEXTURE_CELLS // params.gray_levels**2)
     X = np.vstack([
-        _chain(np.stack([a.samples for a in ascans[i : i + CHUNK_SCANS]]), method_tag, params)
-        for i in range(0, len(ascans), CHUNK_SCANS)
+        _chain(np.stack([a.samples for a in ascans[i : i + chunk]]), method_tag, params)
+        for i in range(0, len(ascans), chunk)
     ])
     bad = np.flatnonzero(~np.all(np.isfinite(X), axis=1))
     if bad.size:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -187,9 +187,7 @@ class SiloScene:
         # before roughness, the profile synth_surface draws comes nearest the
         # antenna at a pile's apex or a crater's rim, less a ripple crest
         for surface_class in (SurfaceClass.PEAKED_CONE, SurfaceClass.INVERTED_CONE):
-            direction, q, _, ripple = _shape(self, surface_class)
-            height = direction * abs(self.cone_height)
-            base = self.mean_surface_range - 2.0 * height / (q + 2.0)
+            height, base, _, _, ripple = _shape(self, surface_class)
             nearest = min(base, base + height) - self.ripple_amplitude * ripple
             if height != 0.0 and not nearest > 0.0:
                 raise InvalidParameterError(
@@ -203,19 +201,24 @@ class SiloScene:
 
 
 def _shape(scene: SiloScene, surface_class: SurfaceClass) -> tuple:
-    """The one place a class decides its surface: (cone direction, radial
-    exponent, roughness factor, ripple factor).
+    """The one place a class decides its surface: (signed cone height, profile
+    base, radial exponent, roughness factor, ripple factor).
 
-    The direction turns the unsigned cone height into a signed one: +1 piles
-    grain up towards the antenna, -1 digs a crater, 0 levels the surface.
-    The factors scale the scene's roughness sigma and ripple amplitude.
+    The class signs the cone height: up towards the antenna for a pile, down
+    for a crater, 0 for a levelled surface.  The profile base + height * t**q
+    keeps the mean depth at the scene's mean surface range, as E[t**q] =
+    2 / (q + 2) over an area-uniform disk.  The factors scale the scene's
+    roughness sigma and ripple amplitude.
     """
-    if surface_class is SurfaceClass.PEAKED_CONE:
-        return 1.0, scene.peaked_shape_exponent, scene.pour_roughness_factor, 1.0
-    if surface_class is SurfaceClass.INVERTED_CONE:
-        return (-1.0, scene.inverted_shape_exponent, scene.drain_roughness_factor,
-                scene.ripple_crater_factor)
-    return 0.0, 1.0, 1.0, 0.0
+    sign, q, roughness, ripple = {
+        SurfaceClass.PEAKED_CONE: (1.0, scene.peaked_shape_exponent,
+                                   scene.pour_roughness_factor, 1.0),
+        SurfaceClass.INVERTED_CONE: (-1.0, scene.inverted_shape_exponent,
+                                     scene.drain_roughness_factor, scene.ripple_crater_factor),
+    }.get(surface_class, (0.0, 1.0, 1.0, 0.0))
+    height = sign * abs(scene.cone_height)
+    base = scene.mean_surface_range - 2.0 * height / (q + 2.0)
+    return height, base, q, roughness, ripple
 
 
 def synth_surface(
@@ -235,10 +238,8 @@ def synth_surface(
         np.random.SeedSequence(entropy=int(seed), spawn_key=(_SURFACE_KEY,))
     )
     silo_radius = scene.diameter / 2.0
-    mean_depth = scene.mean_surface_range
     n = scene.scatterers_per_scene
-    direction, q, roughness, ripple = _shape(scene, surface_class)
-    height = direction * abs(scene.cone_height)
+    height, base, q, roughness, ripple = _shape(scene, surface_class)
 
     # surface points, area-uniform over the disk
     rho = silo_radius * np.sqrt(rng.random(n))
@@ -257,14 +258,13 @@ def synth_surface(
     def depths(radial: np.ndarray) -> np.ndarray:
         """Depth (range from antenna) at distances from the apex in silo radii.
 
-        The profile conserves the mean depth so fill_fraction alone fixes the
-        grain volume: for depth = base + h * t**q over an area-uniform disk,
-        E[t**q] = 2 / (q + 2).  Sloped surfaces carry a radial ripple.
+        The profile conserves the mean depth, so fill_fraction alone fixes
+        the grain volume.  Sloped surfaces carry a radial ripple.
         """
         if height == 0.0:
-            return np.full_like(radial, mean_depth)
+            return np.full_like(radial, base)
         t = np.clip(radial, 0.0, 1.0)
-        profile = (mean_depth - 2.0 * height / (q + 2.0)) + height * t**q
+        profile = base + height * t**q
         wave = 2.0 * np.pi * (t * silo_radius) / scene.ripple_wavelength + ripple_phase
         return profile + scene.ripple_amplitude * ripple * np.cos(wave)
 
@@ -374,24 +374,20 @@ def backscatter(
 def generate_dataset(
     params: RadarParams,
     scene: SiloScene,
-    per_class_counts: Union[int, Sequence[int]],
+    per_class_counts: Sequence[int],
     snr_db: Optional[float],
     seed: int,
-    fill_fraction_range: Optional[Sequence[float]] = None,
-    cone_height_range: Optional[Sequence[float]] = None,
+    fill_fraction_range: Sequence[float],
+    cone_height_range: Sequence[float],
 ) -> list:
     """Simulate a labelled A-scan dataset, fully deterministic from ``seed``.
 
     Per sample, fill_fraction and cone_height are re-drawn uniformly from
-    the given ranges (falling back to the template values when a range is
-    None); the class alone gives the cone its direction.  Records are
-    emitted class-major: all levelled scans first, then peaked, then
+    the given ranges; the class alone gives the cone its direction.  Records
+    are emitted class-major: all levelled scans first, then peaked, then
     inverted.
     """
-    if isinstance(per_class_counts, int):
-        counts = [per_class_counts] * len(SurfaceClass)
-    else:
-        counts = [int(c) for c in per_class_counts]
+    counts = [int(c) for c in per_class_counts]
     if len(counts) != len(SurfaceClass) or any(c < 1 for c in counts):
         raise InvalidParameterError(
             f"per_class_counts needs {len(SurfaceClass)} entries >= 1, got {counts}"
@@ -404,11 +400,8 @@ def generate_dataset(
             jitter = np.random.default_rng(
                 np.random.SeedSequence(entropy=rseed, spawn_key=(_JITTER_KEY,))
             )
-            fill, height = scene.fill_fraction, scene.cone_height
-            if fill_fraction_range is not None:
-                fill = jitter.uniform(*fill_fraction_range)
-            if cone_height_range is not None:
-                height = jitter.uniform(*cone_height_range)
+            fill = jitter.uniform(*fill_fraction_range)
+            height = jitter.uniform(*cone_height_range)
             sample_scene = replace(
                 scene, fill_fraction=float(fill), cone_height=float(height)
             )

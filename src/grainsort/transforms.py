@@ -71,42 +71,37 @@ def _filters(wavelet_id: str) -> Tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
-def _symmetric_extend(x: np.ndarray, pad: int) -> np.ndarray:
-    """Half-sample symmetric extension by ``pad`` samples on each side."""
-    left = x[pad - 1 :: -1] if pad > 0 else x[:0]
-    right = x[: -pad - 1 : -1] if pad > 0 else x[:0]
-    return np.concatenate([left, x, right])
-
-
-def dwt_single(x: np.ndarray, wavelet_id: str) -> Tuple[np.ndarray, np.ndarray]:
-    """One analysis level: symmetric extension, filtering, downsample by 2."""
-    lo, hi = _filters(wavelet_id)
-    filt_len = lo.size
-    if x.size < filt_len:
-        raise ValueError(
-            f"signal of length {x.size} is shorter than the {filt_len}-tap filter"
-        )
-    ext = _symmetric_extend(np.asarray(x, dtype=float), filt_len - 1)
-    approx = np.correlate(ext, lo, mode="valid")[1::2]
-    detail = np.correlate(ext, hi, mode="valid")[1::2]
-    return approx, detail
-
-
 def dwt_multilevel(signal, levels: int, wavelet_id: str = "db4") -> List[np.ndarray]:
-    """Cascade the analysis filterbank ``levels`` times on the running approximation.
+    """Cascade the analysis filterbank ``levels`` times on the running
+    approximation of each signal along the last axis.
 
     Returns the subbands ``[approx, d_1, ..., d_levels]``: the deepest low-pass
     band, then the details from level 1 (finest) to ``levels`` (coarsest).
+    Each level extends the signal half-sample symmetrically by filter_len - 1
+    samples, filters it and keeps every second output from the second on.
     The transform is expansive: each level keeps
     floor((n + filter_len - 1) / 2) coefficients per band, so boundary padding
     may add samples relative to the input length.
     """
     if levels < 1:
         raise ValueError("levels must be >= 1")
+    lo, hi = _filters(wavelet_id)
+    pad = lo.size - 1
     x = np.asarray(signal, dtype=float)
     details: List[np.ndarray] = []
     for _ in range(levels):
-        x, detail = dwt_single(x, wavelet_id)
+        if x.shape[-1] <= pad:
+            raise ValueError(
+                f"signal of length {x.shape[-1]} is shorter than the {lo.size}-tap filter"
+            )
+        ext = np.concatenate([x[..., pad - 1 :: -1], x, x[..., : -pad - 1 : -1]], axis=-1)
+        # the taps are summed in order, as np.correlate sums them, so each band
+        # equals a per-signal np.correlate bit for bit (a matmul form does not)
+        stop = ext.shape[-1] - pad
+        x, detail = lo[0] * ext[..., 1:stop:2], hi[0] * ext[..., 1:stop:2]
+        for k in range(1, lo.size):
+            x += lo[k] * ext[..., 1 + k : stop + k : 2]
+            detail += hi[k] * ext[..., 1 + k : stop + k : 2]
         details.append(detail)
     return [x] + details
 

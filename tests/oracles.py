@@ -6,13 +6,14 @@ transforms one frame at a time, per-pixel double loops for texture
 counting, a projected-gradient solver for the SVM dual, the original
 one-exponential-per-cell backscatter tables, the original class-branching
 surface synthesis, the original whole-vector SMO loop and Gram expression,
-the original one-scan-at-a-time feature chains, the original config schema and the
+the original one-signal wavelet filterbank, the original one-scan-at-a-time
+feature chains, the original config schema and the
 inverse-DFT range profile of a sweep (which the radar tests check the
 simulated scatterer ranges with).  None of it shares code with the package
-paths it checks, except the inverse transforms and the per-scan chains:
-the DCT inverse delegates to scipy, the wavelet synthesis bank reads the
-package's filter taps and subband lengths to check that analysis
-reconstructs, and the per-scan chains call the package's transforms on one
+paths it checks, except the wavelet banks, the inverse transforms and the
+per-scan chains: both wavelet banks read the package's filter taps (the
+synthesis bank its subband lengths too), the DCT inverse delegates to
+scipy, and the per-scan chains call the package's FFT, DCT and STFT on one
 vector and its glcm/glrlm counters on one image, whose integer counts the
 brute-force counters here pin.
 """
@@ -228,6 +229,44 @@ def direct_dct2_ortho(x):
 def idct(coeffs) -> np.ndarray:
     """Inverse of ``transforms.dct`` (orthonormal DCT-III)."""
     return scipy.fft.idct(np.asarray(coeffs, dtype=float), type=2, norm="ortho")
+
+
+def _seed_symmetric_extend(x: np.ndarray, pad: int) -> np.ndarray:
+    """Half-sample symmetric extension by ``pad`` samples on each side."""
+    left = x[pad - 1 :: -1] if pad > 0 else x[:0]
+    right = x[: -pad - 1 : -1] if pad > 0 else x[:0]
+    return np.concatenate([left, x, right])
+
+
+def _seed_dwt_single(x: np.ndarray, wavelet_id: str):
+    """One analysis level: symmetric extension, filtering, downsample by 2."""
+    lo, hi = _filters(wavelet_id)
+    filt_len = lo.size
+    if x.size < filt_len:
+        raise ValueError(
+            f"signal of length {x.size} is shorter than the {filt_len}-tap filter"
+        )
+    ext = _seed_symmetric_extend(np.asarray(x, dtype=float), filt_len - 1)
+    approx = np.correlate(ext, lo, mode="valid")[1::2]
+    detail = np.correlate(ext, hi, mode="valid")[1::2]
+    return approx, detail
+
+
+def seed_dwt_multilevel(signal, levels: int, wavelet_id: str = "db4") -> List[np.ndarray]:
+    """The analysis cascade of one signal, one np.correlate per band and level.
+
+    This was grainsort.transforms.dwt_multilevel until its filterbank took a
+    stack of signals; the transform tests pin the stacked form to it bit for
+    bit.
+    """
+    if levels < 1:
+        raise ValueError("levels must be >= 1")
+    x = np.asarray(signal, dtype=float)
+    details: List[np.ndarray] = []
+    for _ in range(levels):
+        x, detail = _seed_dwt_single(x, wavelet_id)
+        details.append(detail)
+    return [x] + details
 
 
 def idwt_single(
@@ -617,7 +656,7 @@ def seed_extract(ascan, method_tag: str, params) -> np.ndarray:
     elif method_tag == "DCT+FOS":
         values = seed_fos(transforms.dct(mag))
     elif method_tag == "DWT+FOS":
-        bands = transforms.dwt_multilevel(mag, params.dwt_levels, params.dwt_wavelet)
+        bands = seed_dwt_multilevel(mag, params.dwt_levels, params.dwt_wavelet)
         values = np.concatenate([seed_fos(band) for band in bands])
     elif method_tag == "STFT+GLCM":
         pixels = _seed_stft_image(mag, params)

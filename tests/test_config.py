@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -182,6 +183,10 @@ def _objects_reject(doc) -> bool:
     if any(low > high for low, high in (dataset["fill_fraction_range"],
                                         dataset["cone_height_range"])):
         return True
+    # an SNR at which the noise power 10 ** (-snr_db / 10) is no float
+    if any(snr is not None and snr <= -10 * math.log10(sys.float_info.max)
+           for snr in dataset["snr_db"]):
+        return True
     try:
         for build in (cfgmod.radar_params, cfgmod.scene, cfgmod.feature_params,
                       cfgmod.kernel_spec):
@@ -201,7 +206,8 @@ def _objects_reject(doc) -> bool:
 def _assert_rejects_as_the_schema_did(tmp_path, doc):
     """load_config rejects every document the schema rejects; whatever else it
     rejects holds an integer-valued float at an integer key, a non-finite
-    number, a value a parameter object rejects or a reversed dataset range."""
+    number, a value a parameter object rejects, a reversed dataset range or an
+    SNR too low for a float noise power."""
     path = tmp_path / "c.json"
     path.write_text(json.dumps(doc))
     schema_accepts = validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA).is_valid(doc)

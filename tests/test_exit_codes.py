@@ -278,6 +278,24 @@ def test_k_above_a_class_count_exits_2_before_simulating(runner, files):
     assert not out.exists()
 
 
+def test_sweep_too_short_for_a_chain_exits_2_before_simulating(runner, files):
+    config = files["root"] / "config_short_sweep.json"
+    doc = json.loads(files["config"].read_text())
+    doc["radar"] = {"n_freq": 40, "f_start_hz": 18e9, "f_stop_hz": 20e9}
+    doc["dataset"]["per_class_counts"] = [4, 4, 4]
+    doc["cv"]["k"] = 2
+    config.write_text(json.dumps(doc))
+    out = files["root"] / "short_sweep"
+    result = runner.invoke(cli, ["evaluate", "--config", str(config), "--out", str(out),
+                                 "--method", "STFT+GLCM"])
+    _assert_one_error(result, 2, "40-point sweep")
+    assert not out.exists()
+    # a chain that fits the sweep runs on the same config
+    result = runner.invoke(cli, ["evaluate", "--config", str(config), "--out", str(out),
+                                 "--method", "DWT+FOS"])
+    assert result.exit_code == 0, result.output
+
+
 def test_sweep_too_coarse_for_the_scene_exits_2(runner, files):
     config = files["root"] / "config_coarse_sweep.json"
     config.write_text(json.dumps(dict(json.loads(files["config"].read_text()),
@@ -298,10 +316,14 @@ def test_non_finite_snr_override_exits_2_before_simulating(runner, files, snr):
 
 @pytest.mark.parametrize("snr", ["-4000", "-3070"])
 def test_snr_too_low_for_a_float_noise_power_exits_2(runner, files, snr):
-    # 10 ** 400 overflows; 10 ** 307 times the signal power is infinite
+    # 10 ** 400 overflows, which the config check refuses before any work;
+    # 10 ** 307 is finite, but times the signal power it is infinite
+    out = files["root"] / f"snr_{snr}"
     result = runner.invoke(cli, ["simulate", "--config", str(files["config"]),
-                                 "--out", str(files["root"] / f"snr_{snr}"), f"--snr={snr}"])
+                                 "--out", str(out), f"--snr={snr}"])
     _assert_one_error(result, 2, "snr_db")
+    if snr == "-4000":
+        assert not out.exists()
 
 
 def test_huge_integer_in_config_exits_2(runner, files):
@@ -316,7 +338,8 @@ def test_huge_integer_in_config_exits_2(runner, files):
 # one malformed value per key, each caught before any work starts: an
 # integer-valued float at an integer key, NaN or Infinity (which Python's json
 # module reads) at a number key, an integer too large for a float, a range
-# whose low end is above its high end, or a fill range reaching a full silo
+# whose low end is above its high end, a fill range reaching a full silo, or an
+# SNR whose noise power overflows a float
 MALFORMED_CONFIG_VALUES = [
     (("seed",), 1234.0),
     (("radar", "n_freq"), 301.0),
@@ -335,6 +358,7 @@ MALFORMED_CONFIG_VALUES = [
     (("kernel", "gamma"), float("inf")),
     (("radar", "f_stop_hz"), float("inf")),
     (("dataset", "snr_db", 0), float("nan")),
+    (("dataset", "snr_db", 0), -4000.0),
     (("dataset", "fill_fraction_range", 0), float("nan")),
     (("scene", "diameter_m"), float("inf")),
     (("scene", "gain_jitter_db"), float("nan")),

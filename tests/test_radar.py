@@ -291,10 +291,15 @@ class TestSurfaceSynthesis:
             SiloScene(**{field: bad})
 
 
+# degenerate jitter ranges: every scan keeps the template's fill and cone height
+TEMPLATE_RANGES = dict(fill_fraction_range=(0.5, 0.5), cone_height_range=(0.16, 0.16))
+
+
 class TestGenerateDataset:
     def test_balanced_counts(self, default_params):
         scene = SiloScene(scatterers_per_scene=20)
-        ascans = generate_dataset(default_params, scene, 10, None, seed=1)
+        ascans = generate_dataset(default_params, scene, [10] * 3, None, seed=1,
+                                  **TEMPLATE_RANGES)
         assert len(ascans) == 30
         labels = [scan.label for scan in ascans]
         for cls in SurfaceClass:
@@ -302,7 +307,8 @@ class TestGenerateDataset:
 
     def test_configured_counts(self, default_params):
         scene = SiloScene(scatterers_per_scene=20)
-        ascans = generate_dataset(default_params, scene, [3, 4, 5], None, seed=1)
+        ascans = generate_dataset(default_params, scene, [3, 4, 5], None, seed=1,
+                                  **TEMPLATE_RANGES)
         labels = [int(scan.label) for scan in ascans]
         assert labels.count(0) == 3 and labels.count(1) == 4 and labels.count(2) == 5
 
@@ -311,8 +317,8 @@ class TestGenerateDataset:
         kwargs = dict(
             fill_fraction_range=(0.4, 0.6), cone_height_range=(0.08, 0.15)
         )
-        a = generate_dataset(default_params, scene, 4, 20.0, seed=9, **kwargs)
-        b = generate_dataset(default_params, scene, 4, 20.0, seed=9, **kwargs)
+        a = generate_dataset(default_params, scene, [4] * 3, 20.0, seed=9, **kwargs)
+        b = generate_dataset(default_params, scene, [4] * 3, 20.0, seed=9, **kwargs)
         for scan_a, scan_b in zip(a, b):
             assert np.array_equal(scan_a.samples, scan_b.samples)
             assert scan_a.seed == scan_b.seed
@@ -320,6 +326,6 @@ class TestGenerateDataset:
     def test_rejects_bad_counts(self, default_params):
         scene = SiloScene(scatterers_per_scene=20)
         with pytest.raises(InvalidParameterError):
-            generate_dataset(default_params, scene, [0, 1, 1], None, seed=1)
+            generate_dataset(default_params, scene, [0, 1, 1], None, seed=1, **TEMPLATE_RANGES)
         with pytest.raises(InvalidParameterError):
-            generate_dataset(default_params, scene, [1, 1], None, seed=1)
+            generate_dataset(default_params, scene, [1, 1], None, seed=1, **TEMPLATE_RANGES)

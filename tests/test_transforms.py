@@ -4,7 +4,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from grainsort import transforms as tr
-from oracles import direct_dct2_ortho, direct_dft, frame_stft, idct, idwt_multilevel
+from oracles import (
+    direct_dct2_ortho, direct_dft, frame_stft, idct, idwt_multilevel, seed_dwt_multilevel,
+)
 
 
 class TestFFT:
@@ -116,6 +118,31 @@ class TestDWT:
     def test_unknown_wavelet(self):
         with pytest.raises(ValueError):
             tr.dwt_multilevel(np.ones(32), 1, "sym9")
+
+    @pytest.mark.parametrize("wavelet", ["haar", "db2", "db4"])
+    @pytest.mark.parametrize("length", ["taps", "taps+1", 33, 301])
+    @pytest.mark.parametrize("levels", [1, 2, 3, 4])
+    def test_stacked_bands_equal_the_per_signal_filterbank(self, wavelet, length, levels):
+        taps = tr.WAVELETS[wavelet].size
+        n = {"taps": taps, "taps+1": taps + 1}.get(length, length)
+        rng = np.random.default_rng(1000 * taps + 10 * n + levels)
+        rows = rng.standard_normal((6, n)) * np.array([1e-9, 1e-3, 1.0, 1.0, 1e3, 1e9])[:, None]
+        try:
+            expected = [seed_dwt_multilevel(row, levels, wavelet) for row in rows]
+        except ValueError as exc:
+            # too short for some level: the stack fails at that level too
+            for stack in (rows[0], rows, rows.reshape(2, 3, n)):
+                with pytest.raises(ValueError) as raised:
+                    tr.dwt_multilevel(stack, levels, wavelet)
+                assert str(raised.value) == str(exc)
+            return
+        for stack in (rows[0], rows, rows.reshape(2, 3, n)):
+            bands = tr.dwt_multilevel(stack, levels, wavelet)
+            assert len(bands) == levels + 1
+            for band, seed_bands in zip(bands, zip(*expected)):
+                assert band.shape[:-1] == stack.shape[:-1]
+                flat = band.reshape(-1, band.shape[-1])
+                assert np.array_equal(flat, np.stack(seed_bands[: len(flat)]))
 
 
 class TestSTFT:
