@@ -75,18 +75,10 @@ def _snr_tag(snr) -> str:
 
 
 def _simulate_ascans(cfg: dict, snr) -> list:
-    params = cfgmod.radar_params(cfg)
-    scene = cfgmod.scene(cfg)
     d = cfg["dataset"]
-    return radar.generate_dataset(
-        params,
-        scene,
-        d["per_class_counts"],
-        snr,
-        cfg["seed"],
-        fill_fraction_range=d["fill_fraction_range"],
-        cone_height_range=d["cone_height_range"],
-    )
+    return radar.generate_dataset(cfgmod.radar_params(cfg), cfgmod.scene(cfg),
+                                  d["per_class_counts"], snr, cfg["seed"],
+                                  d["fill_fraction_range"], d["cone_height_range"])
 
 
 @click.group()
@@ -152,11 +144,13 @@ def simulate(config_path, seed, out_dir, snr_override, also_csv):
 def extract(dataset_path, method_tag, config_path, out_dir):
     """Extract one feature chain from a dataset into a CSV."""
     cfg = cfgmod.load_config(config_path, out_dir=out_dir)
+    params, ascans = ds.load_dataset(dataset_path)
+    fparams = cfgmod.feature_params(cfg)
+    fparams.check_sweep(method_tag, params.n_freq)
     out = _out_dir(cfg["out_dir"])
-    _, ascans = ds.load_dataset(dataset_path)
     file_hash = hashlib.sha256(Path(dataset_path).read_bytes()).hexdigest()
     name = "features_" + method_tag.replace("+", "_") + ".csv"
-    X, y = features.extract_matrix(ascans, method_tag, cfgmod.feature_params(cfg))
+    X, y = features.extract_matrix(ascans, method_tag, fparams)
     _write_csv(
         out / name, ["method_tag", "label"] + [f"f_{i}" for i in range(X.shape[1])],
         ([method_tag, label] + row for label, row in zip(y.tolist(), X.tolist())),
@@ -176,9 +170,10 @@ def extract(dataset_path, method_tag, config_path, out_dir):
 def train(dataset_path, method_tag, config_path, seed, out_dir):
     """Train a multiclass SVM on a dataset and persist it as JSON."""
     cfg = cfgmod.load_config(config_path, seed=seed, out_dir=out_dir)
-    out = _out_dir(cfg["out_dir"])
     params, ascans = ds.load_dataset(dataset_path)
     fparams = cfgmod.feature_params(cfg)
+    fparams.check_sweep(method_tag, params.n_freq)
+    out = _out_dir(cfg["out_dir"])
     X, y = features.extract_matrix(ascans, method_tag, fparams)
     model = svm.train_multiclass(
         X, y, cfgmod.kernel_spec(cfg),
@@ -221,7 +216,6 @@ def _model_feature_params(fp, method_tag, n_freq) -> features.FeatureParams:
 @_handle_errors
 def predict(model_path, dataset_path, out_dir):
     """Classify the A-scans of a dataset with a stored model."""
-    out = None if out_dir is None else _out_dir(out_dir)
     model, doc = svm.load_model(model_path)
     params, ascans = ds.load_dataset(dataset_path)
     if doc.get("n_freq") is not None and params.n_freq != doc["n_freq"]:
@@ -236,6 +230,7 @@ def predict(model_path, dataset_path, out_dir):
         raise DataError(f"model has {len(model.class_ids)} classes, expected at most "
                         f"{len(radar.CLASS_NAMES)}")
     fparams = _model_feature_params(doc.get("feature_params"), method_tag, params.n_freq)
+    out = None if out_dir is None else _out_dir(out_dir)
     X, _ = features.extract_matrix(ascans, method_tag, fparams)
     labels = svm.predict(model, X).tolist()
     for value in labels:
@@ -378,7 +373,6 @@ def evaluate(config_path, seed, out_dir, method_tags, echo_classifier, use_grid)
 @_handle_errors
 def report(summary_path, out_dir):
     """Render the text table from a stored evaluation summary."""
-    out = None if out_dir is None else _out_dir(out_dir)
     path = Path(summary_path)
     if not path.exists():
         raise DataError(f"summary file not found: {path}")
@@ -396,6 +390,7 @@ def report(summary_path, out_dir):
         f"[{tag}]\n" + evaluation.format_table(block, methods)
         for tag, block in results.items()
     )
+    out = None if out_dir is None else _out_dir(out_dir)
     click.echo(text)
     if out is not None:
         (out / "report_rendered.txt").write_text(text + "\n", encoding="utf-8")

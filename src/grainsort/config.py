@@ -21,13 +21,14 @@ from typing import Optional, Union
 
 from .errors import ConfigError, InvalidParameterError
 from .features import METHOD_TAGS, FeatureParams
-from .radar import RadarParams, SiloScene
+from .radar import (RadarParams, SiloScene, check_fill_and_cone, max_unambiguous_range,
+                    mean_surface_range)
 from .svm import KernelSpec
 
 # SiloScene fields whose config key carries the unit suffix "_m" (metres)
 _METRE_FIELDS = {
-    "diameter", "antenna_height", "rim_range", "cone_height",
-    "surface_roughness_sigma", "ripple_amplitude", "ripple_wavelength",
+    "diameter", "antenna_height", "rim_range", "surface_roughness_sigma",
+    "ripple_amplitude", "ripple_wavelength",
 }
 
 
@@ -91,7 +92,6 @@ def _is_snr(value) -> bool:
 
 # the JSON type a default's Python type asks for: (test, description)
 _TYPES = {
-    bool: (lambda v: isinstance(v, bool), "a boolean"),
     int: (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
     float: (_is_number, "a finite number"),
     str: (lambda v: isinstance(v, str), "a string"),
@@ -173,16 +173,23 @@ def validate_config(doc: dict) -> None:
             raise _invalid((section,), str(exc)) from None
     # a drawn fill fraction and cone height lie between their ranges' ends, and
     # the surface's nearest range falls as the fill or |cone height| grows, so
-    # the scene takes each fill end, then each pair of ends
+    # every draw keeps the rule if each fill end does with no cone, then each
+    # pair of ends
+    silo = scene(cfg)
     fills, heights = cfg["dataset"]["fill_fraction_range"], cfg["dataset"]["cone_height_range"]
-    ends = [("fill_fraction_range", {"fill_fraction": f}) for f in fills]
-    ends += [("cone_height_range", {"fill_fraction": f, "cone_height": h})
-             for f in fills for h in heights]
-    for key, values in ends:
+    ends = [("fill_fraction_range", f, 0.0) for f in fills]
+    ends += [("cone_height_range", f, h) for f in fills for h in heights]
+    for key, fill, height in ends:
         try:
-            dataclasses.replace(scene(cfg), **values)
+            check_fill_and_cone(silo, fill, height)
         except InvalidParameterError as exc:
             raise _invalid(("dataset", key), str(exc)) from None
+    # the fullest fill gives the nearest mean surface of any draw; at or beyond
+    # the sweep's window, every scan would alias
+    nearest, r_max = mean_surface_range(silo, fills[1]), max_unambiguous_range(radar_params(cfg))
+    if nearest >= r_max:
+        raise _invalid(("radar",), f"the mean surface range {nearest:.3f} m at the high end of "
+                       f"fill_fraction_range reaches the unambiguous range {r_max:.3f} m")
 
 
 def load_config(path: Optional[Union[str, Path]] = None, seed: Optional[int] = None,

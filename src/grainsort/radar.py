@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -117,21 +117,17 @@ class AScan:
 
 @dataclass(frozen=True)
 class SiloScene:
-    """Parametric scene: silo geometry, fill state and surface shape.
+    """The fixed silo and the texture of its grain surfaces.
 
     The grain column occupies ranges rim_range (silo top) .. antenna_height
-    (silo floor); fill_fraction sets the mean surface depth inside that span.
-    cone_height is the apex-to-wall relief; its sign is ignored, because the
-    surface class decides whether it piles up towards the antenna (peaked),
-    digs a crater (inverted) or is not used (levelled).  Shape exponents
-    control the radial profile curvature (piles are rounded by avalanching,
-    unloading craters are funnel-like), which is what makes the two cone
-    classes more than mirror images of each other.
+    (silo floor).  Each scan's fill fraction and cone height are drawn per
+    scan and passed to synth_surface.  Shape exponents control the radial
+    profile curvature (piles are rounded by avalanching, unloading craters
+    are funnel-like), which is what makes the two cone classes more than
+    mirror images of each other.
     """
 
     diameter: float = 0.36
-    fill_fraction: float = 0.5
-    cone_height: float = 0.16
     antenna_height: float = 1.2
     surface_roughness_sigma: float = 0.0025
     scatterers_per_scene: int = 400
@@ -152,7 +148,7 @@ class SiloScene:
     # where pouring and drainage should leave different micro-textures
     pour_roughness_factor: float = 1.0
     drain_roughness_factor: float = 1.0
-    wall_clutter: bool = True
+    # 0 leaves out the rim and contact clutter rings
     wall_clutter_scatterers: int = 24
     wall_clutter_amplitude: float = 0.5
     contact_clutter_amplitude: float = 1.0
@@ -165,8 +161,6 @@ class SiloScene:
     def __post_init__(self):
         if self.diameter <= 0:
             raise InvalidParameterError("diameter must be positive")
-        if not (0.0 < self.fill_fraction < 1.0):
-            raise InvalidParameterError("fill_fraction must be in (0, 1)")
         if self.scatterers_per_scene < 10:
             raise InvalidParameterError("need at least 10 scatterers per scene")
         if not (0.0 < self.rim_range < self.antenna_height):
@@ -184,29 +178,22 @@ class SiloScene:
                      "wall_clutter_amplitude", "contact_clutter_amplitude", "gain_jitter_db"):
             if not getattr(self, name) >= 0:
                 raise InvalidParameterError(f"{name} must be >= 0")
-        # before roughness, the profile synth_surface draws comes nearest the
-        # antenna at a pile's apex or a crater's rim, less a ripple crest
-        for surface_class in (SurfaceClass.PEAKED_CONE, SurfaceClass.INVERTED_CONE):
-            height, base, _, _, ripple = _shape(self, surface_class)
-            nearest = min(base, base + height) - self.ripple_amplitude * ripple
-            if height != 0.0 and not nearest > 0.0:
-                raise InvalidParameterError(
-                    f"cone height {self.cone_height} brings the surface to a range <= 0"
-                )
-
-    @property
-    def mean_surface_range(self) -> float:
-        span = self.antenna_height - self.rim_range
-        return self.antenna_height - self.fill_fraction * span
 
 
-def _shape(scene: SiloScene, surface_class: SurfaceClass) -> tuple:
+def mean_surface_range(scene: SiloScene, fill_fraction: float) -> float:
+    """Range from the antenna to the mean grain surface at this fill fraction."""
+    span = scene.antenna_height - scene.rim_range
+    return scene.antenna_height - fill_fraction * span
+
+
+def _shape(scene: SiloScene, surface_class: SurfaceClass, fill_fraction: float,
+           cone_height: float) -> tuple:
     """The one place a class decides its surface: (signed cone height, profile
     base, radial exponent, roughness factor, ripple factor).
 
     The class signs the cone height: up towards the antenna for a pile, down
     for a crater, 0 for a levelled surface.  The profile base + height * t**q
-    keeps the mean depth at the scene's mean surface range, as E[t**q] =
+    keeps the mean depth at the fill's mean surface range, as E[t**q] =
     2 / (q + 2) over an area-uniform disk.  The factors scale the scene's
     roughness sigma and ripple amplitude.
     """
@@ -216,30 +203,46 @@ def _shape(scene: SiloScene, surface_class: SurfaceClass) -> tuple:
         SurfaceClass.INVERTED_CONE: (-1.0, scene.inverted_shape_exponent,
                                      scene.drain_roughness_factor, scene.ripple_crater_factor),
     }.get(surface_class, (0.0, 1.0, 1.0, 0.0))
-    height = sign * abs(scene.cone_height)
-    base = scene.mean_surface_range - 2.0 * height / (q + 2.0)
+    height = sign * abs(cone_height)
+    base = mean_surface_range(scene, fill_fraction) - 2.0 * height / (q + 2.0)
     return height, base, q, roughness, ripple
 
 
-def synth_surface(
-    scene: SiloScene, surface_class: SurfaceClass, seed: int
-) -> ScattererCloud:
+def check_fill_and_cone(scene: SiloScene, fill_fraction: float, cone_height: float) -> None:
+    """The draw rule: the fill lies in (0, 1), and before roughness no class's
+    profile comes nearer the antenna than range 0 (at a pile's apex or a
+    crater's rim, less a ripple crest).  The cone height's sign is ignored."""
+    if not 0.0 < fill_fraction < 1.0:
+        raise InvalidParameterError(f"fill fraction {fill_fraction} is not in (0, 1)")
+    for surface_class in SurfaceClass:
+        height, base, _, _, ripple = _shape(scene, surface_class, fill_fraction, cone_height)
+        if height != 0.0 and not min(base, base + height) - scene.ripple_amplitude * ripple > 0:
+            raise InvalidParameterError(
+                f"cone height {cone_height} brings the surface to a range <= 0")
+
+
+def synth_surface(scene: SiloScene, surface_class: SurfaceClass, fill_fraction: float,
+                  cone_height: float, seed: int) -> ScattererCloud:
     """Draw one scatterer-cloud realisation of a grain surface.
 
-    Deterministic for fixed (scene, surface_class, seed).  Surface points are
+    Deterministic for fixed arguments.  fill_fraction sets the mean surface
+    depth between the rim and the floor.  cone_height is the apex-to-wall
+    relief; the class piles it up towards the antenna (peaked), digs it as a
+    crater (inverted) or leaves it unused (levelled).  Surface points are
     area-uniform over the silo disk; each gets the class's depth profile plus
-    Gaussian roughness and a Rayleigh amplitude.  When enabled, two clutter
-    rings are added at the silo radius: one at the fixed wall rim and one at
-    the wall-surface contact line.  A per-scene gain factor jitters the
-    absolute amplitude scale, as antenna coupling would.
+    Gaussian roughness and a Rayleigh amplitude.  With wall_clutter_scatterers
+    > 0, two clutter rings are added at the silo radius: one at the fixed
+    wall rim and one at the wall-surface contact line.  A per-scene gain
+    factor jitters the absolute amplitude scale, as antenna coupling would.
     """
     surface_class = SurfaceClass(surface_class)
+    check_fill_and_cone(scene, fill_fraction, cone_height)
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=int(seed), spawn_key=(_SURFACE_KEY,))
     )
     silo_radius = scene.diameter / 2.0
     n = scene.scatterers_per_scene
-    height, base, q, roughness, ripple = _shape(scene, surface_class)
+    height, base, q, roughness, ripple = _shape(scene, surface_class, fill_fraction, cone_height)
 
     # surface points, area-uniform over the disk
     rho = silo_radius * np.sqrt(rng.random(n))
@@ -271,13 +274,11 @@ def synth_surface(
     ranges = [depths(np.hypot(px - ax, py - ay) / silo_radius) + rng.normal(0.0, sigma, n)]
     amplitudes = [rng.rayleigh(1.0, n)]
 
-    if scene.wall_clutter and scene.wall_clutter_scatterers > 0:
+    if scene.wall_clutter_scatterers > 0:
         n_c = scene.wall_clutter_scatterers
         ring_theta = 2.0 * np.pi * np.arange(n_c) / n_c
         # fixed rim ring: silo top, independent of fill state
-        rim = np.full(n_c, scene.rim_range)
-        rim = rim + rng.normal(0.0, 0.001, n_c)
-        ranges.append(rim)
+        ranges.append(np.full(n_c, scene.rim_range) + rng.normal(0.0, 0.001, n_c))
         amplitudes.append(rng.rayleigh(scene.wall_clutter_amplitude, n_c))
         # contact ring: where the surface meets the wall
         wall_radial = (
@@ -400,11 +401,7 @@ def generate_dataset(
             jitter = np.random.default_rng(
                 np.random.SeedSequence(entropy=rseed, spawn_key=(_JITTER_KEY,))
             )
-            fill = jitter.uniform(*fill_fraction_range)
-            height = jitter.uniform(*cone_height_range)
-            sample_scene = replace(
-                scene, fill_fraction=float(fill), cone_height=float(height)
-            )
-            cloud = synth_surface(sample_scene, cls, rseed)
+            cloud = synth_surface(scene, cls, jitter.uniform(*fill_fraction_range),
+                                  jitter.uniform(*cone_height_range), rseed)
             ascans.append(backscatter(cloud, params, snr_db, rseed))
     return ascans

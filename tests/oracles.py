@@ -80,8 +80,8 @@ def _seed_roughness_sigma(scene, surface_class) -> float:
     return scene.surface_roughness_sigma
 
 
-def _seed_wall_slope(scene, surface_class) -> float:
-    h = abs(scene.cone_height)
+def _seed_wall_slope(scene, surface_class, cone_height) -> float:
+    h = abs(cone_height)
     if surface_class is SurfaceClass.LEVELLED or h == 0.0:
         return 0.0
     radius = scene.diameter / 2.0
@@ -90,8 +90,8 @@ def _seed_wall_slope(scene, surface_class) -> float:
     return -h * scene.inverted_shape_exponent / radius
 
 
-def _seed_surface_depths(scene, surface_class, radial, mean_depth) -> np.ndarray:
-    h = abs(scene.cone_height)
+def _seed_surface_depths(scene, surface_class, cone_height, radial, mean_depth) -> np.ndarray:
+    h = abs(cone_height)
     if surface_class is SurfaceClass.LEVELLED or h == 0.0:
         return np.full_like(radial, mean_depth)
     t = np.clip(radial, 0.0, 1.0)
@@ -104,10 +104,10 @@ def _seed_surface_depths(scene, surface_class, radial, mean_depth) -> np.ndarray
     return crater_depth - h * t**q
 
 
-def _seed_ripple(scene, surface_class, radial, phase) -> np.ndarray:
+def _seed_ripple(scene, surface_class, cone_height, radial, phase) -> np.ndarray:
     if (
         surface_class is SurfaceClass.LEVELLED
-        or abs(scene.cone_height) == 0.0
+        or abs(cone_height) == 0.0
         or scene.ripple_amplitude == 0.0
     ):
         return np.zeros_like(radial)
@@ -118,18 +118,21 @@ def _seed_ripple(scene, surface_class, radial, phase) -> np.ndarray:
     return amp * np.cos(2.0 * np.pi * rho / scene.ripple_wavelength + phase)
 
 
-def seed_synth_surface(scene, surface_class, seed) -> ScattererCloud:
+def seed_synth_surface(scene, surface_class, fill_fraction, cone_height, seed) -> ScattererCloud:
     """One scatterer cloud, each class's shape decided in four helpers.
 
     This was grainsort.radar.synth_surface until one per-class lookup took
     the class decision; the radar tests require equal ranges and amplitudes.
+    The fill fraction and cone height are arguments, as they are of
+    synth_surface, and the clutter rings are drawn when the scene has wall
+    clutter scatterers; the algorithm is unchanged.
     """
     surface_class = SurfaceClass(surface_class)
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=int(seed), spawn_key=(_SURFACE_KEY,))
     )
     silo_radius = scene.diameter / 2.0
-    mean_depth = scene.mean_surface_range
+    mean_depth = scene.antenna_height - fill_fraction * (scene.antenna_height - scene.rim_range)
     n = scene.scatterers_per_scene
 
     rho = silo_radius * np.sqrt(rng.random(n))
@@ -144,15 +147,15 @@ def seed_synth_surface(scene, surface_class, seed) -> ScattererCloud:
     ripple_phase = 2.0 * np.pi * rng.random()
     sigma = _seed_roughness_sigma(scene, surface_class)
     radial = np.hypot(px - ax, py - ay) / silo_radius
-    depths = _seed_surface_depths(scene, surface_class, radial, mean_depth)
-    depths = depths + _seed_ripple(scene, surface_class, radial, ripple_phase)
+    depths = _seed_surface_depths(scene, surface_class, cone_height, radial, mean_depth)
+    depths = depths + _seed_ripple(scene, surface_class, cone_height, radial, ripple_phase)
     depths = depths + rng.normal(0.0, sigma, n)
     amps = rng.rayleigh(1.0, n)
 
     ranges = [depths]
     amplitudes = [amps]
 
-    if scene.wall_clutter and scene.wall_clutter_scatterers > 0:
+    if scene.wall_clutter_scatterers > 0:
         n_c = scene.wall_clutter_scatterers
         ring_theta = 2.0 * np.pi * np.arange(n_c) / n_c
         rim = np.full(n_c, scene.rim_range)
@@ -164,12 +167,14 @@ def seed_synth_surface(scene, surface_class, seed) -> ScattererCloud:
                      silo_radius * np.sin(ring_theta) - ay)
             / silo_radius
         )
-        contact = _seed_surface_depths(scene, surface_class, wall_radial, mean_depth)
-        contact = contact + _seed_ripple(scene, surface_class, wall_radial, ripple_phase)
+        contact = _seed_surface_depths(scene, surface_class, cone_height, wall_radial,
+                                       mean_depth)
+        contact = contact + _seed_ripple(scene, surface_class, cone_height, wall_radial,
+                                         ripple_phase)
         contact = contact + rng.normal(0.0, sigma, n_c)
         ranges.append(contact)
         corner_factor = 1.0 + scene.dihedral_gain * np.tanh(
-            _seed_wall_slope(scene, surface_class) / 0.5
+            _seed_wall_slope(scene, surface_class, cone_height) / 0.5
         )
         amplitudes.append(
             rng.rayleigh(scene.contact_clutter_amplitude * corner_factor, n_c)
@@ -707,10 +712,6 @@ CONFIG_SCHEMA = {
                 "diameter_m": _POS_NUM,
                 "antenna_height_m": _POS_NUM,
                 "rim_range_m": _POS_NUM,
-                "fill_fraction": {
-                    "type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1
-                },
-                "cone_height_m": {"type": "number"},
                 "surface_roughness_sigma_m": {"type": "number", "minimum": 0},
                 "scatterers_per_scene": {"type": "integer", "minimum": 10},
                 "apex_offset_fraction": {"type": "number", "minimum": 0, "maximum": 1},
@@ -721,7 +722,6 @@ CONFIG_SCHEMA = {
                 "ripple_crater_factor": {"type": "number", "minimum": 0, "maximum": 1},
                 "pour_roughness_factor": {"type": "number", "minimum": 0},
                 "drain_roughness_factor": {"type": "number", "minimum": 0},
-                "wall_clutter": {"type": "boolean"},
                 "wall_clutter_scatterers": {"type": "integer", "minimum": 0},
                 "wall_clutter_amplitude": {"type": "number", "minimum": 0},
                 "contact_clutter_amplitude": {"type": "number", "minimum": 0},

@@ -140,6 +140,34 @@ class TestSimulate:
         assert result.exit_code == 2
 
 
+def _moved(value):
+    """The value 10% lower, of its type: in bounds for every scene key and
+    both dataset ranges."""
+    if isinstance(value, list):
+        return [_moved(v) for v in value]
+    return type(value)(value * 0.9)
+
+
+LIVE_KEYS = [("scene", key) for key in cfgmod.DEFAULT_CONFIG["scene"]]
+LIVE_KEYS += [("dataset", "fill_fraction_range"), ("dataset", "cone_height_range")]
+
+
+@pytest.mark.parametrize("section, key", LIVE_KEYS, ids=[key for _, key in LIVE_KEYS])
+def test_every_scene_and_range_key_reaches_the_scans(runner, tmp_path, section, key):
+    # a key that no scan reads writes the same GSRD at any value
+    default = cfgmod.DEFAULT_CONFIG[section][key]
+    blobs = []
+    for value in (default, _moved(default)):
+        doc = {"seed": 5, "dataset": {"per_class_counts": [1, 1, 1], "snr_db": [20.0]}}
+        doc.setdefault(section, {})[key] = value
+        config, out = tmp_path / "config.json", tmp_path / f"run_{len(blobs)}"
+        config.write_text(json.dumps(doc))
+        result = runner.invoke(cli, ["simulate", "--config", str(config), "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        blobs.append((out / "dataset_snr20.gsrd").read_bytes())
+    assert blobs[0] != blobs[1]
+
+
 @pytest.fixture()
 def simulated(runner, tmp_path_factory):
     tmp_path = tmp_path_factory.mktemp("sim")

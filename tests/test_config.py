@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import sys
@@ -10,6 +9,7 @@ from jsonschema.validators import validator_for
 
 from grainsort import ConfigError, InvalidParameterError
 from grainsort import config as cfgmod
+from grainsort.radar import check_fill_and_cone, max_unambiguous_range
 from oracles import CONFIG_SCHEMA
 
 
@@ -42,8 +42,8 @@ def test_seed_is_mandatory_in_files(tmp_path):
 
 def test_error_names_the_json_path(tmp_path):
     path = tmp_path / "c.json"
-    path.write_text(json.dumps({"seed": 1, "scene": {"fill_fraction": 1.5}}))
-    with pytest.raises(ConfigError, match=r"scene.*fill_fraction"):
+    path.write_text(json.dumps({"seed": 1, "scene": {"ripple_crater_factor": 1.5}}))
+    with pytest.raises(ConfigError, match=r"scene.*ripple_crater_factor"):
         cfgmod.load_config(path)
 
 
@@ -96,7 +96,7 @@ def test_default_config_hash_is_pinned():
     # the hash every default-config artifact carries; a change to a default,
     # a key or its spelling changes it
     assert cfgmod.config_hash(cfgmod.load_config(None)) == (
-        "3054bebe82ab2f1bde5ac42ceaf1690e7e6a414a0c78e8b5271e059b942a83db"
+        "bcae9b255dfc003e784538caa3b0e4d0f5272cde9a08ede0af563ea4c4e497ef"
     )
 
 
@@ -192,22 +192,28 @@ def _objects_reject(doc) -> bool:
                       cfgmod.kernel_spec):
             build(cfg)
         for end in dataset["fill_fraction_range"]:
-            dataclasses.replace(cfgmod.scene(cfg), fill_fraction=end)
+            check_fill_and_cone(cfgmod.scene(cfg), end, 0.0)
             for height in dataset["cone_height_range"]:
-                dataclasses.replace(cfgmod.scene(cfg), fill_fraction=end, cone_height=height)
+                check_fill_and_cone(cfgmod.scene(cfg), end, height)
         for c in cfg["grid"]["C"]:
             for gamma in cfg["grid"]["gamma"]:
                 cfgmod.kernel_spec(cfg, c=c, gamma=gamma)
     except InvalidParameterError:
         return True
-    return False
+    # a fill range whose fullest end puts the mean surface at or beyond the
+    # sweep's unambiguous range
+    scene = cfg["scene"]
+    nearest_mean = scene["antenna_height_m"] - dataset["fill_fraction_range"][1] * (
+        scene["antenna_height_m"] - scene["rim_range_m"])
+    return nearest_mean >= max_unambiguous_range(cfgmod.radar_params(cfg))
 
 
 def _assert_rejects_as_the_schema_did(tmp_path, doc):
     """load_config rejects every document the schema rejects; whatever else it
     rejects holds an integer-valued float at an integer key, a non-finite
-    number, a value a parameter object rejects, a reversed dataset range or an
-    SNR too low for a float noise power."""
+    number, a value a parameter object or the draw rule rejects, a reversed
+    dataset range, an SNR too low for a float noise power or a fill range whose
+    fullest end puts the mean surface beyond the sweep's unambiguous range."""
     path = tmp_path / "c.json"
     path.write_text(json.dumps(doc))
     schema_accepts = validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA).is_valid(doc)

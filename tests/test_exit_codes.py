@@ -20,6 +20,8 @@ HEADER = ds._HEADER.size
 RECORD_FIXED = ds._RECORD_FIXED.size
 # a JSON integer literal longer than Python's integer string-conversion limit
 HUGE_INTEGER = "1" + "0" * 5000
+# a sample with finite parts whose modulus, and so any STFT built on it, is inf
+OVERFLOWING_SAMPLE = struct.pack("<dd", 1.7e308, 1.7e308)
 
 
 @pytest.fixture(scope="module")
@@ -155,19 +157,20 @@ class TestDataFaultsExit3:
 
     @pytest.mark.parametrize("method", ["STFT+GLCM", "STFT+GLRLM"])
     def test_sample_whose_magnitude_overflows(self, runner, files, method):
-        # finite, but |1.7e308 + 1.7e308j| is inf, and so is the STFT built on it
         blob = bytearray(files["gsrd"].read_bytes())
         record = HEADER + files["record_size"]  # second record
         sample = record + RECORD_FIXED
-        blob[sample : sample + 16] = struct.pack("<dd", 1.7e308, 1.7e308)
+        blob[sample : sample + 16] = OVERFLOWING_SAMPLE
         _assert_data_error(_extract(runner, files, bytes(blob), method))
 
     def test_missing_input_files(self, runner, files):
         missing = str(files["root"] / "missing")
+        out = files["root"] / "missing_out"
         _assert_data_error(runner.invoke(
             cli, ["extract", missing, "--method", "FOS", "--config", str(files["config"]),
-                  "--out", str(files["root"] / "missing_out")]
+                  "--out", str(out)]
         ))
+        assert not out.exists()
         _assert_data_error(runner.invoke(cli, ["predict", missing, str(files["gsrd"])]))
 
 
@@ -297,12 +300,69 @@ def test_sweep_too_short_for_a_chain_exits_2_before_simulating(runner, files):
 
 
 def test_sweep_too_coarse_for_the_scene_exits_2(runner, files):
+    # 18-40 GHz in n_freq points leaves a window of n_freq * 6.8 mm: 0.27 or
+    # 0.44 m, nearer than the 0.58 m mean surface of the fullest default fill
     config = files["root"] / "config_coarse_sweep.json"
-    config.write_text(json.dumps(dict(json.loads(files["config"].read_text()),
-                                      radar={"n_freq": 64})))
-    result = runner.invoke(cli, ["simulate", "--config", str(config),
-                                 "--out", str(files["root"] / "coarse")])
-    _assert_one_error(result, 2, "unambiguous range")
+    out = files["root"] / "coarse"
+    for n_freq in (40, 64):
+        config.write_text(json.dumps(dict(json.loads(files["config"].read_text()),
+                                          radar={"n_freq": n_freq})))
+        for command in (["simulate"], ["evaluate", "--method", "FOS"]):
+            result = runner.invoke(cli, command + ["--config", str(config), "--out", str(out)])
+            _assert_one_error(result, 2, "unambiguous range")
+            assert "$['radar']" in result.output
+            assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value", [("fill_fraction", 0.5), ("cone_height_m", 0.16),
+                                        ("wall_clutter", True)])
+def test_removed_scene_key_exits_2(runner, files, key, value):
+    # each scan draws its fill and cone height from the dataset ranges, and
+    # wall_clutter_scatterers 0 leaves out the clutter rings
+    config = files["root"] / "config_removed_key.json"
+    doc = json.loads(files["config"].read_text())
+    doc["scene"][key] = value
+    config.write_text(json.dumps(doc))
+    out = files["root"] / "removed_key"
+    result = runner.invoke(cli, ["simulate", "--config", str(config), "--out", str(out)])
+    _assert_one_error(result, 2, f"unknown key {key!r}")
+    assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def short_gsrd(runner, files):
+    """A 4-scan/class dataset of 40-point sweeps on 18-20 GHz: too short for
+    the STFT chains, and not the sweep of the FOS model."""
+    config = files["root"] / "config_short_gsrd.json"
+    doc = json.loads(files["config"].read_text())
+    doc["radar"] = {"n_freq": 40, "f_start_hz": 18e9, "f_stop_hz": 20e9}
+    doc["dataset"]["per_class_counts"] = [4, 4, 4]
+    config.write_text(json.dumps(doc))
+    out = files["root"] / "short_gsrd"
+    result = runner.invoke(cli, ["simulate", "--config", str(config), "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    return out / "dataset_snr20.gsrd"
+
+
+@pytest.mark.parametrize("case", ["extract", "train", "predict_missing_model",
+                                  "predict_other_sweep", "report"])
+def test_unusable_input_makes_no_output_directory(runner, files, short_gsrd, case):
+    config, model = str(files["config"]), str(files["run"] / "model.json")
+    argv, code, needle = {
+        "extract": (["extract", str(short_gsrd), "--method", "STFT+GLCM", "--config", config],
+                    2, "40-point sweep"),
+        "train": (["train", str(short_gsrd), "--method", "STFT+GLRLM", "--config", config],
+                  2, "40-point sweep"),
+        "predict_missing_model": (
+            ["predict", str(files["root"] / "missing_model.json"), str(files["gsrd"])],
+            3, "cannot read model"),
+        "predict_other_sweep": (["predict", model, str(short_gsrd)], 3, "40-point sweeps"),
+        "report": (["report", str(files["root"] / "missing_summary.json")], 3, "summary"),
+    }[case]
+    out = files["root"] / f"no_out_{case}"
+    result = runner.invoke(cli, argv + ["--out", str(out)])
+    _assert_one_error(result, code, needle)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("snr", ["inf", "nan", "-inf"])
@@ -403,29 +463,33 @@ def _assert_exits(result, codes=DOCUMENTED):
 
 @st.composite
 def gsrd_mutations(draw, files):
-    """("truncate", length) or one byte to overwrite, (offset, value), in the
-    dataset at files["gsrd"]: a few numbers, not the file, so a falsifying
-    example prints short."""
-    kind = draw(st.sampled_from(["truncate", "header", "label", "sample"]))
+    """("truncate", length) or bytes to overwrite, (offset, data), in the
+    dataset at files["gsrd"]: one byte, or a whole sample whose modulus
+    overflows.  A few numbers, not the file, so a falsifying example prints
+    short."""
+    kind = draw(st.sampled_from(["truncate", "header", "label", "sample", "overflow"]))
     if kind == "truncate":
         return ("truncate", draw(st.integers(0, files["size"] - 1)))
     if kind == "header":
-        offset = draw(st.integers(0, HEADER - 1))
+        return (draw(st.integers(0, HEADER - 1)), bytes([draw(st.integers(0, 255))]))
+    record = HEADER + draw(st.integers(0, files["n_records"] - 1)) * files["record_size"]
+    if kind == "overflow":
+        n_freq = (files["record_size"] - RECORD_FIXED) // 16
+        return (record + RECORD_FIXED + 16 * draw(st.integers(0, n_freq - 1)),
+                OVERFLOWING_SAMPLE)
+    if kind == "label":
+        offset = record
     else:
-        record = HEADER + draw(st.integers(0, files["n_records"] - 1)) * files["record_size"]
-        if kind == "label":
-            offset = record
-        else:
-            offset = record + draw(st.integers(RECORD_FIXED, files["record_size"] - 1))
-    return (offset, draw(st.integers(0, 255)))
+        offset = record + draw(st.integers(RECORD_FIXED, files["record_size"] - 1))
+    return (offset, bytes([draw(st.integers(0, 255))]))
 
 
 def _mutate(blob, mutation):
     if mutation[0] == "truncate":
         return blob[: mutation[1]]
-    offset, value = mutation
+    offset, data = mutation
     mutated = bytearray(blob)
-    mutated[offset] = value
+    mutated[offset : offset + len(data)] = data
     return bytes(mutated)
 
 
@@ -481,9 +545,11 @@ class TestMutatedInputs:
     @FAST
     @given(data=st.data())
     def test_mutated_dataset_exits_documented(self, runner, files, data):
+        # every chain, so that an overflowing sample reaches the STFT chains'
+        # check whichever examples the search draws
         blob = _mutate(files["gsrd"].read_bytes(), data.draw(gsrd_mutations(files)))
-        method = data.draw(st.sampled_from(METHOD_TAGS))
-        _assert_exits(_extract(runner, files, blob, method))
+        for method in METHOD_TAGS:
+            _assert_exits(_extract(runner, files, blob, method))
 
     @FAST
     @given(data=st.data())
@@ -496,7 +562,7 @@ class TestMutatedInputs:
 TINY_CONFIG = {
     "seed": 7,
     "radar": {"n_freq": 301},
-    "scene": {"scatterers_per_scene": 20, "fill_fraction": 0.5},
+    "scene": {"scatterers_per_scene": 20},
     "dataset": {"per_class_counts": [6, 6, 6], "snr_db": [20.0]},
     "features": {
         "gray_levels": 8,

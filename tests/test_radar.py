@@ -20,6 +20,7 @@ from grainsort import (
     range_resolution,
     synth_surface,
 )
+from grainsort.radar import check_fill_and_cone
 from oracles import (
     direct_inverse_dft, longdouble_backscatter, range_profile, seed_backscatter,
     seed_synth_surface,
@@ -141,7 +142,7 @@ class TestBackscatter:
         # the running-product tables move default-scene samples by at most
         # 2e-13 of a scan's peak (600 clouds measured); 1e-12 leaves headroom
         for seed in range(8):
-            cloud = synth_surface(SiloScene(), surface_class, seed)
+            cloud = synth_surface(SiloScene(), surface_class, 0.5, 0.16, seed)
             ref = seed_backscatter(cloud, default_params)
             scan = backscatter(cloud, default_params)
             assert np.max(np.abs(scan.samples - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -162,7 +163,7 @@ class TestBackscatter:
 
     def test_measured_snr_calibration(self, default_params):
         # >= 1e5 noise samples pooled over trials
-        cloud = synth_surface(SiloScene(), SurfaceClass.LEVELLED, 7)
+        cloud = synth_surface(SiloScene(), SurfaceClass.LEVELLED, 0.5, 0.16, 7)
         clean = backscatter(cloud, default_params).samples
         signal_power = np.mean(np.abs(clean) ** 2)
         noise_powers = []
@@ -224,25 +225,24 @@ class TestRangeProfile:
 
 class TestSurfaceSynthesis:
     def test_degenerate_flat_surface(self):
-        scene = SiloScene(
-            cone_height=0.0, surface_roughness_sigma=0.0, wall_clutter=False
-        )
-        cloud = synth_surface(scene, SurfaceClass.LEVELLED, 3)
-        assert np.allclose(cloud.ranges, scene.mean_surface_range, atol=1e-12)
+        scene = SiloScene(surface_roughness_sigma=0.0, wall_clutter_scatterers=0)
+        cloud = synth_surface(scene, SurfaceClass.LEVELLED, 0.5, 0.0, 3)
+        # halfway between the rim at 0.24 m and the floor at 1.2 m
+        assert np.allclose(cloud.ranges, 0.72, atol=1e-12)
 
     def test_deterministic_for_fixed_seed(self):
         scene = SiloScene()
-        a = synth_surface(scene, SurfaceClass.PEAKED_CONE, 42)
-        b = synth_surface(scene, SurfaceClass.PEAKED_CONE, 42)
-        c = synth_surface(scene, SurfaceClass.PEAKED_CONE, 43)
+        a = synth_surface(scene, SurfaceClass.PEAKED_CONE, 0.5, 0.16, 42)
+        b = synth_surface(scene, SurfaceClass.PEAKED_CONE, 0.5, 0.16, 42)
+        c = synth_surface(scene, SurfaceClass.PEAKED_CONE, 0.5, 0.16, 43)
         assert np.array_equal(a.ranges, b.ranges)
         assert np.array_equal(a.amplitudes, b.amplitudes)
         assert not np.array_equal(a.ranges, c.ranges)
 
     def test_cone_classes_skew_in_opposite_directions(self):
-        scene = SiloScene(cone_height=0.12, wall_clutter=False)
-        peaked = synth_surface(scene, SurfaceClass.PEAKED_CONE, 42)
-        inverted = synth_surface(scene, SurfaceClass.INVERTED_CONE, 42)
+        scene = SiloScene(wall_clutter_scatterers=0)
+        peaked = synth_surface(scene, SurfaceClass.PEAKED_CONE, 0.5, 0.12, 42)
+        inverted = synth_surface(scene, SurfaceClass.INVERTED_CONE, 0.5, 0.12, 42)
         # piled surfaces put their mass deep with a tail towards the apex;
         # craters mirror that about the mean depth
         assert skew(peaked.ranges) < 0 < skew(inverted.ranges)
@@ -255,24 +255,39 @@ class TestSurfaceSynthesis:
             [0.16, -0.16, 0.0],
             [{}, {"ripple_amplitude": 0.0}, {"ripple_crater_factor": 0.0}],
             [{}, {"pour_roughness_factor": 0.4, "drain_roughness_factor": 2.5}],
-            [{}, {"wall_clutter": False}, {"dihedral_gain": 0.0}],
+            [{}, {"wall_clutter_scatterers": 0}, {"dihedral_gain": 0.0}],
         )
         for height, *fields in variants:
-            scene = SiloScene(cone_height=height, scatterers_per_scene=60,
+            scene = SiloScene(scatterers_per_scene=60,
                               **{k: v for f in fields for k, v in f.items()})
             for surface_class, seed in itertools.product(SurfaceClass, range(3)):
-                cloud = synth_surface(scene, surface_class, seed)
-                ref = seed_synth_surface(scene, surface_class, seed)
-                assert np.array_equal(cloud.ranges, ref.ranges), (scene, surface_class, seed)
+                cloud = synth_surface(scene, surface_class, 0.5, height, seed)
+                ref = seed_synth_surface(scene, surface_class, 0.5, height, seed)
+                assert np.array_equal(cloud.ranges, ref.ranges), (height, scene, surface_class,
+                                                                  seed)
                 assert np.array_equal(cloud.amplitudes, ref.amplitudes)
 
     def test_scene_validation(self):
         with pytest.raises(InvalidParameterError):
-            SiloScene(fill_fraction=0.0)
+            check_fill_and_cone(SiloScene(), 0.0, 0.16)
         with pytest.raises(InvalidParameterError):
             SiloScene(scatterers_per_scene=5)
         with pytest.raises(InvalidParameterError):
             SiloScene(diameter=-1.0)
+
+    @pytest.mark.parametrize("fill, height", [(0.0, 0.0), (1.0, 0.0), (0.5, 3.0), (0.5, -3.0),
+                                              (0.999, 0.5)])
+    def test_draw_rule(self, fill, height):
+        # a full silo is refused, and so is a cone whose pile apex (either
+        # sign: the class signs it) would reach the antenna, which a 0.5 m
+        # cone does at fill 0.999 but not at 0.5; the rule binds every class,
+        # so a levelled scan refuses the draw too
+        scene = SiloScene()
+        check_fill_and_cone(scene, 0.5, 0.5)
+        with pytest.raises(InvalidParameterError):
+            check_fill_and_cone(scene, fill, height)
+        with pytest.raises(InvalidParameterError):
+            synth_surface(scene, SurfaceClass.LEVELLED, fill, height, 1)
 
     @pytest.mark.parametrize("field, bad, edge", [
         ("apex_offset_fraction", 1.01, 1.0),
@@ -291,7 +306,7 @@ class TestSurfaceSynthesis:
             SiloScene(**{field: bad})
 
 
-# degenerate jitter ranges: every scan keeps the template's fill and cone height
+# degenerate jitter ranges: every scan takes fill 0.5 and cone height 0.16
 TEMPLATE_RANGES = dict(fill_fraction_range=(0.5, 0.5), cone_height_range=(0.16, 0.16))
 
 
