@@ -144,13 +144,11 @@ def simulate(config_path, seed, out_dir, snr_override, also_csv):
 def extract(dataset_path, method_tag, config_path, out_dir):
     """Extract one feature chain from a dataset into a CSV."""
     cfg = cfgmod.load_config(config_path, out_dir=out_dir)
-    params, ascans = ds.load_dataset(dataset_path)
-    fparams = cfgmod.feature_params(cfg)
-    fparams.check_sweep(method_tag, params.n_freq)
+    _, ascans = ds.load_dataset(dataset_path)
+    X, y = features.extract_matrix(ascans, method_tag, cfgmod.feature_params(cfg))
     out = _out_dir(cfg["out_dir"])
     file_hash = hashlib.sha256(Path(dataset_path).read_bytes()).hexdigest()
     name = "features_" + method_tag.replace("+", "_") + ".csv"
-    X, y = features.extract_matrix(ascans, method_tag, fparams)
     _write_csv(
         out / name, ["method_tag", "label"] + [f"f_{i}" for i in range(X.shape[1])],
         ([method_tag, label] + row for label, row in zip(y.tolist(), X.tolist())),
@@ -172,13 +170,12 @@ def train(dataset_path, method_tag, config_path, seed, out_dir):
     cfg = cfgmod.load_config(config_path, seed=seed, out_dir=out_dir)
     params, ascans = ds.load_dataset(dataset_path)
     fparams = cfgmod.feature_params(cfg)
-    fparams.check_sweep(method_tag, params.n_freq)
-    out = _out_dir(cfg["out_dir"])
     X, y = features.extract_matrix(ascans, method_tag, fparams)
     model = svm.train_multiclass(
         X, y, cfgmod.kernel_spec(cfg),
         tol=cfg["svm"]["tol"], max_passes=cfg["svm"]["max_passes"],
     )
+    out = _out_dir(cfg["out_dir"])
     extra = {
         "method_tag": method_tag,
         "n_freq": params.n_freq,
@@ -230,9 +227,9 @@ def predict(model_path, dataset_path, out_dir):
         raise DataError(f"model has {len(model.class_ids)} classes, expected at most "
                         f"{len(radar.CLASS_NAMES)}")
     fparams = _model_feature_params(doc.get("feature_params"), method_tag, params.n_freq)
-    out = None if out_dir is None else _out_dir(out_dir)
     X, _ = features.extract_matrix(ascans, method_tag, fparams)
     labels = svm.predict(model, X).tolist()
+    out = None if out_dir is None else _out_dir(out_dir)
     for value in labels:
         click.echo(radar.CLASS_NAMES[value])
     if out is not None:
@@ -320,7 +317,6 @@ def evaluate(config_path, seed, out_dir, method_tags, echo_classifier, use_grid)
     fparams = cfgmod.feature_params(cfg)
     for method_tag in cfg["methods"]:
         fparams.check_sweep(method_tag, cfg["radar"]["n_freq"])
-    out = _out_dir(cfg["out_dir"])
     classifier = "echo" if echo_classifier else "svm"
     summary = {
         "config_hash": cfgmod.config_hash(cfg),
@@ -331,9 +327,9 @@ def evaluate(config_path, seed, out_dir, method_tags, echo_classifier, use_grid)
         "methods": list(cfg["methods"]),
         "results": {},
     }
-    written = []
+    # every block is computed before --out is made, so a run that fails
+    # leaves no directory behind
     for snr in cfg["dataset"]["snr_db"]:
-        tag = _snr_tag(snr)
         ascans = _simulate_ascans(cfg, snr)
         block = {}
         for method_tag in cfg["methods"]:
@@ -351,7 +347,11 @@ def evaluate(config_path, seed, out_dir, method_tags, echo_classifier, use_grid)
             else:
                 report = cross_validate(cfgmod.kernel_spec(cfg))
             block[method_tag] = {**evaluation.report_payload(report), **extra}
-        summary["results"][tag] = block
+        summary["results"][_snr_tag(snr)] = block
+
+    out = _out_dir(cfg["out_dir"])
+    written = []
+    for tag, block in summary["results"].items():
         table = evaluation.format_table(block, cfg["methods"])
         written += _write_report_files(out, tag, cfg, block, table)
         click.echo(f"[{tag}]")

@@ -21,8 +21,7 @@ from typing import Optional, Union
 
 from .errors import ConfigError, InvalidParameterError
 from .features import METHOD_TAGS, FeatureParams
-from .radar import (RadarParams, SiloScene, check_fill_and_cone, max_unambiguous_range,
-                    mean_surface_range)
+from .radar import RadarParams, SiloScene, check_fill_and_cone, max_unambiguous_range
 from .svm import KernelSpec
 
 # SiloScene fields whose config key carries the unit suffix "_m" (metres)
@@ -172,9 +171,10 @@ def validate_config(doc: dict) -> None:
         except InvalidParameterError as exc:
             raise _invalid((section,), str(exc)) from None
     # a drawn fill fraction and cone height lie between their ranges' ends, and
-    # the surface's nearest range falls as the fill or |cone height| grows, so
-    # every draw keeps the rule if each fill end does with no cone, then each
-    # pair of ends
+    # the surface's nearest range falls, and its deepest rises, as the fill
+    # falls or |cone height| grows, so every draw keeps the rule if each fill
+    # end does with no cone, then each pair of ends; the sweep's window is
+    # checked once the ranges are known to pass without it
     silo = scene(cfg)
     fills, heights = cfg["dataset"]["fill_fraction_range"], cfg["dataset"]["cone_height_range"]
     ends = [("fill_fraction_range", f, 0.0) for f in fills]
@@ -184,12 +184,13 @@ def validate_config(doc: dict) -> None:
             check_fill_and_cone(silo, fill, height)
         except InvalidParameterError as exc:
             raise _invalid(("dataset", key), str(exc)) from None
-    # the fullest fill gives the nearest mean surface of any draw; at or beyond
-    # the sweep's window, every scan would alias
-    nearest, r_max = mean_surface_range(silo, fills[1]), max_unambiguous_range(radar_params(cfg))
-    if nearest >= r_max:
-        raise _invalid(("radar",), f"the mean surface range {nearest:.3f} m at the high end of "
-                       f"fill_fraction_range reaches the unambiguous range {r_max:.3f} m")
+    r_max = max_unambiguous_range(radar_params(cfg))
+    for fill in fills:
+        for height in heights:
+            try:
+                check_fill_and_cone(silo, fill, height, r_max)
+            except InvalidParameterError as exc:
+                raise _invalid(("radar",), str(exc)) from None
 
 
 def load_config(path: Optional[Union[str, Path]] = None, seed: Optional[int] = None,

@@ -208,17 +208,28 @@ def _shape(scene: SiloScene, surface_class: SurfaceClass, fill_fraction: float,
     return height, base, q, roughness, ripple
 
 
-def check_fill_and_cone(scene: SiloScene, fill_fraction: float, cone_height: float) -> None:
-    """The draw rule: the fill lies in (0, 1), and before roughness no class's
-    profile comes nearer the antenna than range 0 (at a pile's apex or a
-    crater's rim, less a ripple crest).  The cone height's sign is ignored."""
+def check_fill_and_cone(scene: SiloScene, fill_fraction: float, cone_height: float,
+                        max_range: float = math.inf) -> None:
+    """The draw rule: the fill lies in (0, 1), and before roughness every
+    class's profile lies between range 0 and max_range (the sweep's
+    unambiguous range, unbounded by default): its nearest point (a pile's
+    apex or a crater's rim, less a ripple crest) beyond 0, its deepest (a
+    pile's foot at the wall or a crater's centre, plus a ripple crest) short
+    of max_range.  The cone height's sign is ignored."""
     if not 0.0 < fill_fraction < 1.0:
         raise InvalidParameterError(f"fill fraction {fill_fraction} is not in (0, 1)")
     for surface_class in SurfaceClass:
         height, base, _, _, ripple = _shape(scene, surface_class, fill_fraction, cone_height)
-        if height != 0.0 and not min(base, base + height) - scene.ripple_amplitude * ripple > 0:
+        # a flat profile (height 0) carries no ripple
+        crest = scene.ripple_amplitude * ripple if height != 0.0 else 0.0
+        if not min(base, base + height) - crest > 0:
             raise InvalidParameterError(
                 f"cone height {cone_height} brings the surface to a range <= 0")
+        deepest = max(base, base + height) + crest
+        if not deepest < max_range:
+            raise InvalidParameterError(
+                f"at fill fraction {fill_fraction} and cone height {cone_height} the surface "
+                f"reaches {deepest:.3f} m, at or beyond the unambiguous range {max_range:.3f} m")
 
 
 def synth_surface(scene: SiloScene, surface_class: SurfaceClass, fill_fraction: float,

@@ -1,8 +1,9 @@
 """Deterministic signal transforms feeding the feature extractors.
 
-FFT and DCT delegate to numpy/scipy; the multilevel wavelet filterbank and
-the short-time Fourier transform are implemented here so subband lengths,
-boundary handling and framing are pinned down exactly.
+Every transform needs numpy alone.  The FFT delegates to numpy, the DCT is
+one numpy FFT; the multilevel wavelet filterbank and the short-time Fourier
+transform are implemented here so subband lengths, boundary handling and
+framing are pinned down exactly.
 """
 
 from __future__ import annotations
@@ -21,15 +22,24 @@ def fft(signal) -> np.ndarray:
     return np.fft.fft(x)
 
 
-# scipy.fft is imported on first use: only the DCT chain needs its start-up cost
 def dct(signal) -> np.ndarray:
-    """Orthonormal DCT-II coefficients of each real signal along the last axis."""
-    import scipy.fft
+    """Orthonormal DCT-II coefficients of each real signal along the last axis.
 
+    Makhoul's one-FFT form (IEEE TASSP 28(1), 1980): the even samples in
+    order, then the odd samples reversed, go through one length-N DFT; the
+    real part of bin k times exp(-i pi k / (2N)) is the unnormalised
+    coefficient k.
+    """
     x = np.asarray(signal, dtype=float)
     if x.size == 0:
         raise ValueError("cannot transform an empty signal")
-    return scipy.fft.dct(x, type=2, norm="ortho")
+    n = x.shape[-1]
+    spectrum = np.fft.fft(np.concatenate([x[..., ::2], x[..., 1::2][..., ::-1]], axis=-1))
+    twiddle = np.exp(-0.5j * np.pi * np.arange(n) / n)
+    out = (spectrum * twiddle).real.copy()
+    out[..., 0] *= np.sqrt(1.0 / n)
+    out[..., 1:] *= np.sqrt(2.0 / n)
+    return out
 
 
 # scaling (reconstruction low-pass) filters; sum = sqrt(2), energy = 1

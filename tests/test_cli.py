@@ -168,6 +168,67 @@ def test_every_scene_and_range_key_reaches_the_scans(runner, tmp_path, section, 
     assert blobs[0] != blobs[1]
 
 
+# a value off the default for every key of these sections; svm.tol and
+# svm.max_passes are left out: they bound the solver and change no output of
+# a run that converges
+MOVED_EVALUATION_KEYS = {
+    ("features", "gray_levels"): 8,
+    ("features", "stft", "window_len"): 32,
+    ("features", "stft", "hop"): 16,
+    ("features", "stft", "fft_len"): 128,
+    ("features", "dwt", "wavelet"): "db2",
+    ("features", "dwt", "levels"): 3,
+    ("kernel", "kind"): "linear",
+    ("kernel", "C"): 1.0,
+    ("kernel", "gamma"): 1.0,
+    ("cv", "k"): 4,
+}
+
+
+def _evaluated(tmp_path, path=(), value=None):
+    """(exit code, summary results) of evaluate on 12 scans/class with k = 3,
+    with the key at path set to value; the config hash and the echoed kernel
+    section change with any key, so they are left out."""
+    doc = {"seed": 5, "dataset": {"per_class_counts": [12, 12, 12], "snr_db": [20.0]},
+           "scene": {"scatterers_per_scene": 40}, "cv": {"k": 3}}
+    parent = doc
+    for key in path[:-1]:
+        parent = parent.setdefault(key, {})
+    if path:
+        parent[path[-1]] = value
+    config, out = tmp_path / "config.json", tmp_path / "run"
+    config.write_text(json.dumps(doc))
+    result = CliRunner().invoke(cli, ["evaluate", "--config", str(config), "--out", str(out)])
+    if result.exit_code != 0:
+        return result.exit_code, None
+    return 0, json.loads((out / "summary.json").read_text())["results"]
+
+
+@pytest.fixture(scope="module")
+def evaluated_at_defaults(tmp_path_factory):
+    return _evaluated(tmp_path_factory.mktemp("defaults"))
+
+
+def test_the_moved_keys_are_every_feature_kernel_and_cv_key():
+    def leaves(value, path):
+        if isinstance(value, dict):
+            return [p for k, v in value.items() for p in leaves(v, path + (k,))]
+        return [path]
+
+    assert set(MOVED_EVALUATION_KEYS) == {
+        p for section in ("features", "kernel", "cv")
+        for p in leaves(cfgmod.DEFAULT_CONFIG[section], (section,))}
+
+
+@pytest.mark.parametrize("path", MOVED_EVALUATION_KEYS, ids=".".join)
+def test_every_feature_kernel_and_cv_key_reaches_the_reports(tmp_path, evaluated_at_defaults,
+                                                            path):
+    # a key that nothing reads gives the same results at any value
+    code, results = evaluated_at_defaults
+    assert code == 0
+    assert _evaluated(tmp_path, path, MOVED_EVALUATION_KEYS[path]) != (code, results)
+
+
 @pytest.fixture()
 def simulated(runner, tmp_path_factory):
     tmp_path = tmp_path_factory.mktemp("sim")
@@ -274,10 +335,11 @@ class TestTrainPredict:
              "--config", str(config), "--out", str(out)],
         )
         other_cfg = tmp_path / "cfg.json"
+        # 160 points leave a 1.09 m window, beyond the deepest default surface
         other_cfg.write_text(
             json.dumps({
                 "seed": 5,
-                "radar": {"n_freq": 128},
+                "radar": {"n_freq": 160},
                 "dataset": {"per_class_counts": [2, 2, 2], "snr_db": [None]},
                 "scene": {"scatterers_per_scene": 15},
             })
@@ -496,17 +558,32 @@ class TestReport:
         assert result.exit_code == 3
 
 
-@pytest.mark.parametrize("package", ["scipy", "jsonschema"])
-def test_importing_the_cli_does_not_load(package):
-    """Importing either adds to every command's start-up: only the DCT chain
-    needs scipy, so it is imported inside transforms.dct, and only the tests
-    use jsonschema, as the reference for the config checks."""
+def _loaded(package, code) -> str:
+    """The modules of package loaded once code has run in a fresh interpreter."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    code = ("import sys, grainsort.cli; "
-            f"print([m for m in sys.modules if m.split('.')[0] == {package!r}])")
+    code += f"; print([m for m in sys.modules if m.split('.')[0] == {package!r}])"
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                             text=True, timeout=60)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "[]"
+    return result.stdout.splitlines()[-1]
+
+
+@pytest.mark.parametrize("package", ["scipy", "jsonschema"])
+def test_importing_the_cli_does_not_load(package):
+    """Importing either would add to every command's start-up: the program
+    needs only numpy and click, and the tests use scipy as a reference for
+    transforms and statistics and jsonschema as the reference for the config
+    checks."""
+    assert _loaded(package, "import sys, grainsort.cli") == "[]"
+
+
+def test_dct_extraction_does_not_load_scipy(simulated, tmp_path):
+    # the DCT is one numpy FFT, so the one chain that used scipy runs without it
+    config, dataset, _ = simulated
+    argv = ["extract", str(dataset), "--method", "DCT+FOS", "--config", str(config),
+            "--out", str(tmp_path / "feat")]
+    code = f"import sys, grainsort.cli; grainsort.cli.cli({argv!r}, standalone_mode=False)"
+    assert _loaded("scipy", code) == "[]"
+    assert (tmp_path / "feat" / "features_DCT_FOS.csv").exists()

@@ -191,29 +191,26 @@ def _objects_reject(doc) -> bool:
         for build in (cfgmod.radar_params, cfgmod.scene, cfgmod.feature_params,
                       cfgmod.kernel_spec):
             build(cfg)
+        # the draw rule within the sweep's window
+        r_max = max_unambiguous_range(cfgmod.radar_params(cfg))
         for end in dataset["fill_fraction_range"]:
-            check_fill_and_cone(cfgmod.scene(cfg), end, 0.0)
+            check_fill_and_cone(cfgmod.scene(cfg), end, 0.0, r_max)
             for height in dataset["cone_height_range"]:
-                check_fill_and_cone(cfgmod.scene(cfg), end, height)
+                check_fill_and_cone(cfgmod.scene(cfg), end, height, r_max)
         for c in cfg["grid"]["C"]:
             for gamma in cfg["grid"]["gamma"]:
                 cfgmod.kernel_spec(cfg, c=c, gamma=gamma)
     except InvalidParameterError:
         return True
-    # a fill range whose fullest end puts the mean surface at or beyond the
-    # sweep's unambiguous range
-    scene = cfg["scene"]
-    nearest_mean = scene["antenna_height_m"] - dataset["fill_fraction_range"][1] * (
-        scene["antenna_height_m"] - scene["rim_range_m"])
-    return nearest_mean >= max_unambiguous_range(cfgmod.radar_params(cfg))
+    return False
 
 
 def _assert_rejects_as_the_schema_did(tmp_path, doc):
     """load_config rejects every document the schema rejects; whatever else it
     rejects holds an integer-valued float at an integer key, a non-finite
     number, a value a parameter object or the draw rule rejects, a reversed
-    dataset range, an SNR too low for a float noise power or a fill range whose
-    fullest end puts the mean surface beyond the sweep's unambiguous range."""
+    dataset range, an SNR too low for a float noise power or ranges whose
+    surfaces reach beyond the sweep's unambiguous range."""
     path = tmp_path / "c.json"
     path.write_text(json.dumps(doc))
     schema_accepts = validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA).is_valid(doc)

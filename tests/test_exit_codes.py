@@ -265,7 +265,8 @@ def test_out_under_a_regular_file_exits_2(runner, files, command):
     }[command]
     result = runner.invoke(cli, argv + ["--out", str(blocker / "out")])
     _assert_one_error(result, 2, "output directory")
-    # the directory is checked before any work: no result line precedes the error
+    # the directory is made before any result is printed: no result line
+    # precedes the error
     assert result.output.splitlines()[0].startswith("error:"), result.output
 
 
@@ -301,10 +302,12 @@ def test_sweep_too_short_for_a_chain_exits_2_before_simulating(runner, files):
 
 def test_sweep_too_coarse_for_the_scene_exits_2(runner, files):
     # 18-40 GHz in n_freq points leaves a window of n_freq * 6.8 mm: 0.27 or
-    # 0.44 m, nearer than the 0.58 m mean surface of the fullest default fill
+    # 0.44 m, nearer than the 0.58 m mean surface of the fullest default fill,
+    # or 0.68 m, beyond that but short of the 0.86 m mean surface of the
+    # emptiest, which every scan at a low enough fill would reach
     config = files["root"] / "config_coarse_sweep.json"
     out = files["root"] / "coarse"
-    for n_freq in (40, 64):
+    for n_freq in (40, 64, 100):
         config.write_text(json.dumps(dict(json.loads(files["config"].read_text()),
                                           radar={"n_freq": n_freq})))
         for command in (["simulate"], ["evaluate", "--method", "FOS"]):
@@ -344,20 +347,62 @@ def short_gsrd(runner, files):
     return out / "dataset_snr20.gsrd"
 
 
-@pytest.mark.parametrize("case", ["extract", "train", "predict_missing_model",
-                                  "predict_other_sweep", "report"])
-def test_unusable_input_makes_no_output_directory(runner, files, short_gsrd, case):
+@pytest.fixture(scope="module")
+def overflowing_gsrd(files):
+    """The 12-scan/class dataset with one sample whose modulus overflows: a
+    fault only extraction finds."""
+    blob = bytearray(files["gsrd"].read_bytes())
+    sample = HEADER + files["record_size"] + RECORD_FIXED  # second record
+    blob[sample : sample + 16] = OVERFLOWING_SAMPLE
+    path = files["root"] / "overflowing.gsrd"
+    path.write_bytes(bytes(blob))
+    return path
+
+
+@pytest.fixture(scope="module")
+def stalling_config(files):
+    """The 12-scan/class config with an SMO budget too small to converge: a
+    fault only training finds."""
+    doc = json.loads(files["config"].read_text())
+    doc["svm"] = {"max_passes": 1, "tol": 1e-12}
+    path = files["root"] / "config_stalling.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+NO_OUTPUT_CASES = ["extract", "train", "predict_missing_model", "predict_other_sweep", "report",
+                   "extract_overflow_stft", "extract_overflow_fos", "train_overflow",
+                   "predict_overflow", "train_stalls", "evaluate_stalls"]
+
+
+@pytest.mark.parametrize("case", NO_OUTPUT_CASES)
+def test_unusable_input_makes_no_output_directory(runner, files, short_gsrd, overflowing_gsrd,
+                                                  stalling_config, case):
+    # a fault found before, or only during, the work leaves no --out behind
     config, model = str(files["config"]), str(files["run"] / "model.json")
+    gsrd, overflowing, stalling = str(files["gsrd"]), str(overflowing_gsrd), str(stalling_config)
     argv, code, needle = {
         "extract": (["extract", str(short_gsrd), "--method", "STFT+GLCM", "--config", config],
                     2, "40-point sweep"),
         "train": (["train", str(short_gsrd), "--method", "STFT+GLRLM", "--config", config],
                   2, "40-point sweep"),
         "predict_missing_model": (
-            ["predict", str(files["root"] / "missing_model.json"), str(files["gsrd"])],
+            ["predict", str(files["root"] / "missing_model.json"), gsrd],
             3, "cannot read model"),
         "predict_other_sweep": (["predict", model, str(short_gsrd)], 3, "40-point sweeps"),
         "report": (["report", str(files["root"] / "missing_summary.json")], 3, "summary"),
+        "extract_overflow_stft": (
+            ["extract", overflowing, "--method", "STFT+GLCM", "--config", config],
+            3, "not finite"),
+        "extract_overflow_fos": (["extract", overflowing, "--method", "FOS", "--config", config],
+                                 3, "not finite"),
+        "train_overflow": (["train", overflowing, "--method", "STFT+GLRLM", "--config", config],
+                           3, "not finite"),
+        "predict_overflow": (["predict", model, overflowing], 3, "not finite"),
+        "train_stalls": (["train", gsrd, "--method", "FOS", "--config", stalling],
+                         4, "SMO exhausted"),
+        "evaluate_stalls": (["evaluate", "--method", "FOS", "--config", stalling],
+                            4, "SMO exhausted"),
     }[case]
     out = files["root"] / f"no_out_{case}"
     result = runner.invoke(cli, argv + ["--out", str(out)])

@@ -289,6 +289,18 @@ class TestSurfaceSynthesis:
         with pytest.raises(InvalidParameterError):
             synth_surface(scene, SurfaceClass.LEVELLED, fill, height, 1)
 
+    @pytest.mark.parametrize("fill, height", [(0.35, 0.2), (0.35, -0.2), (0.65, 0.12),
+                                              (0.5, 0.0)])
+    def test_draw_rule_far_side(self, fill, height):
+        # before roughness no scatterer of any class lies at or beyond a
+        # window the rule accepts, so a window at the deepest one is refused
+        scene = SiloScene(surface_roughness_sigma=0.0)
+        deepest = max(float(np.max(synth_surface(scene, surface_class, fill, height, seed).ranges))
+                      for surface_class in SurfaceClass for seed in range(5))
+        check_fill_and_cone(scene, fill, height)
+        with pytest.raises(InvalidParameterError, match="unambiguous range"):
+            check_fill_and_cone(scene, fill, height, deepest)
+
     @pytest.mark.parametrize("field, bad, edge", [
         ("apex_offset_fraction", 1.01, 1.0),
         ("ripple_crater_factor", -0.01, 0.0),

@@ -61,6 +61,17 @@ class TestDCT:
         x = rng.standard_normal(8)
         assert np.max(np.abs(tr.dct(x) - direct_dct2_ortho(x))) < 1e-10
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 33, 301, 302])
+    def test_matches_direct_cosine_sum_on_vectors_and_batches(self, n):
+        # a vector and a batch, each row against the cosine sum, within a
+        # bound relative to the largest coefficient
+        rng = np.random.default_rng(9)
+        for x in (rng.standard_normal(n), rng.standard_normal((3, n))):
+            ref = np.array([direct_dct2_ortho(row) for row in np.atleast_2d(x)]).reshape(x.shape)
+            out = tr.dct(x)
+            assert out.shape == x.shape
+            assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
+
     def test_energy_preserved(self):
         rng = np.random.default_rng(10)
         x = rng.standard_normal(50)
