@@ -18,7 +18,6 @@ from .errors import (
     InvalidParameterError,
 )
 from .radar import (
-    AScan,
     RadarParams,
     ScattererCloud,
     SiloScene,
@@ -33,7 +32,6 @@ from .radar import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AScan",
     "AliasingError",
     "ConfigError",
     "ConvergenceError",

@@ -74,7 +74,7 @@ def _snr_tag(snr) -> str:
     return "noiseless" if snr is None else f"snr{snr:g}"
 
 
-def _simulate_ascans(cfg: dict, snr) -> list:
+def _simulate_scans(cfg: dict, snr) -> np.recarray:
     d = cfg["dataset"]
     return radar.generate_dataset(cfgmod.radar_params(cfg), cfgmod.scene(cfg),
                                   d["per_class_counts"], snr, cfg["seed"],
@@ -103,7 +103,6 @@ def simulate(config_path, seed, out_dir, snr_override, also_csv):
     if snr_override is not None:
         cfg["dataset"]["snr_db"] = [snr_override]
         cfgmod.validate_config(cfg)
-    out = _out_dir(cfg["out_dir"])
     params = cfgmod.radar_params(cfg)
     manifest = {
         "config_hash": cfgmod.config_hash(cfg),
@@ -114,19 +113,23 @@ def simulate(config_path, seed, out_dir, snr_override, also_csv):
         "files": [],
     }
     for snr in cfg["dataset"]["snr_db"]:
-        ascans = _simulate_ascans(cfg, snr)
+        scans = _simulate_scans(cfg, snr)
+        # made at the first file written, so a fault that only simulation
+        # finds leaves no directory behind
+        out = _out_dir(cfg["out_dir"])
         name = f"dataset_{_snr_tag(snr)}.gsrd"
-        ds.save_dataset(out / name, params, ascans)
+        ds.save_dataset(out / name, params, scans)
         manifest["files"].append(
-            {"path": name, "snr_db": snr, "n_records": len(ascans)}
+            {"path": name, "snr_db": snr, "n_records": len(scans)}
         )
-        click.echo(f"wrote {out / name} ({len(ascans)} records)")
+        click.echo(f"wrote {out / name} ({len(scans)} records)")
         if also_csv:
             csv_name = f"dataset_{_snr_tag(snr)}.csv"
             header = ["label"] + [f"{part}_{i}" for i in range(params.n_freq)
                                   for part in ("re", "im")]
             _write_csv(out / csv_name, header,
-                       ([int(a.label)] + a.samples.view(np.float64).tolist() for a in ascans))
+                       ([label] + samples.view(np.float64).tolist()
+                        for label, samples in zip(scans.label.tolist(), scans.samples)))
             click.echo(f"wrote {out / csv_name}")
     (out / "manifest.json").write_text(
         json.dumps(manifest, indent=1, sort_keys=True), encoding="utf-8"
@@ -144,8 +147,8 @@ def simulate(config_path, seed, out_dir, snr_override, also_csv):
 def extract(dataset_path, method_tag, config_path, out_dir):
     """Extract one feature chain from a dataset into a CSV."""
     cfg = cfgmod.load_config(config_path, out_dir=out_dir)
-    _, ascans = ds.load_dataset(dataset_path)
-    X, y = features.extract_matrix(ascans, method_tag, cfgmod.feature_params(cfg))
+    _, scans = ds.load_dataset(dataset_path)
+    X, y = features.extract_matrix(scans, method_tag, cfgmod.feature_params(cfg))
     out = _out_dir(cfg["out_dir"])
     file_hash = hashlib.sha256(Path(dataset_path).read_bytes()).hexdigest()
     name = "features_" + method_tag.replace("+", "_") + ".csv"
@@ -168,9 +171,9 @@ def extract(dataset_path, method_tag, config_path, out_dir):
 def train(dataset_path, method_tag, config_path, seed, out_dir):
     """Train a multiclass SVM on a dataset and persist it as JSON."""
     cfg = cfgmod.load_config(config_path, seed=seed, out_dir=out_dir)
-    params, ascans = ds.load_dataset(dataset_path)
+    params, scans = ds.load_dataset(dataset_path)
     fparams = cfgmod.feature_params(cfg)
-    X, y = features.extract_matrix(ascans, method_tag, fparams)
+    X, y = features.extract_matrix(scans, method_tag, fparams)
     model = svm.train_multiclass(
         X, y, cfgmod.kernel_spec(cfg),
         tol=cfg["svm"]["tol"], max_passes=cfg["svm"]["max_passes"],
@@ -214,7 +217,7 @@ def _model_feature_params(fp, method_tag, n_freq) -> features.FeatureParams:
 def predict(model_path, dataset_path, out_dir):
     """Classify the A-scans of a dataset with a stored model."""
     model, doc = svm.load_model(model_path)
-    params, ascans = ds.load_dataset(dataset_path)
+    params, scans = ds.load_dataset(dataset_path)
     if doc.get("n_freq") is not None and params.n_freq != doc["n_freq"]:
         raise DimensionMismatchError(
             f"dataset holds {params.n_freq}-point sweeps, model was trained "
@@ -227,7 +230,7 @@ def predict(model_path, dataset_path, out_dir):
         raise DataError(f"model has {len(model.class_ids)} classes, expected at most "
                         f"{len(radar.CLASS_NAMES)}")
     fparams = _model_feature_params(doc.get("feature_params"), method_tag, params.n_freq)
-    X, _ = features.extract_matrix(ascans, method_tag, fparams)
+    X, _ = features.extract_matrix(scans, method_tag, fparams)
     labels = svm.predict(model, X).tolist()
     out = None if out_dir is None else _out_dir(out_dir)
     for value in labels:
@@ -330,10 +333,10 @@ def evaluate(config_path, seed, out_dir, method_tags, echo_classifier, use_grid)
     # every block is computed before --out is made, so a run that fails
     # leaves no directory behind
     for snr in cfg["dataset"]["snr_db"]:
-        ascans = _simulate_ascans(cfg, snr)
+        scans = _simulate_scans(cfg, snr)
         block = {}
         for method_tag in cfg["methods"]:
-            X, y = features.extract_matrix(ascans, method_tag, fparams)
+            X, y = features.extract_matrix(scans, method_tag, fparams)
             cross_validate = functools.partial(
                 evaluation.cross_validate, X, y, method_tag,
                 k=cfg["cv"]["k"], seed=cfg["seed"], tol=cfg["svm"]["tol"],

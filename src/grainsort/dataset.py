@@ -4,49 +4,43 @@ Layout, all little-endian:
 
     header:  magic 4s | version u16 | n_freq u32 | record count u64
              | f_start f64 | f_stop f64
-    record:  label u8 | seed u64 | snr f64 (NaN = noiseless)
+    records: the scan array's bytes, one radar.RadarParams.scan_dtype record
+             per scan: label u8 | seed u64 | snr f64 (NaN = noiseless)
              | n_freq * (re f64, im f64)
 """
 
 from __future__ import annotations
 
-import math
 import struct
 from pathlib import Path
-from typing import List, Tuple, Union
+from typing import Tuple, Union
 
 import numpy as np
 
 from .errors import CorruptDatasetError, DataError, DimensionMismatchError, InvalidParameterError
-from .radar import AScan, RadarParams, SurfaceClass
+from .radar import RadarParams, SurfaceClass
 
 MAGIC = b"GSRD"
 VERSION = 1
 
 _HEADER = struct.Struct("<4sHIQdd")
-_RECORD_FIXED = struct.Struct("<BQd")
 
 
-def save_dataset(path: Union[str, Path], params: RadarParams, ascans: List[AScan]) -> None:
-    """Write A-scans to the binary container; byte-identical for equal inputs."""
-    path = Path(path)
-    n_freq = params.n_freq
-    with path.open("wb") as fh:
-        fh.write(
-            _HEADER.pack(MAGIC, VERSION, n_freq, len(ascans), params.f_start, params.f_stop)
+def save_dataset(path: Union[str, Path], params: RadarParams, scans: np.ndarray) -> None:
+    """Write a scan array to the binary container; byte-identical for equal inputs."""
+    if scans.dtype != params.scan_dtype:
+        raise DimensionMismatchError(
+            f"scan records of {scans.dtype} are not records of {params.n_freq}-point sweeps"
         )
-        for scan in ascans:
-            if scan.samples.size != n_freq:
-                raise DimensionMismatchError(
-                    f"A-scan has {scan.samples.size} samples, header says {n_freq}"
-                )
-            snr = math.nan if scan.snr_db is None else float(scan.snr_db)
-            fh.write(_RECORD_FIXED.pack(int(scan.label), int(scan.seed), snr))
-            fh.write(np.ascontiguousarray(scan.samples, dtype="<c16").tobytes())
+    with Path(path).open("wb") as fh:
+        fh.write(_HEADER.pack(MAGIC, VERSION, params.n_freq, len(scans),
+                              params.f_start, params.f_stop))
+        fh.write(scans.tobytes())
 
 
-def load_dataset(path: Union[str, Path]) -> Tuple[RadarParams, List[AScan]]:
-    """Read a binary container back; corruption errors name the byte offset."""
+def load_dataset(path: Union[str, Path]) -> Tuple[RadarParams, np.recarray]:
+    """Read a binary container back as a read-only scan array; corruption
+    errors name the byte offset."""
     path = Path(path)
     try:
         blob = path.read_bytes()
@@ -70,31 +64,21 @@ def load_dataset(path: Union[str, Path]) -> Tuple[RadarParams, List[AScan]]:
             f"{path}: invalid sweep fields from byte offset 6: {exc}"
         ) from None
 
-    record_size = _RECORD_FIXED.size + 16 * n_freq
-    expected = _HEADER.size + count * record_size
+    record = params.scan_dtype
+    expected = _HEADER.size + count * record.itemsize
     if len(blob) != expected:
-        offset = len(blob)
         raise CorruptDatasetError(
             f"{path}: expected {expected} bytes for {count} records, "
-            f"file ends at byte offset {offset}"
+            f"file ends at byte offset {len(blob)}"
         )
-
-    ascans = []
-    pos = _HEADER.size
-    labels = {int(c) for c in SurfaceClass}
-    for _ in range(count):
-        label, seed, snr = _RECORD_FIXED.unpack_from(blob, pos)
-        samples = np.frombuffer(blob, "<c16", count=n_freq, offset=pos + _RECORD_FIXED.size)
-        if label not in labels or not np.all(np.isfinite(samples.view("<f8"))):
-            fault = f"unknown label {label}" if label not in labels else "non-finite sample"
-            raise CorruptDatasetError(f"{path}: {fault} in the record at byte offset {pos}")
-        pos += record_size
-        ascans.append(
-            AScan(
-                samples=samples.copy(),
-                label=SurfaceClass(label),
-                seed=seed,
-                snr_db=None if math.isnan(snr) else snr,
-            )
+    scans = np.frombuffer(blob, record, count=count, offset=_HEADER.size).view(np.recarray)
+    # the first faulty record, and its label before its samples
+    bad_label = scans.label >= len(SurfaceClass)
+    faulty = np.flatnonzero(bad_label | ~np.all(np.isfinite(scans.samples), axis=1))
+    if faulty.size:
+        k = int(faulty[0])
+        fault = f"unknown label {scans.label[k]}" if bad_label[k] else "non-finite sample"
+        raise CorruptDatasetError(
+            f"{path}: {fault} in the record at byte offset {_HEADER.size + k * record.itemsize}"
         )
-    return params, ascans
+    return params, scans

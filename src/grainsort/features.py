@@ -9,13 +9,12 @@ run-length texture off it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from . import transforms
-from .errors import DataError, DimensionMismatchError, InvalidParameterError
-from .radar import AScan
+from .errors import DataError, InvalidParameterError
 
 _DEGENERATE_VAR = 1e-24
 # a relative spread this small cannot be cut into ENTROPY_BINS finite bins
@@ -384,31 +383,27 @@ def _chain(samples: np.ndarray, method_tag: str, params: FeatureParams) -> np.nd
 
 
 def extract(
-    ascan: AScan, method_tag: str, params: FeatureParams = FeatureParams()
+    scan: np.record, method_tag: str, params: FeatureParams = FeatureParams()
 ) -> FeatureVector:
-    """Run one method chain on an A-scan: extract_matrix's chain on a batch of one."""
-    return FeatureVector(_chain(ascan.samples[None, :], method_tag, params)[0], method_tag)
+    """Run one method chain on one scan record: extract_matrix's chain on a batch of one."""
+    return FeatureVector(_chain(scan.samples[None, :], method_tag, params)[0], method_tag)
 
 
 def extract_matrix(
-    ascans: Sequence[AScan], method_tag: str, params: FeatureParams = FeatureParams()
+    ascans: np.recarray, method_tag: str, params: FeatureParams = FeatureParams()
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """One chain's feature rows of the stacked scans, a chunk at a time: (X, labels)."""
+    """One chain's feature rows of a scan array (radar.RadarParams.scan_dtype),
+    a chunk at a time: (X, labels)."""
     if len(ascans) == 0:
         raise DataError("no A-scans to extract from")
-    lengths = sorted({a.samples.size for a in ascans})
-    if len(lengths) > 1:
-        raise DimensionMismatchError(
-            f"the A-scans hold sweeps of {lengths} points; a feature matrix needs one length"
-        )
-    params.check_sweep(method_tag, lengths[0])
+    samples = ascans.samples
+    params.check_sweep(method_tag, samples.shape[1])
     chunk = min(CHUNK_SCANS, TEXTURE_CELLS // params.gray_levels**2)
     X = np.vstack([
-        _chain(np.stack([a.samples for a in ascans[i : i + chunk]]), method_tag, params)
-        for i in range(0, len(ascans), chunk)
+        _chain(samples[i : i + chunk], method_tag, params)
+        for i in range(0, len(samples), chunk)
     ])
     bad = np.flatnonzero(~np.all(np.isfinite(X), axis=1))
     if bad.size:
         raise DataError(f"{method_tag} features of scan {bad[0]} are not finite")
-    y = np.array([int(a.label) for a in ascans], dtype=np.int64)
-    return X, y
+    return X, ascans.label.astype(np.int64)

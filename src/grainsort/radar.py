@@ -21,6 +21,8 @@ from .errors import AliasingError, InvalidParameterError
 from .seeding import RECORD_STREAM, record_seed
 
 SPEED_OF_LIGHT = 2.99792458e8
+# the longest sweep whose scan record, 17 + 16 * n_freq bytes, fits a NumPy dtype
+MAX_N_FREQ = 134_217_726
 
 # spawn_key discriminators under one record seed
 _SURFACE_KEY = 0
@@ -56,14 +58,21 @@ class RadarParams:
             raise InvalidParameterError(
                 f"need f_stop > f_start > 0, got {self.f_start}..{self.f_stop}"
             )
-        if self.n_freq < 2:
-            raise InvalidParameterError(f"need n_freq >= 2, got {self.n_freq}")
+        if not 2 <= self.n_freq <= MAX_N_FREQ:
+            raise InvalidParameterError(f"need 2 <= n_freq <= {MAX_N_FREQ}, got {self.n_freq}")
         if self.c <= 0:
             raise InvalidParameterError("propagation speed must be positive")
 
     @property
     def bandwidth(self) -> float:
         return self.f_stop - self.f_start
+
+    @property
+    def scan_dtype(self) -> np.dtype:
+        """One scan of this sweep, packed: the GSRD record and the in-memory scan
+        array alike.  snr_db is NaN for a noiseless scan."""
+        return np.dtype([("label", "u1"), ("seed", "<u8"), ("snr_db", "<f8"),
+                         ("samples", "<c16", (self.n_freq,))])
 
 
 def range_resolution(params: RadarParams) -> float:
@@ -82,7 +91,6 @@ class ScattererCloud:
 
     amplitudes: np.ndarray  # (n,), dimensionless, >= 0
     ranges: np.ndarray  # (n,), metres, > 0
-    class_label: SurfaceClass
 
     def __post_init__(self):
         amp = np.asarray(self.amplitudes, dtype=float)
@@ -95,24 +103,6 @@ class ScattererCloud:
             raise InvalidParameterError("amplitudes must be finite and >= 0")
         if np.any(rng_ <= 0) or not np.all(np.isfinite(rng_)):
             raise InvalidParameterError("ranges must be finite and > 0")
-
-
-@dataclass(frozen=True)
-class AScan:
-    """One frequency-domain backscatter measurement plus its label and provenance."""
-
-    samples: np.ndarray  # complex128, (n_freq,)
-    label: SurfaceClass
-    seed: int = 0
-    snr_db: Optional[float] = None
-
-    def __post_init__(self):
-        s = np.asarray(self.samples, dtype=np.complex128)
-        object.__setattr__(self, "samples", s)
-        if s.ndim != 1 or s.size == 0:
-            raise InvalidParameterError("samples must be a non-empty 1-D vector")
-        if not np.all(np.isfinite(s.view(np.float64))):
-            raise InvalidParameterError("samples must be finite")
 
 
 @dataclass(frozen=True)
@@ -308,7 +298,7 @@ def synth_surface(scene: SiloScene, surface_class: SurfaceClass, fill_fraction: 
     gain = 10.0 ** (rng.uniform(-1.0, 1.0) * scene.gain_jitter_db / 20.0)
     all_ranges = np.concatenate(ranges)
     all_amps = gain * np.concatenate(amplitudes)
-    return ScattererCloud(all_amps, all_ranges, surface_class)
+    return ScattererCloud(all_amps, all_ranges)
 
 
 def backscatter(
@@ -316,8 +306,9 @@ def backscatter(
     params: RadarParams,
     snr_db: Optional[float] = None,
     seed: int = 0,
-) -> AScan:
-    """Coherent frequency-domain sum over the cloud, optionally noisy.
+) -> np.ndarray:
+    """The complex sweep of one scan: a coherent frequency-domain sum over the
+    cloud, optionally noisy.
 
     At each swept frequency f the two-way phase of a scatterer at range R is
     2 * (2 pi f / c) * R, so the sample is sum_i p_i * exp(-2j * k_n * R_i).
@@ -379,8 +370,9 @@ def backscatter(
             0.0, sigma, samples.shape
         )
         samples = samples + noise
-
-    return AScan(samples, cloud.class_label, seed=int(seed), snr_db=snr_db)
+    if not np.all(np.isfinite(samples)):
+        raise InvalidParameterError("samples must be finite")
+    return samples
 
 
 def generate_dataset(
@@ -391,8 +383,9 @@ def generate_dataset(
     seed: int,
     fill_fraction_range: Sequence[float],
     cone_height_range: Sequence[float],
-) -> list:
-    """Simulate a labelled A-scan dataset, fully deterministic from ``seed``.
+) -> np.recarray:
+    """Simulate a labelled scan array of params.scan_dtype, fully deterministic
+    from ``seed``.
 
     Per sample, fill_fraction and cone_height are re-drawn uniformly from
     the given ranges; the class alone gives the cone its direction.  Records
@@ -405,14 +398,15 @@ def generate_dataset(
             f"per_class_counts needs {len(SurfaceClass)} entries >= 1, got {counts}"
         )
 
-    ascans = []
-    for cls in SurfaceClass:
-        for i in range(counts[cls]):
-            rseed = record_seed(seed, RECORD_STREAM, int(cls), i)
-            jitter = np.random.default_rng(
-                np.random.SeedSequence(entropy=rseed, spawn_key=(_JITTER_KEY,))
-            )
-            cloud = synth_surface(scene, cls, jitter.uniform(*fill_fraction_range),
-                                  jitter.uniform(*cone_height_range), rseed)
-            ascans.append(backscatter(cloud, params, snr_db, rseed))
-    return ascans
+    rows = [(cls, i) for cls in SurfaceClass for i in range(counts[cls])]
+    scans = np.recarray(len(rows), dtype=params.scan_dtype)
+    snr = math.nan if snr_db is None else snr_db
+    for row, (cls, i) in enumerate(rows):
+        rseed = record_seed(seed, RECORD_STREAM, int(cls), i)
+        jitter = np.random.default_rng(
+            np.random.SeedSequence(entropy=rseed, spawn_key=(_JITTER_KEY,))
+        )
+        cloud = synth_surface(scene, cls, jitter.uniform(*fill_fraction_range),
+                              jitter.uniform(*cone_height_range), rseed)
+        scans[row] = (cls, rseed, snr, backscatter(cloud, params, snr_db, rseed))
+    return scans

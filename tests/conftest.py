@@ -27,7 +27,7 @@ def tiny_config():
 
 
 @pytest.fixture(scope="session")
-def tiny_ascans(tiny_config):
+def tiny_scans(tiny_config):
     cfg = tiny_config
     return radar.generate_dataset(
         cfgmod.radar_params(cfg),

@@ -30,7 +30,7 @@ from grainsort.features import (
     _DEGENERATE_SPREAD, _DEGENERATE_VAR, ANGLE_OFFSETS, ENTROPY_BINS, GLCM_ANGLES,
     MAX_GRAY_LEVELS, METHOD_TAGS, glcm, glrlm,
 )
-from grainsort.radar import _SURFACE_KEY, ScattererCloud, SurfaceClass
+from grainsort.radar import _SURFACE_KEY, RadarParams, ScattererCloud, SurfaceClass
 from grainsort.transforms import _filters, subband_lengths
 
 
@@ -183,7 +183,7 @@ def seed_synth_surface(scene, surface_class, fill_fraction, cone_height, seed) -
     gain = 10.0 ** (rng.uniform(-1.0, 1.0) * scene.gain_jitter_db / 20.0)
     all_ranges = np.concatenate(ranges)
     all_amps = gain * np.concatenate(amplitudes)
-    return ScattererCloud(all_amps, all_ranges, surface_class)
+    return ScattererCloud(all_amps, all_ranges)
 
 
 def direct_dft(x):
@@ -207,14 +207,14 @@ def direct_inverse_dft(x):
     return out
 
 
-def range_profile(ascan, params) -> np.ndarray:
+def range_profile(samples, params) -> np.ndarray:
     """Complex range bins: the inverse DFT of the sweep.  Magnitude peaks locate
     scatterers; the bin spacing is range_resolution(params)."""
-    if ascan.samples.size != params.n_freq:
+    if samples.size != params.n_freq:
         raise DimensionMismatchError(
-            f"A-scan has {ascan.samples.size} samples, sweep defines {params.n_freq}"
+            f"A-scan has {samples.size} samples, sweep defines {params.n_freq}"
         )
-    return np.fft.ifft(ascan.samples)
+    return np.fft.ifft(samples)
 
 
 def direct_dct2_ortho(x):
@@ -702,7 +702,8 @@ CONFIG_SCHEMA = {
             "properties": {
                 "f_start_hz": _POS_NUM,
                 "f_stop_hz": _POS_NUM,
-                "n_freq": {"type": "integer", "minimum": 2},
+                # the longest sweep whose scan record fits a NumPy dtype
+                "n_freq": {"type": "integer", "minimum": 2, "maximum": 134_217_726},
             },
         },
         "scene": {
@@ -811,3 +812,13 @@ CONFIG_SCHEMA = {
         },
     },
 }
+
+
+def scan_array(samples, labels, seeds=0, snr_db=math.nan) -> np.recarray:
+    """Not an oracle: a scan array of RadarParams.scan_dtype for tests to feed
+    the package, one record per row of the (n_scans, n_freq) samples, with
+    the given labels, seeds and SNRs."""
+    samples = np.asarray(samples, dtype=np.complex128)
+    scans = np.recarray(len(samples), dtype=RadarParams(n_freq=samples.shape[1]).scan_dtype)
+    scans.label, scans.seed, scans.snr_db, scans.samples = labels, seeds, snr_db, samples
+    return scans

@@ -11,7 +11,7 @@ import functools
 import numpy as np
 import pytest
 
-from grainsort import cli, evaluation, features, svm
+from grainsort import cli, config, dataset, evaluation, features, svm
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -35,34 +35,46 @@ def test_every_traced_target_exists(tracer):
     assert missing == []
 
 
-def test_extract_result_carries_method_tag(tracer, tiny_ascans):
+@pytest.fixture(scope="module")
+def loaded_scans(tiny_config, tiny_scans, tmp_path_factory):
+    """tiny_scans through a GSRD file: the read-only records that `extract`,
+    and so the `ingest` workload, runs the chains on."""
+    path = tmp_path_factory.mktemp("bench_contract") / "tiny.gsrd"
+    dataset.save_dataset(path, config.radar_params(tiny_config), tiny_scans)
+    scans = dataset.load_dataset(path)[1]
+    assert not scans.flags.writeable
+    return scans
+
+
+def test_extract_result_carries_method_tag(tracer, tiny_scans, loaded_scans):
     describe = tracer.TARGETS["features"]["extract"]
-    result = features.extract(tiny_ascans[0], "DWT+FOS")
-    assert describe((tiny_ascans[0], "DWT+FOS"), {}, result) == {"method": "DWT+FOS"}
+    for scan in (tiny_scans[0], loaded_scans[0]):
+        result = features.extract(scan, "DWT+FOS")
+        assert describe((scan, "DWT+FOS"), {}, result) == {"method": "DWT+FOS"}
 
 
-def test_extract_matrix_description(tracer, tiny_ascans):
+def test_extract_matrix_description(tracer, tiny_scans, loaded_scans):
     describe = tracer.TARGETS["features"]["extract_matrix"]
-    scans = tiny_ascans[:4]
-    expected = {"method": "FOS", "seeds": [int(s.seed) for s in scans]}
-    result = features.extract_matrix(scans, "FOS")
-    assert describe((scans, "FOS"), {}, result) == expected
-    assert describe((), {"ascans": scans, "method_tag": "FOS"}, result) == expected
+    for scans in (tiny_scans[:4], loaded_scans[:4]):
+        expected = {"method": "FOS", "seeds": scans.seed.tolist()}
+        result = features.extract_matrix(scans, "FOS")
+        assert describe((scans, "FOS"), {}, result) == expected
+        assert describe((), {"ascans": scans, "method_tag": "FOS"}, result) == expected
 
 
-def test_cross_validate_description(tracer, tiny_ascans):
+def test_cross_validate_description(tracer, tiny_scans):
     describe = tracer.TARGETS["evaluation"]["cross_validate"]
-    args = (*features.extract_matrix(tiny_ascans, "FOS"), "FOS", svm.KernelSpec())
+    args = (*features.extract_matrix(tiny_scans, "FOS"), "FOS", svm.KernelSpec())
     kwargs = {"k": 3, "classifier": "echo"}
     report = evaluation.cross_validate(*args, **kwargs)
     assert describe(args, kwargs, report) == {"folds": 3}
 
 
-def test_grid_search_description(tracer, tiny_config, tiny_ascans):
+def test_grid_search_description(tracer, tiny_config, tiny_scans):
     describe = tracer.TARGETS["cli"]["_grid_search"]
     cfg = dict(tiny_config, grid={"C": [1.0, 10.0], "gamma": [0.05, 0.5]})
     cross_validate = functools.partial(
-        evaluation.cross_validate, *features.extract_matrix(tiny_ascans, "FOS"), "FOS",
+        evaluation.cross_validate, *features.extract_matrix(tiny_scans, "FOS"), "FOS",
         k=3, classifier="echo",
     )
     result = cli._grid_search(cfg, cross_validate)

@@ -49,8 +49,8 @@ class TestSimulate:
             cli, ["simulate", "--config", str(config), "--out", str(out)]
         )
         assert result.exit_code == 0, result.output
-        params, ascans = load_dataset(out / "dataset_snr20.gsrd")
-        assert len(ascans) == 18
+        params, scans = load_dataset(out / "dataset_snr20.gsrd")
+        assert len(scans) == 18
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["per_class_counts"] == [6, 6, 6]
         assert manifest["seed"] == 777
@@ -93,15 +93,15 @@ class TestSimulate:
             cli, ["simulate", "--config", str(config), "--out", str(out), "--csv"]
         )
         assert result.exit_code == 0, result.output
-        params, ascans = load_dataset(out / "dataset_snr20.gsrd")
+        params, scans = load_dataset(out / "dataset_snr20.gsrd")
         text = (out / "dataset_snr20.csv").read_text()
         assert text.endswith("\n") and not text.endswith("\n\n")
         lines = text.split("\n")[:-1]
         header = lines[0].split(",")
         assert header[:5] == ["label", "re_0", "im_0", "re_1", "im_1"]
         assert len(header) == 1 + 2 * params.n_freq
-        assert len(lines) == 1 + len(ascans) == 1 + 18
-        for line, scan in zip(lines[1:], ascans):
+        assert len(lines) == 1 + len(scans) == 1 + 18
+        for line, scan in zip(lines[1:], scans):
             cells = line.split(",")
             assert int(cells[0]) == int(scan.label)
             # every float cell reads back exactly: the writer's str is repr
@@ -256,9 +256,9 @@ class TestExtract:
         data = [l for l in lines if not l.startswith("#")]
         assert data[0].split(",") == ["method_tag", "label"] + [f"f_{i}" for i in range(6)]
         assert len(data) == 1 + 18
-        _, ascans = load_dataset(dataset)
+        _, scans = load_dataset(dataset)
         fparams = cfgmod.feature_params(cfgmod.load_config(config))
-        X, y = features.extract_matrix(ascans, "FOS", fparams)
+        X, y = features.extract_matrix(scans, "FOS", fparams)
         for line, label, row in zip(data[1:], y.tolist(), X.tolist()):
             cells = line.split(",")
             assert cells[:2] == ["FOS", str(label)]

@@ -11,7 +11,8 @@ from grainsort import ConvergenceError, DataError, DimensionMismatchError
 from grainsort import evaluation as ev
 from grainsort import features as ft
 from grainsort import svm
-from grainsort.radar import AScan, SurfaceClass
+from grainsort.radar import SurfaceClass
+from oracles import scan_array
 
 
 class TestConfusion:
@@ -238,19 +239,16 @@ class TestKFold:
         assert not np.array_equal(a, c)
 
 
-def _noise_ascans(n_per_class=8, n_freq=301, seed=0):
+def _noise_scans(n_per_class=8, n_freq=301, seed=0):
     rng = np.random.default_rng(seed)
-    ascans = []
-    for cls in SurfaceClass:
-        for _ in range(n_per_class):
-            samples = rng.standard_normal(n_freq) + 1j * rng.standard_normal(n_freq)
-            ascans.append(AScan(samples, cls))
-    return ascans
+    samples = [rng.standard_normal(n_freq) + 1j * rng.standard_normal(n_freq)
+               for _ in range(n_per_class * len(SurfaceClass))]
+    return scan_array(samples, np.repeat(list(SurfaceClass), n_per_class))
 
 
 class TestCrossValidate:
     def test_echo_classifier_scores_ones(self):
-        X, y = ft.extract_matrix(_noise_ascans(), "FOS")
+        X, y = ft.extract_matrix(_noise_scans(), "FOS")
         report = ev.cross_validate(
             X, y, "FOS", svm.KernelSpec(kind="rbf", c=10.0),
             k=4, seed=0, classifier="echo",
@@ -263,17 +261,17 @@ class TestCrossValidate:
             assert payload["mean"][name] == pytest.approx(1.0)
             assert payload["std"][name] == pytest.approx(0.0)
 
-    def test_deterministic_reports(self, tiny_ascans, tiny_config):
+    def test_deterministic_reports(self, tiny_scans, tiny_config):
         kernel = svm.KernelSpec(kind="rbf", c=10.0)
-        X, y = ft.extract_matrix(tiny_ascans, "FOS")
+        X, y = ft.extract_matrix(tiny_scans, "FOS")
         a = ev.cross_validate(X, y, "FOS", kernel, k=3, seed=11, max_passes=50)
         b = ev.cross_validate(X, y, "FOS", kernel, k=3, seed=11, max_passes=50)
         assert np.array_equal(a.confusions, b.confusions)
         assert ev.report_payload(a) == ev.report_payload(b)
 
-    def test_no_leakage_from_test_fold(self, tiny_ascans):
+    def test_no_leakage_from_test_fold(self, tiny_scans):
         kernel = svm.KernelSpec(kind="rbf", c=10.0)
-        X, y = ft.extract_matrix(tiny_ascans, "FOS")
+        X, y = ft.extract_matrix(tiny_scans, "FOS")
         folds = ev.kfold_split(y, 3, 2)
 
         def fold_model(features, fold):
@@ -303,7 +301,7 @@ class TestCrossValidate:
 
     def test_training_errors_name_the_fold(self):
         # noise features, wide kernel, huge C: needs far more than n updates
-        X, y = ft.extract_matrix(_noise_ascans(n_per_class=30), "FOS")
+        X, y = ft.extract_matrix(_noise_scans(n_per_class=30), "FOS")
         with pytest.raises(ConvergenceError, match=r"fold \d"):
             ev.cross_validate(
                 X, y, "FOS",
@@ -311,8 +309,8 @@ class TestCrossValidate:
                 k=2, seed=0, max_passes=1,
             )
 
-    def test_report_rows_shape(self, tiny_ascans):
-        X, y = ft.extract_matrix(tiny_ascans, "FOS")
+    def test_report_rows_shape(self, tiny_scans):
+        X, y = ft.extract_matrix(tiny_scans, "FOS")
         report = ev.cross_validate(
             X, y, "FOS", svm.KernelSpec(kind="rbf", c=10.0),
             k=3, seed=0, classifier="echo",

@@ -13,11 +13,14 @@ from grainsort import config as cfgmod
 from grainsort import dataset as ds
 from grainsort.cli import cli
 from grainsort.features import METHOD_TAGS
+from grainsort.radar import MAX_N_FREQ, RadarParams
 from oracles import CONFIG_SCHEMA
 
 DOCUMENTED = {0, 2, 3, 4}
 HEADER = ds._HEADER.size
-RECORD_FIXED = ds._RECORD_FIXED.size
+# a record's label, seed and SNR: the bytes before its samples
+RECORD_FIXED = RadarParams().scan_dtype.fields["samples"][1]
+NAN_SAMPLE_PART = bytes.fromhex("000000000000f87f")
 # a JSON integer literal longer than Python's integer string-conversion limit
 HUGE_INTEGER = "1" + "0" * 5000
 # a sample with finite parts whose modulus, and so any STFT built on it, is inf
@@ -60,7 +63,7 @@ def files(runner, tmp_path_factory):
         result = runner.invoke(cli, argv)
         assert result.exit_code == 0, result.output
     gsrd = out / "dataset_snr20.gsrd"
-    params, ascans = ds.load_dataset(gsrd)
+    params, scans = ds.load_dataset(gsrd)
     return {
         "root": root,
         "run": out,
@@ -68,8 +71,8 @@ def files(runner, tmp_path_factory):
         "gsrd": gsrd,
         "tiny_gsrd": root / "tiny" / "dataset_snr20.gsrd",
         "size": gsrd.stat().st_size,
-        "n_records": len(ascans),
-        "record_size": RECORD_FIXED + 16 * params.n_freq,
+        "n_records": len(scans),
+        "record_size": params.scan_dtype.itemsize,
     }
 
 
@@ -117,15 +120,44 @@ class TestDataFaultsExit3:
     def test_nan_sample(self, runner, files):
         blob = bytearray(files["gsrd"].read_bytes())
         record = HEADER + files["record_size"]  # second record
-        blob[record + RECORD_FIXED : record + RECORD_FIXED + 8] = bytes.fromhex("000000000000f87f")
+        blob[record + RECORD_FIXED : record + RECORD_FIXED + 8] = NAN_SAMPLE_PART
         result = _extract(runner, files, bytes(blob))
         _assert_data_error(result)
         assert f"byte offset {record}" in result.output
+
+    @pytest.mark.parametrize("nan_at, label_at, fault", [
+        (1, 3, "non-finite sample"), (3, 1, "unknown label 7"), (2, 2, "unknown label 7"),
+    ])
+    def test_first_faulty_record_and_its_label_first(self, runner, files, nan_at, label_at,
+                                                     fault):
+        # the record nearest the header is named; in one record, its label
+        blob = bytearray(files["gsrd"].read_bytes())
+        size = files["record_size"]
+        sample = HEADER + nan_at * size + RECORD_FIXED
+        blob[sample : sample + 8] = NAN_SAMPLE_PART
+        blob[HEADER + label_at * size] = 7
+        first = HEADER + min(nan_at, label_at) * size
+        result = _extract(runner, files, bytes(blob))
+        _assert_one_error(result, 3, f"{fault} in the record at byte offset {first}")
 
     def test_zero_record_dataset(self, runner, files):
         blob = bytearray(files["gsrd"].read_bytes()[:HEADER])
         blob[10:18] = bytes(8)  # record count
         _assert_data_error(_extract(runner, files, bytes(blob)))
+
+    @pytest.mark.parametrize("n_freq, count, needle", [
+        (MAX_N_FREQ + 1, 0, "byte offset 6"),
+        (2**32 - 1, 0, "byte offset 6"),
+        (MAX_N_FREQ, 0, "no A-scans"),
+        (MAX_N_FREQ, 1, f"expected {HEADER + 17 + 16 * MAX_N_FREQ} bytes"),
+    ])
+    def test_header_at_the_n_freq_bound(self, runner, files, n_freq, count, needle):
+        # a sweep longer than a record dtype holds is refused before any
+        # dtype is built; at the bound, the dtype is built and nothing allocated
+        blob = bytearray(files["gsrd"].read_bytes()[:HEADER])
+        blob[6:10] = n_freq.to_bytes(4, "little")
+        blob[10:18] = count.to_bytes(8, "little")
+        _assert_one_error(_extract(runner, files, bytes(blob)), 3, needle)
 
     def test_model_not_json(self, runner, files):
         _assert_data_error(_predict(runner, files, "{nope"))
@@ -427,7 +459,17 @@ def test_snr_too_low_for_a_float_noise_power_exits_2(runner, files, snr):
     result = runner.invoke(cli, ["simulate", "--config", str(files["config"]),
                                  "--out", str(out), f"--snr={snr}"])
     _assert_one_error(result, 2, "snr_db")
-    if snr == "-4000":
+    assert not out.exists()
+
+
+def test_n_freq_above_the_record_bound_exits_2(runner, files):
+    config = files["root"] / "config_n_freq_bound.json"
+    config.write_text(json.dumps(dict(json.loads(files["config"].read_text()),
+                                      radar={"n_freq": MAX_N_FREQ + 1})))
+    out = files["root"] / "n_freq_bound"
+    for command in (["simulate"], ["evaluate", "--method", "FOS"]):
+        result = runner.invoke(cli, command + ["--config", str(config), "--out", str(out)])
+        _assert_one_error(result, 2, f"$['radar']: need 2 <= n_freq <= {MAX_N_FREQ}")
         assert not out.exists()
 
 

@@ -7,7 +7,6 @@ from scipy.stats import skew
 
 from grainsort import (
     AliasingError,
-    AScan,
     DimensionMismatchError,
     InvalidParameterError,
     RadarParams,
@@ -20,7 +19,7 @@ from grainsort import (
     range_resolution,
     synth_surface,
 )
-from grainsort.radar import check_fill_and_cone
+from grainsort.radar import MAX_N_FREQ, check_fill_and_cone
 from oracles import (
     direct_inverse_dft, longdouble_backscatter, range_profile, seed_backscatter,
     seed_synth_surface,
@@ -70,58 +69,64 @@ class TestRangeConstants:
         with pytest.raises(InvalidParameterError):
             RadarParams(n_freq=1)
 
+    def test_n_freq_bound_is_the_longest_record_dtype(self):
+        # a scan record is 17 + 16 * n_freq bytes, and a dtype's size must fit a C int
+        assert RadarParams(n_freq=MAX_N_FREQ).scan_dtype.itemsize == 17 + 16 * MAX_N_FREQ
+        assert 17 + 16 * (MAX_N_FREQ + 1) > 2**31 - 1
+        with pytest.raises(InvalidParameterError, match=f"n_freq <= {MAX_N_FREQ}"):
+            RadarParams(n_freq=MAX_N_FREQ + 1)
+
 
 def _single_scatterer_scan(r, params, amplitude=1.0):
-    cloud = ScattererCloud([amplitude], [r], SurfaceClass.LEVELLED)
+    cloud = ScattererCloud([amplitude], [r])
     return backscatter(cloud, params)
 
 
 class TestBackscatter:
     def test_zero_phase_limit(self, default_params):
         scan = _single_scatterer_scan(1e-12, default_params)
-        assert np.max(np.abs(scan.samples - 1.0)) < 1e-6
+        assert np.max(np.abs(scan - 1.0)) < 1e-6
 
     def test_coherent_pair_magnitude(self, default_params):
-        cloud = ScattererCloud([1.0, 1.0], [0.7, 0.7], SurfaceClass.LEVELLED)
+        cloud = ScattererCloud([1.0, 1.0], [0.7, 0.7])
         scan = backscatter(cloud, default_params)
-        assert np.max(np.abs(np.abs(scan.samples) - 2.0)) < 1e-12
+        assert np.max(np.abs(np.abs(scan) - 2.0)) < 1e-12
 
     def test_scalar_oracle_first_frequency(self, default_params):
         scan = _single_scatterer_scan(0.5, default_params)
         expected = cmath.exp(-1j * 2 * (2 * cmath.pi * 18e9 / C_LIGHT) * 0.5)
-        assert abs(scan.samples[0] - expected) < 1e-12
+        assert abs(scan[0] - expected) < 1e-12
 
     def test_linearity_over_cloud_union(self, default_params):
         rng = np.random.default_rng(11)
         amps_a, ranges_a = rng.rayleigh(1, 20), rng.uniform(0.3, 1.5, 20)
         amps_b, ranges_b = rng.rayleigh(1, 15), rng.uniform(0.3, 1.5, 15)
         scan_a = backscatter(
-            ScattererCloud(amps_a, ranges_a, SurfaceClass.LEVELLED), default_params
+            ScattererCloud(amps_a, ranges_a), default_params
         )
         scan_b = backscatter(
-            ScattererCloud(amps_b, ranges_b, SurfaceClass.LEVELLED), default_params
+            ScattererCloud(amps_b, ranges_b), default_params
         )
         union = backscatter(
             ScattererCloud(
                 np.concatenate([amps_a, amps_b]),
                 np.concatenate([ranges_a, ranges_b]),
-                SurfaceClass.LEVELLED,
             ),
             default_params,
         )
-        err = np.abs(union.samples - scan_a.samples - scan_b.samples)
-        assert np.max(err) / np.max(np.abs(union.samples)) < 1e-12
+        err = np.abs(union - scan_a - scan_b)
+        assert np.max(err) / np.max(np.abs(union)) < 1e-12
 
     def test_amplitude_scaling(self, default_params):
         rng = np.random.default_rng(12)
         amps, ranges = rng.rayleigh(1, 10), rng.uniform(0.3, 1.5, 10)
         base = backscatter(
-            ScattererCloud(amps, ranges, SurfaceClass.LEVELLED), default_params
+            ScattererCloud(amps, ranges), default_params
         )
         scaled = backscatter(
-            ScattererCloud(3.5 * amps, ranges, SurfaceClass.LEVELLED), default_params
+            ScattererCloud(3.5 * amps, ranges), default_params
         )
-        assert np.allclose(scaled.samples, 3.5 * base.samples, rtol=1e-12)
+        assert np.allclose(scaled, 3.5 * base, rtol=1e-12)
 
     @pytest.mark.parametrize("n_freq", [2, 3, 16, 17, 301, 1024, 4096])
     @pytest.mark.parametrize("band", [(18e9, 40e9), (1e9, 2e9), (8e9, 12e9)])
@@ -132,10 +137,10 @@ class TestBackscatter:
         rng = np.random.default_rng(n_freq)
         amps = rng.rayleigh(1.0, 448)
         ranges = rng.uniform(0.01, 0.99, 448) * max_unambiguous_range(params)
-        scan = backscatter(ScattererCloud(amps, ranges, SurfaceClass.LEVELLED), params)
+        scan = backscatter(ScattererCloud(amps, ranges), params)
         ref = longdouble_backscatter(amps, ranges, *band, n_freq, params.c)
-        assert scan.samples.shape == (n_freq,)
-        assert np.max(np.abs(scan.samples - ref)) <= 1e-11 * np.max(np.abs(ref))
+        assert scan.shape == (n_freq,)
+        assert np.max(np.abs(scan - ref)) <= 1e-11 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("surface_class", list(SurfaceClass))
     def test_close_to_seed_kernel(self, default_params, surface_class):
@@ -145,30 +150,36 @@ class TestBackscatter:
             cloud = synth_surface(SiloScene(), surface_class, 0.5, 0.16, seed)
             ref = seed_backscatter(cloud, default_params)
             scan = backscatter(cloud, default_params)
-            assert np.max(np.abs(scan.samples - ref)) <= 1e-12 * np.max(np.abs(ref))
+            assert np.max(np.abs(scan - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_overflowing_sum_refused(self, default_params):
+        # finite amplitudes whose coherent sum is not a finite float
+        cloud = ScattererCloud([1e308, 1e308], [0.7, 0.7])
+        with pytest.raises(InvalidParameterError, match="samples must be finite"):
+            backscatter(cloud, default_params)
 
     def test_aliasing_refused(self, default_params):
         r_max = max_unambiguous_range(default_params)
-        cloud = ScattererCloud([1.0], [r_max + 0.01], SurfaceClass.LEVELLED)
+        cloud = ScattererCloud([1.0], [r_max + 0.01])
         with pytest.raises(AliasingError):
             backscatter(cloud, default_params)
 
     def test_noise_reproducible_per_seed(self, default_params):
-        cloud = ScattererCloud([1.0, 2.0], [0.5, 0.8], SurfaceClass.LEVELLED)
+        cloud = ScattererCloud([1.0, 2.0], [0.5, 0.8])
         a = backscatter(cloud, default_params, snr_db=15.0, seed=5)
         b = backscatter(cloud, default_params, snr_db=15.0, seed=5)
         c = backscatter(cloud, default_params, snr_db=15.0, seed=6)
-        assert np.array_equal(a.samples, b.samples)
-        assert not np.array_equal(a.samples, c.samples)
+        assert np.array_equal(a, b)
+        assert not np.array_equal(a, c)
 
     def test_measured_snr_calibration(self, default_params):
         # >= 1e5 noise samples pooled over trials
         cloud = synth_surface(SiloScene(), SurfaceClass.LEVELLED, 0.5, 0.16, 7)
-        clean = backscatter(cloud, default_params).samples
+        clean = backscatter(cloud, default_params)
         signal_power = np.mean(np.abs(clean) ** 2)
         noise_powers = []
         for seed in range(400):
-            noisy = backscatter(cloud, default_params, snr_db=20.0, seed=seed).samples
+            noisy = backscatter(cloud, default_params, snr_db=20.0, seed=seed)
             noise_powers.append(np.mean(np.abs(noisy - clean) ** 2))
         assert 400 * clean.size >= 1e5
         measured = 10 * np.log10(signal_power / np.mean(noise_powers))
@@ -179,7 +190,7 @@ class TestRangeProfile:
     def test_single_scatterer_peak_matches_oracle(self, default_params):
         scan = _single_scatterer_scan(0.5, default_params)
         bins = range_profile(scan, default_params)
-        oracle = direct_inverse_dft(scan.samples)
+        oracle = direct_inverse_dft(scan)
         assert np.max(np.abs(bins - oracle)) < 1e-9
         # oracle-evaluated peak position; one bin above round(R / dz) because
         # the DFT grid spacing is dz * (N - 1) / N
@@ -199,15 +210,13 @@ class TestRangeProfile:
     def test_forward_inverse_roundtrip(self, default_params):
         rng = np.random.default_rng(3)
         samples = rng.standard_normal(301) + 1j * rng.standard_normal(301)
-        scan = AScan(samples, SurfaceClass.LEVELLED)
-        bins = range_profile(scan, default_params)
+        bins = range_profile(samples, default_params)
         back = np.fft.fft(bins)
         assert np.max(np.abs(back - samples)) / np.max(np.abs(samples)) < 1e-10
 
     def test_length_mismatch(self, default_params):
-        scan = AScan(np.ones(17, dtype=complex), SurfaceClass.LEVELLED)
         with pytest.raises(DimensionMismatchError):
-            range_profile(scan, default_params)
+            range_profile(np.ones(17, dtype=complex), default_params)
 
     def test_peak_localisation_property(self, default_params):
         # circular bin distance: the DFT range axis wraps at the unambiguous range
@@ -325,18 +334,20 @@ TEMPLATE_RANGES = dict(fill_fraction_range=(0.5, 0.5), cone_height_range=(0.16, 
 class TestGenerateDataset:
     def test_balanced_counts(self, default_params):
         scene = SiloScene(scatterers_per_scene=20)
-        ascans = generate_dataset(default_params, scene, [10] * 3, None, seed=1,
-                                  **TEMPLATE_RANGES)
-        assert len(ascans) == 30
-        labels = [scan.label for scan in ascans]
+        scans = generate_dataset(default_params, scene, [10] * 3, None, seed=1,
+                                 **TEMPLATE_RANGES)
+        assert scans.dtype == default_params.scan_dtype and len(scans) == 30
+        labels = scans.label.tolist()
         for cls in SurfaceClass:
             assert labels.count(cls) == 10
+        # noiseless scans carry a NaN SNR
+        assert np.all(np.isnan(scans.snr_db))
 
     def test_configured_counts(self, default_params):
         scene = SiloScene(scatterers_per_scene=20)
-        ascans = generate_dataset(default_params, scene, [3, 4, 5], None, seed=1,
-                                  **TEMPLATE_RANGES)
-        labels = [int(scan.label) for scan in ascans]
+        scans = generate_dataset(default_params, scene, [3, 4, 5], None, seed=1,
+                                 **TEMPLATE_RANGES)
+        labels = scans.label.tolist()
         assert labels.count(0) == 3 and labels.count(1) == 4 and labels.count(2) == 5
 
     def test_deterministic_from_seed(self, default_params):
@@ -346,9 +357,9 @@ class TestGenerateDataset:
         )
         a = generate_dataset(default_params, scene, [4] * 3, 20.0, seed=9, **kwargs)
         b = generate_dataset(default_params, scene, [4] * 3, 20.0, seed=9, **kwargs)
-        for scan_a, scan_b in zip(a, b):
-            assert np.array_equal(scan_a.samples, scan_b.samples)
-            assert scan_a.seed == scan_b.seed
+        assert np.array_equal(a.samples, b.samples)
+        assert np.array_equal(a.seed, b.seed)
+        assert np.all(a.snr_db == 20.0)
 
     def test_rejects_bad_counts(self, default_params):
         scene = SiloScene(scatterers_per_scene=20)
