@@ -19,7 +19,7 @@ import numpy as np
 
 from . import config as cfgmod
 from . import dataset as ds
-from . import evaluation, features, radar, svm
+from . import evaluation, features, parallel, radar, svm
 from .errors import (
     ConfigError,
     ConvergenceError,
@@ -32,10 +32,13 @@ from .errors import (
 
 
 def _handle_errors(func):
+    """Run a command inside its worker pool's scope and turn a grainsort
+    error into its exit code; the workers have exited before the code is."""
     @functools.wraps(func)
     def wrapper(*args, **kwargs):
         try:
-            return func(*args, **kwargs)
+            with parallel.pool():
+                return func(*args, **kwargs)
         except GrainsortError as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(exit_code_for(exc))

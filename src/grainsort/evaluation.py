@@ -18,12 +18,13 @@ deviation across folds) is derived from those matrices.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import List, Mapping, Sequence, Tuple
 
 import numpy as np
 
-from . import svm
+from . import parallel, svm
 from .errors import DataError, DimensionMismatchError
 from .seeding import FOLD_STREAM, stream_rng
 
@@ -123,26 +124,35 @@ def cross_validate(
     X holds one feature row per scan and y its class id.  Per fold the
     scaler and SVM see the training split only, and the fold's test split
     is scored into a confusion matrix.  classifier "echo" replaces
-    predictions with the true labels (reporting-path oracle).
+    predictions with the true labels (reporting-path oracle).  Each fold is
+    one job of parallel.pmap.
     """
     folds = kfold_split(y, k, seed)
-    confusions = []
-    for fold in range(k):
-        test = folds == fold
-        try:
-            if classifier == "echo":
-                predictions = y[test]
-            else:
-                model = svm.train_multiclass(
-                    X[~test], y[~test], kernel,
-                    n_classes=n_classes, tol=tol, max_passes=max_passes,
-                )
-                predictions = svm.predict(model, X[test])
-        except Exception as exc:
-            exc.args = (f"fold {fold}: {exc}",) + exc.args[1:]
-            raise
-        confusions.append(confusion(y[test], predictions, n_classes))
+    confusions = parallel.pmap(
+        functools.partial(_fold_confusion, X, y, folds, kernel, n_classes, tol, max_passes,
+                          classifier),
+        range(k),
+    )
     return MetricsReport(method_tag, np.stack(confusions))
+
+
+def _fold_confusion(X, y, folds, kernel, n_classes, tol, max_passes, classifier,
+                    fold: int) -> np.ndarray:
+    """One fold of cross_validate: train on the other folds, score this one."""
+    test = folds == fold
+    try:
+        if classifier == "echo":
+            predictions = y[test]
+        else:
+            model = svm.train_multiclass(
+                X[~test], y[~test], kernel,
+                n_classes=n_classes, tol=tol, max_passes=max_passes,
+            )
+            predictions = svm.predict(model, X[test])
+    except Exception as exc:
+        exc.args = (f"fold {fold}: {exc}",) + exc.args[1:]
+        raise
+    return confusion(y[test], predictions, n_classes)
 
 
 def report_payload(report: MetricsReport) -> dict:

@@ -11,18 +11,22 @@ explicitly.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
+from . import parallel
 from .errors import AliasingError, InvalidParameterError
 from .seeding import RECORD_STREAM, record_seed
 
 SPEED_OF_LIGHT = 2.99792458e8
 # the longest sweep whose scan record, 17 + 16 * n_freq bytes, fits a NumPy dtype
 MAX_N_FREQ = 134_217_726
+# scans simulated per job of generate_dataset
+CHUNK_ROWS = 64
 
 # spawn_key discriminators under one record seed
 _SURFACE_KEY = 0
@@ -168,6 +172,15 @@ class SiloScene:
                      "wall_clutter_amplitude", "contact_clutter_amplitude", "gain_jitter_db"):
             if not getattr(self, name) >= 0:
                 raise InvalidParameterError(f"{name} must be >= 0")
+        # synth_surface draws a gain below 10 ** (gain_jitter_db / 20)
+        try:
+            max_gain = 10.0 ** (self.gain_jitter_db / 20.0)
+        except OverflowError:
+            max_gain = math.inf
+        if not math.isfinite(max_gain):
+            raise InvalidParameterError(
+                f"gain_jitter_db={self.gain_jitter_db} gives a gain that is not a finite float"
+            )
 
 
 def mean_surface_range(scene: SiloScene, fill_fraction: float) -> float:
@@ -390,7 +403,7 @@ def generate_dataset(
     Per sample, fill_fraction and cone_height are re-drawn uniformly from
     the given ranges; the class alone gives the cone its direction.  Records
     are emitted class-major: all levelled scans first, then peaked, then
-    inverted.
+    inverted.  Each CHUNK_ROWS records are one job of parallel.pmap.
     """
     counts = [int(c) for c in per_class_counts]
     if len(counts) != len(SurfaceClass) or any(c < 1 for c in counts):
@@ -399,7 +412,18 @@ def generate_dataset(
         )
 
     rows = [(cls, i) for cls in SurfaceClass for i in range(counts[cls])]
-    scans = np.recarray(len(rows), dtype=params.scan_dtype)
+    parts = parallel.pmap(
+        functools.partial(_simulate_rows, params, scene, snr_db, seed,
+                          fill_fraction_range, cone_height_range),
+        [rows[i : i + CHUNK_ROWS] for i in range(0, len(rows), CHUNK_ROWS)],
+    )
+    return np.concatenate(parts).view(np.recarray)
+
+
+def _simulate_rows(params, scene, snr_db, seed, fill_fraction_range, cone_height_range,
+                   rows) -> np.ndarray:
+    """The scans of generate_dataset's (class, index) rows, in order."""
+    scans = np.empty(len(rows), dtype=params.scan_dtype)
     snr = math.nan if snr_db is None else snr_db
     for row, (cls, i) in enumerate(rows):
         rseed = record_seed(seed, RECORD_STREAM, int(cls), i)

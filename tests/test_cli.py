@@ -570,12 +570,13 @@ def _loaded(package, code) -> str:
     return result.stdout.splitlines()[-1]
 
 
-@pytest.mark.parametrize("package", ["scipy", "jsonschema"])
+@pytest.mark.parametrize("package", ["scipy", "jsonschema", "multiprocessing"])
 def test_importing_the_cli_does_not_load(package):
-    """Importing either would add to every command's start-up: the program
+    """Importing any would add to every command's start-up: the program
     needs only numpy and click, and the tests use scipy as a reference for
     transforms and statistics and jsonschema as the reference for the config
-    checks."""
+    checks; multiprocessing is loaded by the first worker pool a command
+    starts."""
     assert _loaded(package, "import sys, grainsort.cli") == "[]"
 
 

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -140,6 +142,11 @@ class TestBinaryTraining:
         assert partial is not None
         scores = svm.decision(partial, X)
         assert np.all(np.isfinite(scores))
+        # a fold's error reaches the caller from a worker process as a pickle
+        copy = pickle.loads(pickle.dumps(excinfo.value))
+        assert str(copy) == str(excinfo.value)
+        assert copy.model.diagnostics == partial.diagnostics
+        assert np.array_equal(svm.decision(copy.model, X), scores)
 
 
 @pytest.mark.parametrize("kind", ["linear", "rbf"])
