@@ -1,7 +1,7 @@
 """Command-line front end: simulate, extract, train, predict, evaluate, report.
 
-Exit codes: 0 success, 2 configuration error, 3 data error, 4 solver
-non-convergence.
+Exit codes: 0 success, 1 a worker process died, 2 configuration error,
+3 data error, 4 solver non-convergence.
 """
 
 from __future__ import annotations
@@ -177,10 +177,12 @@ def train(dataset_path, method_tag, config_path, seed, out_dir):
     params, scans = ds.load_dataset(dataset_path)
     fparams = cfgmod.feature_params(cfg)
     X, y = features.extract_matrix(scans, method_tag, fparams)
-    model = svm.train_multiclass(
-        X, y, cfgmod.kernel_spec(cfg),
+    (model,) = svm.train_multiclass(
+        X, y, [cfgmod.kernel_spec(cfg)],
         tol=cfg["svm"]["tol"], max_passes=cfg["svm"]["max_passes"],
     )
+    if isinstance(model, ConvergenceError):
+        raise model
     out = _out_dir(cfg["out_dir"])
     extra = {
         "method_tag": method_tag,
@@ -247,36 +249,33 @@ def predict(model_path, dataset_path, out_dir):
         click.echo(f"wrote {out / 'predictions.csv'}")
 
 
-def _grid_search(cfg, cross_validate):
-    """Flat (C, gamma) grid; returns best report by macro ACC plus the scan.
+def _grid_search(points, kernels, outcomes):
+    """Best point of a flat (C, gamma) grid by macro ACC: (report, kernel, scan).
 
-    ``cross_validate(kernel)`` scores one point on the chain's feature matrix.
-
-    A point whose solver runs out of updates in some fold is kept in the scan
-    as ``"converged": false`` with its KKT violation and left out of the
-    selection; the search fails only when no point converged.
+    points are the grid's (C, gamma) values as configured, kernels their
+    KernelSpecs and outcomes their cross-validations: a MetricsReport, or
+    the ConvergenceError of a point whose solver ran out of updates in some
+    fold.  Such a point is kept in the scan as ``"converged": false`` with
+    its KKT violation and left out of the selection; the search fails only
+    when no point converged.
     """
     best = None
     failure = None
     scan = []
-    for c_val in cfg["grid"]["C"]:
-        for gamma in cfg["grid"]["gamma"]:
-            kernel = cfgmod.kernel_spec(cfg, c=c_val, gamma=gamma)
-            try:
-                report = cross_validate(kernel)
-            except ConvergenceError as exc:
-                failure = exc
-                scan.append({
-                    "C": c_val,
-                    "gamma": gamma,
-                    "converged": False,
-                    "kkt_violation": exc.model.diagnostics.final_violation,
-                })
-                continue
-            acc = evaluation.report_payload(report)["mean"]["ACC"]
-            scan.append({"C": c_val, "gamma": gamma, "macro_acc": acc})
-            if best is None or acc > best[0]:
-                best = (acc, kernel, report)
+    for (c_val, gamma), kernel, outcome in zip(points, kernels, outcomes):
+        if isinstance(outcome, ConvergenceError):
+            failure = outcome
+            scan.append({
+                "C": c_val,
+                "gamma": gamma,
+                "converged": False,
+                "kkt_violation": outcome.model.diagnostics.final_violation,
+            })
+            continue
+        acc = evaluation.report_payload(outcome)["mean"]["ACC"]
+        scan.append({"C": c_val, "gamma": gamma, "macro_acc": acc})
+        if best is None or acc > best[0]:
+            best = (acc, kernel, outcome)
     if best is None:
         raise failure
     return best[2], best[1], scan
@@ -333,25 +332,31 @@ def evaluate(config_path, seed, out_dir, method_tags, echo_classifier, use_grid)
         "methods": list(cfg["methods"]),
         "results": {},
     }
+    if use_grid:
+        points = [(c, gamma) for c in cfg["grid"]["C"] for gamma in cfg["grid"]["gamma"]]
+    else:
+        points = [(None, None)]  # the config kernel
+    kernels = [cfgmod.kernel_spec(cfg, c=c, gamma=gamma) for c, gamma in points]
     # every block is computed before --out is made, so a run that fails
     # leaves no directory behind
     for snr in cfg["dataset"]["snr_db"]:
         scans = _simulate_scans(cfg, snr)
+        chains, y = features.extract_chains(scans, cfg["methods"], fparams)
+        outcomes = evaluation.cross_validate_chains(
+            chains, y, kernels, k=cfg["cv"]["k"], seed=cfg["seed"], tol=cfg["svm"]["tol"],
+            max_passes=cfg["svm"]["max_passes"], classifier=classifier,
+        )
         block = {}
         for method_tag in cfg["methods"]:
-            X, y = features.extract_matrix(scans, method_tag, fparams)
-            cross_validate = functools.partial(
-                evaluation.cross_validate, X, y, method_tag,
-                k=cfg["cv"]["k"], seed=cfg["seed"], tol=cfg["svm"]["tol"],
-                max_passes=cfg["svm"]["max_passes"], classifier=classifier,
-            )
             extra = {}
             if use_grid:
-                report, kernel, scan = _grid_search(cfg, cross_validate)
+                report, kernel, scan = _grid_search(points, kernels, outcomes[method_tag])
                 extra = {"best_kernel": {"C": kernel.c, "gamma": kernel.gamma},
                          "grid_scan": scan}
             else:
-                report = cross_validate(cfgmod.kernel_spec(cfg))
+                (report,) = outcomes[method_tag]
+                if isinstance(report, ConvergenceError):
+                    raise report
             block[method_tag] = {**evaluation.report_payload(report), **extra}
         summary["results"][_snr_tag(snr)] = block
 

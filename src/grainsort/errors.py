@@ -45,6 +45,10 @@ class ConvergenceError(GrainsortError):
         self.model = model
 
 
+class WorkerError(GrainsortError):
+    """A worker process died before its job returned (CLI exit code 1)."""
+
+
 EXIT_OK = 0
 EXIT_CONFIG_ERROR = 2
 EXIT_DATA_ERROR = 3
@@ -59,4 +63,4 @@ def exit_code_for(exc: BaseException) -> int:
         return EXIT_DATA_ERROR
     if isinstance(exc, ConfigError):
         return EXIT_CONFIG_ERROR
-    return 1
+    return 1  # WorkerError, and any other GrainsortError

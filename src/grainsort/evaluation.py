@@ -20,12 +20,12 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import List, Mapping, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple, Union
 
 import numpy as np
 
 from . import parallel, svm
-from .errors import DataError, DimensionMismatchError
+from .errors import ConvergenceError, DataError, DimensionMismatchError
 from .seeding import FOLD_STREAM, stream_rng
 
 METRIC_NAMES = ("SEN", "SPE", "ACC", "PRE", "F1", "MCC")
@@ -119,40 +119,84 @@ def cross_validate(
     max_passes: int = 10,
     classifier: str = "svm",
 ) -> MetricsReport:
-    """Stratified k-fold evaluation of one method chain's feature matrix.
+    """Stratified k-fold evaluation of one method chain's feature matrix at
+    one kernel: :func:`cross_validate_chains` of one chain and one kernel,
+    whose ConvergenceError it raises."""
+    (outcome,) = cross_validate_chains(
+        {method_tag: X}, y, [kernel], k=k, seed=seed, n_classes=n_classes, tol=tol,
+        max_passes=max_passes, classifier=classifier,
+    )[method_tag]
+    if isinstance(outcome, ConvergenceError):
+        raise outcome
+    return outcome
 
-    X holds one feature row per scan and y its class id.  Per fold the
-    scaler and SVM see the training split only, and the fold's test split
-    is scored into a confusion matrix.  classifier "echo" replaces
-    predictions with the true labels (reporting-path oracle).  Each fold is
-    one job of parallel.pmap.
+
+def cross_validate_chains(
+    chains: Mapping[str, np.ndarray],
+    y: np.ndarray,
+    kernels: Sequence[svm.KernelSpec],
+    k: int = 10,
+    seed: int = 0,
+    n_classes: int = 3,
+    tol: float = 1e-3,
+    max_passes: int = 10,
+    classifier: str = "svm",
+) -> Dict[str, List[Union[MetricsReport, ConvergenceError]]]:
+    """Stratified k-fold evaluation of every chain's feature matrix at every kernel.
+
+    chains maps method tags to feature matrices, one row per scan, and y
+    holds each scan's class id.  Per fold the scaler and SVM see the
+    training split only, and the fold's test split is scored into a
+    confusion matrix.  classifier "echo" replaces predictions with the true
+    labels (reporting-path oracle).  Each (chain, fold) is one job of
+    parallel.pmap, which trains that fold at every kernel.
+
+    Returns, per chain, one entry per kernel: its MetricsReport, or the
+    ConvergenceError of its first fold that ran out of updates.  Any other
+    error is raised, from the first failing job in (chain, fold) order.
     """
     folds = kfold_split(y, k, seed)
-    confusions = parallel.pmap(
-        functools.partial(_fold_confusion, X, y, folds, kernel, n_classes, tol, max_passes,
+    jobs = [(X, fold) for X in chains.values() for fold in range(k)]
+    outcomes = parallel.pmap(
+        functools.partial(_fold_confusions, y, folds, kernels, n_classes, tol, max_passes,
                           classifier),
-        range(k),
+        jobs,
     )
-    return MetricsReport(method_tag, np.stack(confusions))
+    results = {method_tag: [] for method_tag in chains}
+    for c, method_tag in enumerate(chains):
+        per_fold = outcomes[c * k:(c + 1) * k]
+        for i in range(len(kernels)):
+            stack = [outcome[i] for outcome in per_fold]
+            errors = [e for e in stack if isinstance(e, ConvergenceError)]
+            results[method_tag].append(
+                errors[0] if errors else MetricsReport(method_tag, np.stack(stack)))
+    return results
 
 
-def _fold_confusion(X, y, folds, kernel, n_classes, tol, max_passes, classifier,
-                    fold: int) -> np.ndarray:
-    """One fold of cross_validate: train on the other folds, score this one."""
+def _fold_confusions(y, folds, kernels, n_classes, tol, max_passes, classifier,
+                     job) -> list:
+    """One (chain, fold) job: train on the other folds at every kernel and
+    score this one, giving a confusion matrix or a ConvergenceError per kernel."""
+    X, fold = job
     test = folds == fold
     try:
         if classifier == "echo":
-            predictions = y[test]
-        else:
-            model = svm.train_multiclass(
-                X[~test], y[~test], kernel,
-                n_classes=n_classes, tol=tol, max_passes=max_passes,
-            )
-            predictions = svm.predict(model, X[test])
+            return [confusion(y[test], y[test], n_classes)] * len(kernels)
+        models = svm.train_multiclass(
+            X[~test], y[~test], kernels,
+            n_classes=n_classes, tol=tol, max_passes=max_passes,
+        )
+        return [_in_fold(model, fold) if isinstance(model, ConvergenceError)
+                else confusion(y[test], svm.predict(model, X[test]), n_classes)
+                for model in models]
     except Exception as exc:
-        exc.args = (f"fold {fold}: {exc}",) + exc.args[1:]
-        raise
-    return confusion(y[test], predictions, n_classes)
+        raise _in_fold(exc, fold)
+
+
+def _in_fold(exc: Exception, fold: int) -> Exception:
+    """exc, its message prefixed with the fold it came from."""
+    exc.args = (f"fold {fold}: {exc}",) + exc.args[1:]
+    return exc
 
 
 def report_payload(report: MetricsReport) -> dict:

@@ -8,12 +8,13 @@ run-length texture off it.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
-from . import transforms
+from . import parallel, transforms
 from .errors import DataError, InvalidParameterError
 
 _DEGENERATE_VAR = 1e-24
@@ -22,8 +23,8 @@ _DEGENERATE_SPREAD = 1e-12
 ENTROPY_BINS = 64
 # texture matrices grow with G per image; cap G at the range of one byte
 MAX_GRAY_LEVELS = 256
-# scans per extract_matrix chunk: bounds the chains' temporaries, and a row
-# does not depend on the other scans of its chunk
+# scans per extract_matrix chunk and per extract_chains job: bounds the
+# chains' temporaries, and a row does not depend on the other scans of its chunk
 CHUNK_SCANS = 128
 # G x G texture cells per chunk, cache-sized: all 128 images at G = 16, four at G = 256
 TEXTURE_CELLS = 2**18
@@ -390,10 +391,12 @@ def extract(
 
 
 def extract_matrix(
-    ascans: np.recarray, method_tag: str, params: FeatureParams = FeatureParams()
+    ascans: np.recarray, method_tag: str, params: FeatureParams = FeatureParams(),
+    first_scan: int = 0,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """One chain's feature rows of a scan array (radar.RadarParams.scan_dtype),
-    a chunk at a time: (X, labels)."""
+    a chunk at a time: (X, labels).  An error names a scan by its index in
+    the array plus first_scan."""
     if len(ascans) == 0:
         raise DataError("no A-scans to extract from")
     samples = ascans.samples
@@ -405,5 +408,42 @@ def extract_matrix(
     ])
     bad = np.flatnonzero(~np.all(np.isfinite(X), axis=1))
     if bad.size:
-        raise DataError(f"{method_tag} features of scan {bad[0]} are not finite")
+        raise DataError(f"{method_tag} features of scan {first_scan + bad[0]} are not finite")
     return X, ascans.label.astype(np.int64)
+
+
+def extract_chains(
+    scans: np.recarray, method_tags: Sequence[str], params: FeatureParams = FeatureParams()
+) -> Tuple[Dict[str, np.ndarray], np.ndarray]:
+    """Every chain's feature rows of a scan array: ({method_tag: X}, labels).
+
+    Each CHUNK_SCANS scans are one job of parallel.pmap, which runs
+    extract_matrix on them for every chain.  A data error is the one that
+    extract_matrix on the whole array raises for the first chain that fails.
+    """
+    if len(scans) == 0:
+        raise DataError("no A-scans to extract from")
+    parts = parallel.pmap(
+        functools.partial(_extract_slice, tuple(method_tags), params),
+        [(i, scans[i : i + CHUNK_SCANS]) for i in range(0, len(scans), CHUNK_SCANS)],
+    )
+    chains = {}
+    for c, method_tag in enumerate(method_tags):
+        rows = [part[c] for part in parts]
+        errors = [r for r in rows if isinstance(r, DataError)]
+        if errors:
+            raise errors[0]
+        chains[method_tag] = np.vstack(rows)
+    return chains, scans.label.astype(np.int64)
+
+
+def _extract_slice(method_tags, params, job) -> list:
+    """One job of extract_chains: each chain's rows of one slice, or its DataError."""
+    first_scan, scans = job
+    rows = []
+    for method_tag in method_tags:
+        try:
+            rows.append(extract_matrix(scans, method_tag, params, first_scan)[0])
+        except DataError as exc:
+            rows.append(exc)
+    return rows

@@ -6,13 +6,16 @@ two or more jobs, the jobs run on forked worker processes, one per CPU up to
 one per job; otherwise, and inside a worker, pmap is builtin map.  Each job
 runs the same code on the same inputs either way, so no result depends on
 the worker count, and a failing job raises in the caller as it would in the
-serial map: the first failure in job order.
+serial map: the first failure in job order.  A worker that dies (killed by
+a signal, say) raises errors.WorkerError.
 """
 
 from __future__ import annotations
 
 import contextlib
 import os
+
+from .errors import WorkerError
 
 _PR_SET_PDEATHSIG = 1  # <linux/prctl.h>
 
@@ -72,4 +75,9 @@ def pmap(fn, jobs) -> list:
             workers, mp_context=multiprocessing.get_context("fork"),
             initializer=_worker_init, initargs=(os.getpid(),),
         ))
-    return list(_scope[0].map(fn, jobs))
+    from concurrent.futures.process import BrokenProcessPool
+
+    try:
+        return list(_scope[0].map(fn, jobs))
+    except BrokenProcessPool as exc:
+        raise WorkerError(f"a worker process died: {exc}") from None

@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -160,16 +160,17 @@ def train_binary(
     tol: float = 1e-3,
     max_passes: int = 10,
     debug: bool = False,
-    gram_buffer: Optional[np.ndarray] = None,
+    gram: Optional[np.ndarray] = None,
 ) -> BinarySVM:
     """Fit one soft-margin machine on labels in {-1, +1}.
 
     max_passes * n bounds the number of pair updates; running out raises
     ConvergenceError with the best iterate attached.  With debug=True the
     dual objective is recomputed after every accepted update and asserted
-    non-decreasing (slow; for small problems and tests).  A float64
-    gram_buffer of at least n * n entries holds the Gram matrix instead of a
-    fresh array; nothing in the returned machine refers to it.
+    non-decreasing (slow; for small problems and tests).  gram, when given,
+    is the (n, n) ``kernel_matrix(kernel, X)`` already built by the caller,
+    and it is used in place of a fresh one; nothing in the returned machine
+    refers to it.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float).ravel()
@@ -187,8 +188,9 @@ def train_binary(
     kernel = resolve_gamma(kernel, X)
     n = y.size
     c_box = float(kernel.c)
-    out = None if gram_buffer is None else gram_buffer[: n * n].reshape(n, n)
-    K = kernel_matrix(kernel, X, out=out)
+    if gram is not None and gram.shape != (n, n):
+        raise DimensionMismatchError(f"Gram matrix of shape {gram.shape} for {n} rows")
+    K = kernel_matrix(kernel, X) if gram is None else gram
     alpha = np.zeros(n)  # refreshed from alpha_list before it is read
     f_cache = np.zeros(n)  # f_i = sum_j alpha_j y_j K_ij
     budget = max_passes * n
@@ -313,15 +315,20 @@ class MulticlassSVM:
 def train_multiclass(
     X: np.ndarray,
     labels: np.ndarray,
-    kernel: KernelSpec,
+    kernels: Sequence[KernelSpec],
     n_classes: int = 3,
     tol: float = 1e-3,
     max_passes: int = 10,
-) -> MulticlassSVM:
-    """Standardize on the full training fold, then fit every class pair.
+) -> List[Union[MulticlassSVM, ConvergenceError]]:
+    """Standardize on the full training fold, then fit every class pair at
+    every kernel: one model per kernel, in order.
 
-    In each pairwise machine the lower class id takes label +1.  The pairs
-    build their Gram matrices in turn into one buffer sized for the largest.
+    A kernel whose machine runs out of updates on some pair gets that pair's
+    ConvergenceError in place of a model and trains no later pair.  In each
+    pairwise machine the lower class id takes label +1.  For each pair the
+    Gram matrix is built once per distinct Gram input (the kind, and gamma
+    for rbf), into one buffer sized for the largest pair, and every kernel
+    that shares it trains on it: the kernels differ only in C.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     labels = np.asarray(labels, dtype=int).ravel()
@@ -332,17 +339,34 @@ def train_multiclass(
         raise DegenerateTrainingError(f"training fold is missing class(es) {missing}")
     scaler = standardize_fit(X)
     Xs = scaler.transform(X)
-    kernel = resolve_gamma(kernel, Xs)
+    kernels = [resolve_gamma(kernel, Xs) for kernel in kernels]
+    shared = {}  # Gram input -> the kernels that train on it
+    for i, kernel in enumerate(kernels):
+        shared.setdefault((kernel.kind, kernel.gamma if kernel.kind == "rbf" else None),
+                          []).append(i)
     masks = {(a, b): (labels == a) | (labels == b) for a, b in combinations(class_ids, 2)}
     n_max = max((int(mask.sum()) for mask in masks.values()), default=0)
     gram_buffer = np.empty(n_max * n_max)
-    pairwise = {}
+    pairwise = [{} for _ in kernels]
+    failed = [None] * len(kernels)
     for (a, b), mask in masks.items():
+        Xp = Xs[mask]
         y = np.where(labels[mask] == a, 1.0, -1.0)
-        pairwise[(a, b)] = train_binary(
-            Xs[mask], y, kernel, tol=tol, max_passes=max_passes, gram_buffer=gram_buffer
-        )
-    return MulticlassSVM(class_ids, pairwise, scaler, kernel)
+        n = y.size
+        for members in shared.values():
+            live = [i for i in members if failed[i] is None]
+            if not live:
+                continue
+            K = kernel_matrix(kernels[live[0]], Xp, out=gram_buffer[: n * n].reshape(n, n))
+            for i in live:
+                try:
+                    pairwise[i][(a, b)] = train_binary(
+                        Xp, y, kernels[i], tol=tol, max_passes=max_passes, gram=K
+                    )
+                except ConvergenceError as exc:
+                    failed[i] = exc
+    return [MulticlassSVM(class_ids, pairwise[i], scaler, kernel) if failed[i] is None
+            else failed[i] for i, kernel in enumerate(kernels)]
 
 
 def predict(model: MulticlassSVM, rows: np.ndarray) -> np.ndarray:

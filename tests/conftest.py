@@ -1,3 +1,4 @@
+import os
 import sys
 from pathlib import Path
 
@@ -38,3 +39,14 @@ def tiny_scans(tiny_config):
         fill_fraction_range=cfg["dataset"]["fill_fraction_range"],
         cone_height_range=cfg["dataset"]["cone_height_range"],
     )
+
+
+@pytest.fixture()
+def one_cpu():
+    """This process pinned to one CPU, so that every parallel.pmap runs in it."""
+    cpus = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(cpus)})
+    try:
+        yield
+    finally:
+        os.sched_setaffinity(0, cpus)

@@ -6,8 +6,6 @@ import importlib
 import sys
 from pathlib import Path
 
-import functools
-
 import numpy as np
 import pytest
 
@@ -70,15 +68,15 @@ def test_cross_validate_description(tracer, tiny_scans):
     assert describe(args, kwargs, report) == {"folds": 3}
 
 
-def test_grid_search_description(tracer, tiny_config, tiny_scans):
+def test_grid_search_description(tracer, tiny_scans):
     describe = tracer.TARGETS["cli"]["_grid_search"]
-    cfg = dict(tiny_config, grid={"C": [1.0, 10.0], "gamma": [0.05, 0.5]})
-    cross_validate = functools.partial(
-        evaluation.cross_validate, *features.extract_matrix(tiny_scans, "FOS"), "FOS",
-        k=3, classifier="echo",
-    )
-    result = cli._grid_search(cfg, cross_validate)
-    assert describe((cfg, cross_validate), {}, result) == {"points": 4}
+    points = [(c, gamma) for c in (1.0, 10.0) for gamma in (0.05, 0.5)]
+    kernels = [svm.KernelSpec(c=c, gamma=gamma) for c, gamma in points]
+    X, y = features.extract_matrix(tiny_scans, "FOS")
+    outcomes = evaluation.cross_validate_chains({"FOS": X}, y, kernels, k=3,
+                                                classifier="echo")["FOS"]
+    result = cli._grid_search(points, kernels, outcomes)
+    assert describe((points, kernels, outcomes), {}, result) == {"points": 4}
 
 
 def test_train_binary_description(tracer):

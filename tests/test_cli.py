@@ -9,9 +9,11 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from grainsort import cli as cli_module
 from grainsort import config as cfgmod
-from grainsort import features
+from grainsort import evaluation, features, svm
 from grainsort.cli import cli
+from grainsort.errors import ConvergenceError
 from grainsort.dataset import load_dataset
 
 
@@ -478,13 +480,74 @@ class TestEvaluate:
         assert len(payload["grid_scan"]) == 2
 
 
+    def test_grid_builds_each_gram_once_and_scores_points_as_alone(
+            self, runner, tmp_path, monkeypatch, one_cpu):
+        """A pinned --grid run at 2 C x 2 gamma and k = 3 builds each training
+        Gram once per (fold, pair, gamma), not once per point, and each point
+        gets the confusion stack, or the ConvergenceError, that cross_validate
+        gives at its kernel alone; (C=10, gamma=0.01) does not converge."""
+        config = _write_config(
+            tmp_path, grid={"C": [1.0, 10.0], "gamma": [0.001, 0.01]}, cv={"k": 3},
+            svm={"max_passes": 1},
+            scene={"scatterers_per_scene": 30, "gain_jitter_db": 6.0},
+            dataset={"per_class_counts": [20, 20, 20], "snr_db": [-30.0]},
+        )
+        grams = []
+        kernel_matrix = svm.kernel_matrix
+
+        def counting(spec, A, B=None, out=None):
+            if B is None:  # a training Gram, not a decision's kernel rows
+                grams.append(spec)
+            return kernel_matrix(spec, A, B, out=out)
+
+        monkeypatch.setattr(svm, "kernel_matrix", counting)
+        searched = []
+        grid_search = cli_module._grid_search
+
+        def recording(points, kernels, outcomes):
+            searched.append(outcomes)
+            return grid_search(points, kernels, outcomes)
+
+        monkeypatch.setattr(cli_module, "_grid_search", recording)
+        out = tmp_path / "grams"
+        result = runner.invoke(
+            cli, ["evaluate", "--config", str(config), "--out", str(out), "--method", "FOS",
+                  "--grid"])
+        assert result.exit_code == 0, result.output
+        assert len(grams) == 3 * 3 * 2  # k x pairs x gammas
+
+        cfg = cfgmod.load_config(config)
+        X, y = features.extract_matrix(cli_module._simulate_scans(cfg, -30.0), "FOS")
+        scan = json.loads((out / "summary.json").read_text())["results"]["snr-30"]["FOS"]["grid_scan"]
+        (outcomes,) = searched
+        points = [(c, gamma) for c in (1.0, 10.0) for gamma in (0.001, 0.01)]
+        stalled = []
+        for (c, gamma), outcome, entry in zip(points, outcomes, scan, strict=True):
+            try:
+                oracle = evaluation.cross_validate(
+                    X, y, "FOS", cfgmod.kernel_spec(cfg, c=c, gamma=gamma), k=3, seed=777,
+                    tol=cfg["svm"]["tol"], max_passes=1,
+                )
+            except ConvergenceError as exc:
+                stalled.append((c, gamma))
+                assert str(outcome) == str(exc)
+                violation = exc.model.diagnostics.final_violation
+                assert outcome.model.diagnostics.final_violation == violation
+                assert entry == {"C": c, "gamma": gamma, "converged": False,
+                                 "kkt_violation": violation}
+                continue
+            assert np.array_equal(outcome.confusions, oracle.confusions)
+            acc = evaluation.report_payload(oracle)["mean"]["ACC"]
+            assert entry == {"C": c, "gamma": gamma, "macro_acc": acc}
+        assert stalled == [(10.0, 0.01)]
+
     def test_extracts_each_chain_once(self, runner, simulated, monkeypatch):
-        """Plain and grid runs cross-validate one feature matrix per chain."""
+        """Plain and grid runs extract each (chain, scan) row once."""
         original = features.extract_matrix
         calls = []
 
         def counting(ascans, method_tag, *args, **kwargs):
-            calls.append(method_tag)
+            calls.extend((method_tag, seed) for seed in ascans.seed.tolist())
             return original(ascans, method_tag, *args, **kwargs)
 
         # every module that bound the function by name, not only its home
@@ -493,6 +556,7 @@ class TestEvaluate:
                 monkeypatch.setattr(module, "extract_matrix", counting)
 
         config, dataset, tmp_path = simulated
+        seeds = load_dataset(dataset)[1].seed.tolist()
         cfg = json.loads(Path(config).read_text())
         cfg["grid"] = {"C": [1.0, 10.0], "gamma": [0.05, 0.5]}
         grid_config = tmp_path / "grid_2x2.json"
@@ -506,7 +570,8 @@ class TestEvaluate:
                 cli, ["evaluate", *argv, "--method", "FOS", "--method", "DWT+FOS"]
             )
             assert result.exit_code == 0, result.output
-            assert sorted(calls) == ["DWT+FOS", "FOS"], argv
+            assert sorted(calls) == sorted((tag, seed) for tag in ("DWT+FOS", "FOS")
+                                           for seed in seeds), argv
         summary = json.loads((tmp_path / "once_grid" / "summary.json").read_text())
         assert len(summary["results"]["snr20"]["FOS"]["grid_scan"]) == 4
 

@@ -276,7 +276,8 @@ class TestCrossValidate:
 
         def fold_model(features, fold):
             train = folds != fold
-            return svm.train_multiclass(features[train], y[train], kernel, max_passes=50)
+            (model,) = svm.train_multiclass(features[train], y[train], [kernel], max_passes=50)
+            return model
 
         # cross_validate scores each fold with the model of its training split
         report = ev.cross_validate(X, y, "FOS", kernel, k=3, seed=2, max_passes=50)

@@ -1,6 +1,7 @@
 """The worker pool: commands give the same bytes at any worker count, report
 a worker's failure as the serial loop would, and leave no process behind."""
 
+import concurrent.futures
 import json
 import os
 import signal
@@ -13,8 +14,9 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from grainsort import features, parallel, radar, svm
+from grainsort import evaluation, features, parallel, radar, svm
 from grainsort.cli import cli
+from grainsort.dataset import load_dataset
 from grainsort.errors import ConvergenceError, DataError, InvalidParameterError
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -90,21 +92,30 @@ def files(tmp_path_factory):
     return {"root": root, "config": config, "gsrd": root / "sim" / "dataset_snr20.gsrd"}
 
 
-def _stalling_folds(monkeypatch, folds, stalls=lambda kernel: True):
-    """svm.train_multiclass raises ConvergenceError in these folds, with a
-    model whose KKT violation is the fold id / 100 and a message naming the
-    worker's process."""
+def _stalling_folds(monkeypatch, files, folds, stalls=lambda kernel: True):
+    """svm.train_multiclass gives a ConvergenceError in these folds of the
+    command _evaluate_k10 runs, for each kernel that stalls, with a model
+    whose KKT violation is the fold id / 100 and a message naming the
+    worker's process.  A training matrix is mapped to its fold by its bytes."""
+    X, y = features.extract_matrix(load_dataset(files["gsrd"])[1], "FOS")
+    split = evaluation.kfold_split(y, 10, CONFIG["seed"])
+    fold_of = {X[split != fold].tobytes(): fold for fold in range(10)}
     train = svm.train_multiclass
 
-    def fake(X, labels, kernel, **kwargs):
-        fold = sys._getframe(1).f_locals["fold"]  # the caller, evaluation._fold_confusion
-        if fold in folds and stalls(kernel):
-            model = svm.BinarySVM(np.zeros((0, X.shape[1])), np.zeros(0), 0.0, kernel,
-                                  diagnostics=svm.SMODiagnostics(final_violation=fold / 100))
-            raise ConvergenceError(f"stalled in process {os.getpid()}", model=model)
-        return train(X, labels, kernel, **kwargs)
+    def fake(X, labels, kernels, **kwargs):
+        fold = fold_of[X.tobytes()]
+        stalled = [fold in folds and stalls(kernel) for kernel in kernels]
+        trained = iter(train(X, labels, [k for k, s in zip(kernels, stalled) if not s], **kwargs))
+        return [_stall(X, kernel, fold) if s else next(trained)
+                for kernel, s in zip(kernels, stalled)]
 
     monkeypatch.setattr(svm, "train_multiclass", fake)
+
+
+def _stall(X, kernel, fold):
+    model = svm.BinarySVM(np.zeros((0, X.shape[1])), np.zeros(0), 0.0, kernel,
+                          diagnostics=svm.SMODiagnostics(final_violation=fold / 100))
+    return ConvergenceError(f"stalled in process {os.getpid()}", model=model)
 
 
 def _failing(exc_type):
@@ -125,7 +136,7 @@ def _evaluate_k10(files):
 def test_a_worker_failure_exits_with_its_code_and_leaves_no_process(files, monkeypatch, code):
     out = files["root"] / f"fail_{code}"
     if code == 4:
-        _stalling_folds(monkeypatch, {3, 7})
+        _stalling_folds(monkeypatch, files, {3, 7})
         argv = _evaluate_k10(files) + ["--out", str(out)]
     else:
         monkeypatch.setattr(radar, "backscatter",
@@ -146,7 +157,7 @@ def test_a_worker_failure_exits_with_its_code_and_leaves_no_process(files, monke
 
 @multi_cpu
 def test_grid_records_the_first_stalled_fold_of_a_point(files, monkeypatch):
-    _stalling_folds(monkeypatch, {3, 7}, stalls=lambda kernel: kernel.c == 10.0)
+    _stalling_folds(monkeypatch, files, {3, 7}, stalls=lambda kernel: kernel.c == 10.0)
     out = files["root"] / "grid"
     result = CliRunner().invoke(cli, _evaluate_k10(files) + ["--out", str(out), "--grid"])
     assert result.exit_code == 0, result.output
@@ -156,14 +167,68 @@ def test_grid_records_the_first_stalled_fold_of_a_point(files, monkeypatch):
     assert all("macro_acc" in p for p in scan if p["C"] == 1.0)
 
 
-def _commands(root, config):
+@pytest.mark.parametrize("pinned", [True, pytest.param(False, marks=multi_cpu)])
+def test_a_non_finite_row_names_its_scan_as_a_serial_run(files, monkeypatch, request, pinned):
+    """FOS rows go non-finite at scan 140, in the second 128-scan slice, and
+    DWT+FOS rows at scan 10, in the first: the run names the first chain's
+    scan, as extract_matrix on the whole array does."""
+    if pinned:
+        request.getfixturevalue("one_cpu")
+    scans = load_dataset(files["gsrd"])[1]
+    poison = {"FOS": scans.samples[140], "DWT+FOS": scans.samples[10]}
+    chain = features._chain
+
+    def poisoned(samples, method_tag, params):
+        X = chain(samples, method_tag, params)
+        if method_tag in poison:
+            X[np.all(samples == poison[method_tag], axis=1)] = np.nan
+        return X
+
+    monkeypatch.setattr(features, "_chain", poisoned)
+    with pytest.raises(DataError) as serial:
+        features.extract_matrix(scans, "FOS")
+    assert str(serial.value) == "FOS features of scan 140 are not finite"
+    out = files["root"] / f"nan_{pinned}"
+    result = CliRunner().invoke(cli, ["evaluate", "--config", str(files["config"]), "--out",
+                                      str(out), "--method", "FOS", "--method", "DWT+FOS"])
+    assert result.exit_code == 3, result.output
+    errors = [line for line in result.output.splitlines() if line.startswith("error:")]
+    assert errors == [f"error: {serial.value}"]
+    assert not out.exists()
+
+
+@multi_cpu
+def test_extract_train_predict_report_and_help_start_no_pool(files, monkeypatch):
+    root = files["root"] / "serial"
+    gsrd, config = str(files["gsrd"]), str(files["config"])
+    echo = CliRunner().invoke(cli, ["evaluate", "--config", config, "--out", str(root / "ev"),
+                                    "--method", "FOS", "--echo-classifier"])
+    assert echo.exit_code == 0, echo.output
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+    for argv in (["--help"],
+                 ["extract", gsrd, "--method", "STFT+GLCM", "--config", config,
+                  "--out", str(root / "x")],
+                 ["train", gsrd, "--method", "FOS", "--config", config, "--out", str(root / "m")],
+                 ["predict", str(root / "m" / "model.json"), gsrd],
+                 ["report", str(root / "ev" / "summary.json")]):
+        result = CliRunner().invoke(cli, argv)
+        assert result.exit_code == 0, (argv, result.output, result.exception)
+
+
+def _commands(root, config, stall_config):
     sim = root / "sim"
     commands = [["simulate", "--config", str(config), "--out", str(sim)]]
     commands += [["extract", str(sim / "dataset_snr20.gsrd"), "--method", chain,
                   "--config", str(config), "--out", str(root / "extract")] for chain in CHAINS]
     commands += [["evaluate", "--config", str(config), "--out", str(root / "evaluate")],
                  ["evaluate", "--config", str(config), "--out", str(root / "grid"),
-                  "--grid", "--method", "STFT+GLCM"]]
+                  "--grid", "--method", "STFT+GLCM"],
+                 ["evaluate", "--config", str(stall_config), "--out", str(root / "stall"),
+                  "--grid", "--method", "FOS"]]
     return commands
 
 
@@ -171,11 +236,16 @@ def _commands(root, config):
 def test_same_bytes_on_one_cpu_and_on_all(tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(CONFIG))
+    # C = 1000 runs out of updates in some folds, so ConvergenceError values
+    # cross the pipe and their KKT violations reach the summary
+    stall_config = tmp_path / "stall.json"
+    stall_config.write_text(json.dumps({**CONFIG, "grid": {"C": [1.0, 1000.0],
+                                                           "gamma": [0.05, 0.5]}}))
     one_cpu = min(os.sched_getaffinity(0))
     runs = {}
     for side, pin in (("one", lambda: os.sched_setaffinity(0, {one_cpu})), ("all", None)):
         root = tmp_path / side
-        for i, argv in enumerate(_commands(root, config)):
+        for i, argv in enumerate(_commands(root, config, stall_config)):
             proc = subprocess.run([sys.executable, "-m", "grainsort.cli", *argv], env=_env(),
                                   capture_output=True, preexec_fn=pin, timeout=120)
             assert proc.returncode == 0, proc.stderr
@@ -186,7 +256,8 @@ def test_same_bytes_on_one_cpu_and_on_all(tmp_path):
                    if p.is_file())
     # two GSRD files and a manifest, a CSV per chain, four reports and a
     # summary per evaluation, and the commands' output streams
-    assert len(names) == 3 + len(CHAINS) + 2 * 5 + 1
+    assert len(names) == 3 + len(CHAINS) + 3 * 5 + 1
+    assert '"converged": false' in (tmp_path / "all" / "stall" / "summary.json").read_text()
     assert names == sorted(p.relative_to(tmp_path / "all") for p in (tmp_path / "all").rglob("*")
                            if p.is_file())
     for name in names:
@@ -215,5 +286,36 @@ def test_workers_die_with_a_killed_command(tmp_path):
         time.sleep(0.02)
     alive = [pid for pid in workers if not _dead(pid)]
     for pid in alive:  # the orphans of a failing run
+        os.kill(pid, signal.SIGKILL)
+    assert not alive
+
+
+@multi_cpu
+def test_a_dead_worker_exits_1_with_one_error_line(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**CONFIG, "dataset": {"per_class_counts": [200] * 3,
+                                                        "snr_db": [20.0]}, "cv": {"k": 10}}))
+    out = tmp_path / "out"
+    proc = subprocess.Popen([sys.executable, "-m", "grainsort.cli", "evaluate", "--config",
+                             str(config), "--out", str(out)], env=_env(), text=True,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        deadline = time.monotonic() + 60
+        while len(workers := _children(proc.pid)) < 2:
+            assert proc.poll() is None and time.monotonic() < deadline, "no workers started"
+            time.sleep(0.01)
+        os.kill(min(workers), signal.SIGKILL)
+        stdout, stderr = proc.communicate(timeout=60)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait(timeout=10)
+    assert proc.returncode == 1, stderr
+    errors = [line for line in stderr.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and errors[0].startswith("error: a worker process died"), stderr
+    assert "Traceback" not in stdout + stderr
+    assert not out.exists()
+    alive = [pid for pid in workers if not _dead(pid)]
+    for pid in alive:
         os.kill(pid, signal.SIGKILL)
     assert not alive

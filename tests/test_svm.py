@@ -17,6 +17,14 @@ def _blobs(seed=0, n_per=30, centres=((0, 0), (5, 0), (0, 5)), sigma=0.5):
     return X, y
 
 
+def _fit(X, labels, kernel, **kwargs):
+    """train_multiclass at one kernel: its model, or its ConvergenceError raised."""
+    (model,) = svm.train_multiclass(X, labels, [kernel], **kwargs)
+    if isinstance(model, ConvergenceError):
+        raise model
+    return model
+
+
 def _kkt_violation(model, X, y, kernel):
     """Independent KKT residual: rebuild the full dual vector from the model."""
     n = y.size
@@ -302,22 +310,22 @@ class TestDecision:
 class TestMulticlass:
     def test_three_blob_sanity(self):
         X, y = _blobs(0)
-        model = svm.train_multiclass(X, y, svm.KernelSpec(kind="rbf", c=10.0))
+        model = _fit(X, y, svm.KernelSpec(kind="rbf", c=10.0))
         assert np.array_equal(svm.predict(model, X), y)
         assert len(model.pairwise) == 3
 
     def test_blob_centres_classified(self):
         X, y = _blobs(1)
-        model = svm.train_multiclass(X, y, svm.KernelSpec(kind="rbf", c=10.0))
+        model = _fit(X, y, svm.KernelSpec(kind="rbf", c=10.0))
         centres = np.array([[0.0, 0.0], [5.0, 0.0], [0.0, 5.0]])
         assert svm.predict(model, centres).tolist() == [0, 1, 2]
 
     def test_row_permutation_invariant_predictions(self):
         X, y = _blobs(2)
-        model_a = svm.train_multiclass(X, y, svm.KernelSpec(kind="rbf", c=10.0))
+        model_a = _fit(X, y, svm.KernelSpec(kind="rbf", c=10.0))
         rng = np.random.default_rng(0)
         perm = rng.permutation(len(y))
-        model_b = svm.train_multiclass(X[perm], y[perm], svm.KernelSpec(kind="rbf", c=10.0))
+        model_b = _fit(X[perm], y[perm], svm.KernelSpec(kind="rbf", c=10.0))
         assert np.array_equal(svm.predict(model_a, X), svm.predict(model_b, X))
 
     @pytest.mark.parametrize("kind", ["linear", "rbf"])
@@ -329,7 +337,7 @@ class TestMulticlass:
         labels = np.repeat([0, 1, 2], [20, 12, 7])
         X = rng.standard_normal((labels.size, 3)) + labels[:, None]
         kernel = svm.KernelSpec(kind=kind, c=1.0)
-        model = svm.train_multiclass(X, labels, kernel)
+        model = _fit(X, labels, kernel)
         Xs = svm.standardize_fit(X).transform(X)
         for (a, b), machine in model.pairwise.items():
             mask = (labels == a) | (labels == b)
@@ -341,15 +349,49 @@ class TestMulticlass:
             assert np.array_equal(machine.sv_indices, alone.sv_indices)
             assert machine.diagnostics.n_updates == alone.diagnostics.n_updates
 
+    def test_kernels_train_as_alone_on_one_gram_per_input(self, monkeypatch):
+        """Kernels that differ only in C share each pair's Gram matrix, and each
+        kernel gets the machines, or the ConvergenceError, it gets alone."""
+        rng = np.random.default_rng(3)
+        X = np.vstack([rng.normal(c, 1.5, (25, 2)) for c in ((0, 0), (1, 0), (0, 1))])
+        labels = np.repeat([0, 1, 2], 25)
+        kernels = [svm.KernelSpec(c=c, gamma=g) for c in (0.1, 100.0) for g in (0.5, 5.0)]
+        kernels.append(svm.KernelSpec(kind="linear", c=1.0))
+        alone = [svm.train_multiclass(X, labels, [k], max_passes=3)[0] for k in kernels]
+        built = []
+        kernel_matrix = svm.kernel_matrix
+
+        def counting(spec, *args, **kwargs):
+            built.append(spec)
+            return kernel_matrix(spec, *args, **kwargs)
+
+        monkeypatch.setattr(svm, "kernel_matrix", counting)
+        together = svm.train_multiclass(X, labels, kernels, max_passes=3)
+        # one Gram per pair at gamma 0.5 and at 5.0; the linear kernel runs out
+        # of updates on the first pair, so its Gram is built for that pair only
+        assert len(built) == 3 * 2 + 1
+        assert [isinstance(m, ConvergenceError) for m in together] == [False] * 2 + [True] * 3
+        for a, b in zip(alone, together):
+            if isinstance(a, ConvergenceError):
+                assert str(a) == str(b)
+                assert a.model.diagnostics.final_violation == b.model.diagnostics.final_violation
+                assert np.array_equal(a.model.dual_coef, b.model.dual_coef)
+                continue
+            assert a.kernel == b.kernel and a.pairwise.keys() == b.pairwise.keys()
+            for pair, machine in a.pairwise.items():
+                assert np.array_equal(machine.dual_coef, b.pairwise[pair].dual_coef)
+                assert machine.bias == b.pairwise[pair].bias
+                assert machine.diagnostics.n_updates == b.pairwise[pair].diagnostics.n_updates
+
     def test_missing_class_rejected(self):
         X, y = _blobs(3)
         mask = y != 2
         with pytest.raises(DegenerateTrainingError):
-            svm.train_multiclass(X[mask], y[mask], svm.KernelSpec(kind="rbf", c=10.0))
+            _fit(X[mask], y[mask], svm.KernelSpec(kind="rbf", c=10.0))
 
     def test_vote_tally_matches_reference_count(self):
         X, y = _blobs(4)
-        model = svm.train_multiclass(X, y, svm.KernelSpec(kind="rbf", c=10.0))
+        model = _fit(X, y, svm.KernelSpec(kind="rbf", c=10.0))
         rows = model.scaler.transform(X)
         predictions = svm.predict(model, X)
         for r in range(0, len(y), 7):
@@ -363,7 +405,7 @@ class TestMulticlass:
 
     def test_pure_function_on_duplicates(self):
         X, y = _blobs(5)
-        model = svm.train_multiclass(X, y, svm.KernelSpec(kind="rbf", c=10.0))
+        model = _fit(X, y, svm.KernelSpec(kind="rbf", c=10.0))
         point = X[3:4]
         assert np.array_equal(svm.predict(model, point), svm.predict(model, point.copy()))
 
@@ -395,8 +437,8 @@ class TestMulticlass:
     def test_unit_rescaling_with_refit_scaler_is_neutral(self):
         X, y = _blobs(6)
         scale = np.array([100.0, 0.01])
-        model_a = svm.train_multiclass(X, y, svm.KernelSpec(kind="rbf", c=10.0))
-        model_b = svm.train_multiclass(X * scale, y, svm.KernelSpec(kind="rbf", c=10.0))
+        model_a = _fit(X, y, svm.KernelSpec(kind="rbf", c=10.0))
+        model_b = _fit(X * scale, y, svm.KernelSpec(kind="rbf", c=10.0))
         grid = X[::5]
         assert np.array_equal(
             svm.predict(model_a, grid), svm.predict(model_b, grid * scale)
@@ -406,7 +448,7 @@ class TestMulticlass:
 class TestPersistence:
     def test_round_trip_predictions_bit_identical(self, tmp_path):
         X, y = _blobs(7)
-        model = svm.train_multiclass(X, y, svm.KernelSpec(kind="rbf", c=10.0))
+        model = _fit(X, y, svm.KernelSpec(kind="rbf", c=10.0))
         probe = np.vstack([X[::3], X[::3] + 0.25])
         before = svm.predict(model, probe)
         path = tmp_path / "model.json"
