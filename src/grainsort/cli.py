@@ -6,11 +6,15 @@ Exit codes: 0 success, 1 a worker process died, 2 configuration error,
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import functools
 import hashlib
 import json
+import os
+import shutil
 import sys
+import tempfile
 from pathlib import Path
 from typing import List
 
@@ -55,6 +59,43 @@ def _out_dir(path) -> Path:
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {out}: {exc}") from None
     return out
+
+
+@contextlib.contextmanager
+def _staged_out(path):
+    """A fresh hidden stage directory to write a run's files into: inside
+    the output directory if it exists, else beside it, so that it is on the
+    output's filesystem.
+
+    When the block ends without an exception, every file in the stage moves
+    into the output directory (made if missing) with os.replace: a file of
+    the same name already there is replaced, and other files there are left
+    as they are.  The stage, and any directory made for it, is removed
+    however the block ends, so a run that fails writes nothing.
+    """
+    out = Path(path)
+    home = out if out.is_dir() else out.resolve().parent
+    made = [parent for parent in (home, *home.parents) if not parent.exists()]
+    try:
+        home.mkdir(parents=True, exist_ok=True)
+        stage = Path(tempfile.mkdtemp(prefix=".grainsort-stage-", dir=home))
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out}: {exc}") from None
+    try:
+        yield stage
+        _out_dir(out)
+        try:
+            for item in sorted(stage.iterdir()):
+                os.replace(item, out / item.name)
+        except OSError as exc:
+            raise ConfigError(f"cannot write into output directory {out}: {exc}") from None
+    except BaseException:
+        shutil.rmtree(stage, ignore_errors=True)
+        for parent in made:  # deepest first
+            with contextlib.suppress(OSError):
+                parent.rmdir()
+        raise
+    stage.rmdir()
 
 
 def _provenance_lines(config_hash, seed, **extra) -> List[str]:
@@ -115,29 +156,31 @@ def simulate(config_path, seed, out_dir, snr_override, also_csv):
         "n_freq": params.n_freq,
         "files": [],
     }
-    for snr in cfg["dataset"]["snr_db"]:
-        scans = _simulate_scans(cfg, snr)
-        # made at the first file written, so a fault that only simulation
-        # finds leaves no directory behind
-        out = _out_dir(cfg["out_dir"])
-        name = f"dataset_{_snr_tag(snr)}.gsrd"
-        ds.save_dataset(out / name, params, scans)
-        manifest["files"].append(
-            {"path": name, "snr_db": snr, "n_records": len(scans)}
+    out = Path(cfg["out_dir"])
+    wrote = []
+    with _staged_out(out) as stage:
+        for snr in cfg["dataset"]["snr_db"]:
+            scans = _simulate_scans(cfg, snr)
+            name = f"dataset_{_snr_tag(snr)}.gsrd"
+            ds.save_dataset(stage / name, params, scans)
+            manifest["files"].append(
+                {"path": name, "snr_db": snr, "n_records": len(scans)}
+            )
+            wrote.append(f"{out / name} ({len(scans)} records)")
+            if also_csv:
+                csv_name = f"dataset_{_snr_tag(snr)}.csv"
+                header = ["label"] + [f"{part}_{i}" for i in range(params.n_freq)
+                                      for part in ("re", "im")]
+                _write_csv(stage / csv_name, header,
+                           ([label] + samples.view(np.float64).tolist()
+                            for label, samples in zip(scans.label.tolist(), scans.samples)))
+                wrote.append(f"{out / csv_name}")
+        (stage / "manifest.json").write_text(
+            json.dumps(manifest, indent=1, sort_keys=True), encoding="utf-8"
         )
-        click.echo(f"wrote {out / name} ({len(scans)} records)")
-        if also_csv:
-            csv_name = f"dataset_{_snr_tag(snr)}.csv"
-            header = ["label"] + [f"{part}_{i}" for i in range(params.n_freq)
-                                  for part in ("re", "im")]
-            _write_csv(out / csv_name, header,
-                       ([label] + samples.view(np.float64).tolist()
-                        for label, samples in zip(scans.label.tolist(), scans.samples)))
-            click.echo(f"wrote {out / csv_name}")
-    (out / "manifest.json").write_text(
-        json.dumps(manifest, indent=1, sort_keys=True), encoding="utf-8"
-    )
-    click.echo(f"wrote {out / 'manifest.json'}")
+        wrote.append(f"{out / 'manifest.json'}")
+    for line in wrote:
+        click.echo(f"wrote {line}")
 
 
 @cli.command()

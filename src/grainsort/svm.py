@@ -5,10 +5,13 @@ The binary trainer solves the standard dual
     min_a  0.5 * sum_ij a_i a_j y_i y_j K(x_i, x_j) - sum_i a_i
     s.t.   0 <= a_i <= C,  sum_i y_i a_i = 0
 
-by repeatedly picking the maximally KKT-violating pair and moving it along
-the feasible equality-preserving direction with an exact line search.  Pair
-selection breaks ties by lowest index, so training is order-deterministic.
-Three pairwise binary machines vote to classify the three surface classes.
+by repeatedly picking a KKT-violating pair and moving it along the feasible
+equality-preserving direction with an exact line search.  The pair is chosen
+by second-order working-set selection (Fan, Chen & Lin, JMLR 6, 2005): i is
+the maximal violator of the up set, and j the low-set row that most lowers
+the objective in a step along i and j.  Selection breaks ties by lowest
+index, so training is order-deterministic.  Three pairwise binary machines
+vote to classify the three surface classes.
 """
 
 from __future__ import annotations
@@ -148,6 +151,22 @@ class BinarySVM:
     sv_indices: Optional[np.ndarray] = None  # rows of the training matrix kept
 
 
+def inverse_curvature(K: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """r[i, t] = 1 / sqrt(max(K_ii + K_tt - 2 K_it, 1e-12)) of a Gram matrix K.
+
+    K_ii + K_tt - 2 K_it is the curvature of the dual along the pair (i, t);
+    it is summed as ((-2 K_it) + K_tt) + K_ii.  With out given, r is written
+    into it (shape of K, float64) and out is returned.
+    """
+    d = K.diagonal()
+    r = np.multiply(K, -2.0, out=out)
+    r += d
+    r += d[:, None]
+    np.maximum(r, _BOUND_EPS, out=r)
+    np.sqrt(r, out=r)
+    return np.reciprocal(r, out=r)
+
+
 def _dual_objective(alpha: np.ndarray, y: np.ndarray, K: np.ndarray) -> float:
     ay = alpha * y
     return float(np.sum(alpha) - 0.5 * ay @ K @ ay)
@@ -161,6 +180,7 @@ def train_binary(
     max_passes: int = 10,
     debug: bool = False,
     gram: Optional[np.ndarray] = None,
+    curvature: Optional[np.ndarray] = None,
 ) -> BinarySVM:
     """Fit one soft-margin machine on labels in {-1, +1}.
 
@@ -169,8 +189,8 @@ def train_binary(
     dual objective is recomputed after every accepted update and asserted
     non-decreasing (slow; for small problems and tests).  gram, when given,
     is the (n, n) ``kernel_matrix(kernel, X)`` already built by the caller,
-    and it is used in place of a fresh one; nothing in the returned machine
-    refers to it.
+    and curvature its (n, n) ``inverse_curvature``; each is used in place of
+    a fresh one, and nothing in the returned machine refers to either.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float).ravel()
@@ -188,9 +208,12 @@ def train_binary(
     kernel = resolve_gamma(kernel, X)
     n = y.size
     c_box = float(kernel.c)
-    if gram is not None and gram.shape != (n, n):
-        raise DimensionMismatchError(f"Gram matrix of shape {gram.shape} for {n} rows")
+    for name, given in (("Gram", gram), ("curvature", curvature)):
+        if given is not None and given.shape != (n, n):
+            raise DimensionMismatchError(
+                f"{name} matrix of shape {given.shape} for {n} rows")
     K = kernel_matrix(kernel, X) if gram is None else gram
+    r = inverse_curvature(K) if curvature is None else curvature
     alpha = np.zeros(n)  # refreshed from alpha_list before it is read
     f_cache = np.zeros(n)  # f_i = sum_j alpha_j y_j K_ij
     budget = max_passes * n
@@ -226,6 +249,13 @@ def train_binary(
     # exactly symmetric, so the contiguous row K[i] equals the column K[:, i].
     # At alpha = 0 the up set holds the y = +1 rows and the low set the y = -1
     # rows, both empty when C leaves no room above 0.
+    # j maximises gap_t * r[i, t] over the low set, with gap_t = (f_t - y_t) -
+    # up_min: for gap_t > 0 that ranks rows as gap_t**2 / curvature does, and
+    # rows with gap_t <= 0 (non-violating, or outside the set at -inf) score
+    # <= 0, below any violating row.  The maximal violation max_t gap_t is
+    # read only by the stopping test.  It bounds j's gap from above, so it is
+    # computed only once j's gap is <= tol or the budget is spent: the test
+    # stops exactly where a check at every update would.
     # The scalar work runs on Python floats (alpha, y and the diagonal of K
     # are held as lists); each min and max is spelled as the comparison that
     # picks the operand min/max would, ties and NaN included.  alpha is copied
@@ -233,36 +263,41 @@ def train_binary(
     hi = c_box - _BOUND_EPS
     up_off = np.where((y > 0) & (0.0 < hi), -y, np.inf)
     low_off = np.where((y < 0) & (0.0 < hi), -y, -np.inf)
-    e_up, e_low, delta = np.empty(n), np.empty(n), np.empty(n)
+    e_up, gaps, score, delta = np.empty(n), np.empty(n), np.empty(n), np.empty(n)
     alpha_list, y_list, k_diag = alpha.tolist(), y.tolist(), K.diagonal().tolist()
     updates = 0
     while True:
         i = int(np.add(f_cache, up_off, out=e_up).argmin())
-        j = int(np.add(f_cache, low_off, out=e_low).argmax())
-        up_min, low_max = float(e_up[i]), float(e_low[j])
-        violation = low_max - up_min
-        if violation == -np.inf:  # the up or the low set is empty
-            return _finalize(0.0, up_min, low_max)
-        if violation <= tol:
-            return _finalize(violation, up_min, low_max)
-        if updates >= budget:
-            model = _finalize(violation, up_min, low_max)
-            raise ConvergenceError(
-                f"SMO exhausted {budget} updates with KKT violation "
-                f"{violation:.3g} > tol {tol:.3g}",
-                model=model,
-            )
+        up_min = float(e_up[i])
+        np.add(f_cache, low_off, out=gaps)
+        gaps -= up_min
+        j = int(np.multiply(gaps, r[i], out=score).argmax())
+        gap = float(gaps[j])
+        if gap <= tol or updates >= budget:
+            low_max = float(np.add(f_cache, low_off, out=gaps).max())
+            violation = low_max - up_min
+            if violation == -np.inf:  # the up or the low set is empty
+                return _finalize(0.0, up_min, low_max)
+            if violation <= tol:
+                return _finalize(violation, up_min, low_max)
+            if updates >= budget:
+                model = _finalize(violation, up_min, low_max)
+                raise ConvergenceError(
+                    f"SMO exhausted {budget} updates with KKT violation "
+                    f"{violation:.3g} > tol {tol:.3g}",
+                    model=model,
+                )
 
         # move alpha_i by +y_i * t and alpha_j by -y_j * t (keeps sum y.a fixed);
-        # exact minimiser along the direction is violation / eta, capped by the box
+        # exact minimiser along the direction is gap / eta, capped by the box
         a_i, a_j, y_i, y_j = alpha_list[i], alpha_list[j], y_list[i], y_list[j]
         K_i, K_j = K[i], K[j]
         cap_i = (c_box - a_i) if y_i > 0 else a_i
         cap_j = a_j if y_j > 0 else (c_box - a_j)
         eta = k_diag[i] + k_diag[j] - 2.0 * float(K_i[j])
         step = cap_j if cap_j < cap_i else cap_i
-        if eta > _BOUND_EPS and violation / eta < step:
-            step = violation / eta
+        if eta > _BOUND_EPS and gap / eta < step:
+            step = gap / eta
         # clip to [0, C] (the other entries are already in the box), then
         # refresh the moved entries' set offsets
         a = a_i + y_i * step
@@ -326,9 +361,10 @@ def train_multiclass(
     A kernel whose machine runs out of updates on some pair gets that pair's
     ConvergenceError in place of a model and trains no later pair.  In each
     pairwise machine the lower class id takes label +1.  For each pair the
-    Gram matrix is built once per distinct Gram input (the kind, and gamma
-    for rbf), into one buffer sized for the largest pair, and every kernel
-    that shares it trains on it: the kernels differ only in C.
+    Gram matrix and its inverse curvature are built once per distinct Gram
+    input (the kind, and gamma for rbf), each into one buffer sized for the
+    largest pair, and every kernel that shares them trains on them: the
+    kernels differ only in C.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     labels = np.asarray(labels, dtype=int).ravel()
@@ -346,7 +382,7 @@ def train_multiclass(
                           []).append(i)
     masks = {(a, b): (labels == a) | (labels == b) for a, b in combinations(class_ids, 2)}
     n_max = max((int(mask.sum()) for mask in masks.values()), default=0)
-    gram_buffer = np.empty(n_max * n_max)
+    gram_buffer, curvature_buffer = np.empty(n_max * n_max), np.empty(n_max * n_max)
     pairwise = [{} for _ in kernels]
     failed = [None] * len(kernels)
     for (a, b), mask in masks.items():
@@ -358,10 +394,12 @@ def train_multiclass(
             if not live:
                 continue
             K = kernel_matrix(kernels[live[0]], Xp, out=gram_buffer[: n * n].reshape(n, n))
+            r = inverse_curvature(K, out=curvature_buffer[: n * n].reshape(n, n))
             for i in live:
                 try:
                     pairwise[i][(a, b)] = train_binary(
-                        Xp, y, kernels[i], tol=tol, max_passes=max_passes, gram=K
+                        Xp, y, kernels[i], tol=tol, max_passes=max_passes, gram=K,
+                        curvature=r,
                     )
                 except ConvergenceError as exc:
                     failed[i] = exc

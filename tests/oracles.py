@@ -460,6 +460,30 @@ def seed_smo(K, y, c, tol, max_passes):
     ``flat_steps``, the number of updates taken with ``eta <= 1e-12``, and
     ``clipped_steps``, the number whose moved alpha rounded outside [0, C].
     """
+    def maximal_violator(K, errors, i, low_idx):
+        return low_idx[np.argmax(errors[low_idx])]
+
+    return _whole_vector_smo(K, y, c, tol, max_passes, maximal_violator)
+
+
+def wss2_smo(K, y, c, tol, max_passes):
+    """seed_smo with second-order working-set selection (Fan, Chen & Lin,
+    JMLR 6, 2005): i is still the maximal violator of the up set, and the
+    stopping test still reads the maximal violation at every update, but j
+    is the low-set row t of largest ``(e_t - e_i) * r_it`` (lowest index
+    among ties), where e = f - y and ``r_it = 1 / sqrt(max(((-2 K_it) +
+    K_tt) + K_ii, 1e-12))``; the step along (i, j) uses j's own gap
+    ``e_j - e_i``.  Returns the same dict as seed_smo.
+    """
+    def second_order(K, errors, i, low_idx):
+        curvature = ((-2.0 * K[i, low_idx]) + K[low_idx, low_idx]) + K[i, i]
+        r = 1.0 / np.sqrt(np.maximum(curvature, 1e-12))
+        return low_idx[np.argmax((errors[low_idx] - errors[i]) * r)]
+
+    return _whole_vector_smo(K, y, c, tol, max_passes, second_order)
+
+
+def _whole_vector_smo(K, y, c, tol, max_passes, select_j):
     K = np.asarray(K, dtype=float)
     y = np.asarray(y, dtype=float)
     eps = 1e-12
@@ -493,18 +517,19 @@ def seed_smo(K, y, c, tol, max_passes):
         up_idx = np.flatnonzero(up)
         low_idx = np.flatnonzero(low)
         i = up_idx[np.argmin(errors[up_idx])]
-        j = low_idx[np.argmax(errors[low_idx])]
-        violation = float(errors[j] - errors[i])
+        violation = float(errors[low_idx].max() - errors[i])
         if violation <= tol:
             return _finalize(violation, True)
         if n_updates >= budget:
             return _finalize(violation, False)
+        j = select_j(K, errors, i, low_idx)
+        gap = float(errors[j] - errors[i])
         cap_i = (c - alpha[i]) if y[i] > 0 else alpha[i]
         cap_j = alpha[j] if y[j] > 0 else (c - alpha[j])
         eta = K[i, i] + K[j, j] - 2.0 * K[i, j]
         step = min(cap_i, cap_j)
         if eta > eps:
-            step = min(step, violation / eta)
+            step = min(step, gap / eta)
         else:
             flat_steps += 1
         alpha[i] += y[i] * step

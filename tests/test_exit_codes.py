@@ -462,6 +462,26 @@ def test_snr_too_low_for_a_float_noise_power_exits_2(runner, files, snr):
     assert not out.exists()
 
 
+def test_a_later_snr_that_fails_leaves_no_output_and_no_stage(runner, files):
+    # the first SNR's file is written before the second SNR's noise power
+    # overflows; nothing of the run may be left, neither --out (in a directory
+    # the run has to make) nor a stage directory
+    config = files["root"] / "config_later_snr_fails.json"
+    config.write_text(json.dumps(dict(json.loads(files["config"].read_text()), dataset={
+        "per_class_counts": [2, 2, 2], "snr_db": [20.0, -3070.0]})))
+    before = set(files["root"].iterdir())
+    out = files["root"] / "later_snr_fails" / "out"
+    result = runner.invoke(cli, ["simulate", "--config", str(config), "--out", str(out)])
+    _assert_one_error(result, 2, "snr_db=-3070")
+    assert "wrote" not in result.output
+    assert set(files["root"].iterdir()) == before
+    # into an existing --out, the stage sits inside it and leaves with the run
+    out.mkdir(parents=True)
+    result = runner.invoke(cli, ["simulate", "--config", str(config), "--out", str(out)])
+    _assert_one_error(result, 2, "snr_db=-3070")
+    assert list(out.iterdir()) == []
+
+
 def test_n_freq_above_the_record_bound_exits_2(runner, files):
     config = files["root"] / "config_n_freq_bound.json"
     config.write_text(json.dumps(dict(json.loads(files["config"].read_text()),

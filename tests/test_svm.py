@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 from grainsort import ConvergenceError, DegenerateTrainingError, DimensionMismatchError
 from grainsort import svm
-from oracles import qp_decision_values, qp_dual_oracle, seed_kernel_matrix, seed_smo
+from oracles import (
+    qp_decision_values, qp_dual_oracle, seed_kernel_matrix, seed_smo, wss2_smo,
+)
 
 
 def _blobs(seed=0, n_per=30, centres=((0, 0), (5, 0), (0, 5)), sigma=0.5):
@@ -132,6 +134,28 @@ class TestBinaryTraining:
         # the trace reads the current iterate: its last entry is the final objective
         assert trace[-1] == model.diagnostics.dual_objective > 0.0
 
+    @pytest.mark.parametrize("given", ["gram", "curvature"])
+    def test_prebuilt_matrix_of_wrong_shape_rejected(self, given):
+        X = np.array([[0.0], [1.0], [2.0]])
+        y = np.array([1.0, -1.0, 1.0])
+        kernel = svm.KernelSpec(kind="rbf", c=1.0, gamma=0.5)
+        with pytest.raises(DimensionMismatchError, match=f"(?i){given} matrix of shape"):
+            svm.train_binary(X, y, kernel, **{given: np.ones((2, 2))})
+
+    def test_second_order_selection_takes_fewer_updates_than_first_order(self):
+        """On a fixed 540-row RBF problem the trainer makes fewer updates
+        than the first-order loop, so a fall back to first-order selection
+        fails here."""
+        rng = np.random.default_rng(29)
+        X = rng.standard_normal((540, 8))
+        y = np.where(X[:, 0] + X[:, 1] ** 2 - 1.0 + 0.5 * rng.standard_normal(540) > 0,
+                     1.0, -1.0)
+        kernel = svm.resolve_gamma(svm.KernelSpec(kind="rbf", c=10.0), X)
+        first_order = seed_smo(seed_kernel_matrix(kernel, X), y, kernel.c, 1e-3, 10)
+        model = svm.train_binary(X, y, kernel)
+        assert first_order["converged"]
+        assert model.diagnostics.n_updates < first_order["n_updates"]
+
     def test_single_class_rejected(self):
         X = np.ones((4, 2))
         with pytest.raises(DegenerateTrainingError):
@@ -219,12 +243,13 @@ def _seed_loop_problem(data):
 
 
 class TestSeedLoopBitIdentity:
-    """train_binary matches the original whole-vector SMO loop bit for bit."""
+    """train_binary matches the whole-vector second-order SMO loop
+    (oracles.wss2_smo) bit for bit."""
 
     @staticmethod
     def _compare(X, y, kernel, max_passes):
         kernel = svm.resolve_gamma(kernel, X)
-        ref = seed_smo(seed_kernel_matrix(kernel, X), y, kernel.c, 1e-3, max_passes)
+        ref = wss2_smo(seed_kernel_matrix(kernel, X), y, kernel.c, 1e-3, max_passes)
         try:
             model = svm.train_binary(X, y, kernel, max_passes=max_passes)
         except ConvergenceError as exc:
@@ -269,7 +294,7 @@ class TestSeedLoopBitIdentity:
 
     def test_box_clip_after_rounding(self):
         """alpha + (C - alpha) can round above C = 0.3; both loops clip it back."""
-        rng = np.random.default_rng(86)
+        rng = np.random.default_rng(2510)
         X = rng.standard_normal((40, 2))
         y = np.where(X[:, 0] + rng.standard_normal(40) > 0, 1.0, -1.0)
         y[0], y[1] = 1.0, -1.0
@@ -358,18 +383,26 @@ class TestMulticlass:
         kernels = [svm.KernelSpec(c=c, gamma=g) for c in (0.1, 100.0) for g in (0.5, 5.0)]
         kernels.append(svm.KernelSpec(kind="linear", c=1.0))
         alone = [svm.train_multiclass(X, labels, [k], max_passes=3)[0] for k in kernels]
-        built = []
-        kernel_matrix = svm.kernel_matrix
+        built, curvatures = [], []
+        kernel_matrix, inverse_curvature = svm.kernel_matrix, svm.inverse_curvature
 
         def counting(spec, *args, **kwargs):
-            built.append(spec)
-            return kernel_matrix(spec, *args, **kwargs)
+            built.append(kernel_matrix(spec, *args, **kwargs))
+            return built[-1]
+
+        def counting_curvature(K, *args, **kwargs):
+            curvatures.append(K)
+            return inverse_curvature(K, *args, **kwargs)
 
         monkeypatch.setattr(svm, "kernel_matrix", counting)
+        monkeypatch.setattr(svm, "inverse_curvature", counting_curvature)
         together = svm.train_multiclass(X, labels, kernels, max_passes=3)
         # one Gram per pair at gamma 0.5 and at 5.0; the linear kernel runs out
-        # of updates on the first pair, so its Gram is built for that pair only
+        # of updates on the first pair, so its Gram is built for that pair only;
+        # each Gram's inverse curvature is built once, and only for that Gram
         assert len(built) == 3 * 2 + 1
+        assert len(curvatures) == len(built)
+        assert all(K is gram for K, gram in zip(curvatures, built))
         assert [isinstance(m, ConvergenceError) for m in together] == [False] * 2 + [True] * 3
         for a, b in zip(alone, together):
             if isinstance(a, ConvergenceError):
