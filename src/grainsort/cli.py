@@ -50,17 +50,6 @@ def _handle_errors(func):
     return wrapper
 
 
-def _out_dir(path) -> Path:
-    """The output directory, created if missing; a path that cannot be one is
-    a configuration error."""
-    out = Path(path)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot create output directory {out}: {exc}") from None
-    return out
-
-
 @contextlib.contextmanager
 def _staged_out(path):
     """A fresh hidden stage directory to write a run's files into: inside
@@ -71,7 +60,8 @@ def _staged_out(path):
     into the output directory (made if missing) with os.replace: a file of
     the same name already there is replaced, and other files there are left
     as they are.  The stage, and any directory made for it, is removed
-    however the block ends, so a run that fails writes nothing.
+    however the block ends, so a run that fails writes nothing.  A path that
+    cannot be an output directory is a configuration error.
     """
     out = Path(path)
     home = out if out.is_dir() else out.resolve().parent
@@ -83,8 +73,8 @@ def _staged_out(path):
         raise ConfigError(f"cannot create output directory {out}: {exc}") from None
     try:
         yield stage
-        _out_dir(out)
         try:
+            out.mkdir(parents=True, exist_ok=True)
             for item in sorted(stage.iterdir()):
                 os.replace(item, out / item.name)
         except OSError as exc:
@@ -193,16 +183,18 @@ def simulate(config_path, seed, out_dir, snr_override, also_csv):
 def extract(dataset_path, method_tag, config_path, out_dir):
     """Extract one feature chain from a dataset into a CSV."""
     cfg = cfgmod.load_config(config_path, out_dir=out_dir)
-    _, scans = ds.load_dataset(dataset_path)
+    digest = hashlib.sha256()
+    _, scans = ds.load_dataset(dataset_path, digest=digest)
     X, y = features.extract_matrix(scans, method_tag, cfgmod.feature_params(cfg))
-    out = _out_dir(cfg["out_dir"])
-    file_hash = hashlib.sha256(Path(dataset_path).read_bytes()).hexdigest()
+    out = Path(cfg["out_dir"])
     name = "features_" + method_tag.replace("+", "_") + ".csv"
-    _write_csv(
-        out / name, ["method_tag", "label"] + [f"f_{i}" for i in range(X.shape[1])],
-        ([method_tag, label] + row for label, row in zip(y.tolist(), X.tolist())),
-        _provenance_lines(cfgmod.config_hash(cfg), cfg["seed"], dataset_sha256=file_hash),
-    )
+    with _staged_out(out) as stage:
+        _write_csv(
+            stage / name, ["method_tag", "label"] + [f"f_{i}" for i in range(X.shape[1])],
+            ([method_tag, label] + row for label, row in zip(y.tolist(), X.tolist())),
+            _provenance_lines(cfgmod.config_hash(cfg), cfg["seed"],
+                              dataset_sha256=digest.hexdigest()),
+        )
     click.echo(f"wrote {out / name} ({X.shape[0]} rows x {X.shape[1]} features)")
 
 
@@ -226,7 +218,6 @@ def train(dataset_path, method_tag, config_path, seed, out_dir):
     )
     if isinstance(model, ConvergenceError):
         raise model
-    out = _out_dir(cfg["out_dir"])
     extra = {
         "method_tag": method_tag,
         "n_freq": params.n_freq,
@@ -234,7 +225,9 @@ def train(dataset_path, method_tag, config_path, seed, out_dir):
         "config_hash": cfgmod.config_hash(cfg),
         "seed": cfg["seed"],
     }
-    svm.save_model(out / "model.json", model, extra=extra)
+    out = Path(cfg["out_dir"])
+    with _staged_out(out) as stage:
+        svm.save_model(stage / "model.json", model, extra=extra)
     click.echo(f"wrote {out / 'model.json'}")
 
 
@@ -280,16 +273,17 @@ def predict(model_path, dataset_path, out_dir):
     fparams = _model_feature_params(doc.get("feature_params"), method_tag, params.n_freq)
     X, _ = features.extract_matrix(scans, method_tag, fparams)
     labels = svm.predict(model, X).tolist()
-    out = None if out_dir is None else _out_dir(out_dir)
+    if out_dir is not None:
+        with _staged_out(out_dir) as stage:
+            _write_csv(
+                stage / "predictions.csv", ["index", "label_id", "label_name"],
+                ([i, value, radar.CLASS_NAMES[value]] for i, value in enumerate(labels)),
+                _provenance_lines(doc.get("config_hash", ""), doc.get("seed", "")),
+            )
     for value in labels:
         click.echo(radar.CLASS_NAMES[value])
-    if out is not None:
-        _write_csv(
-            out / "predictions.csv", ["index", "label_id", "label_name"],
-            ([i, value, radar.CLASS_NAMES[value]] for i, value in enumerate(labels)),
-            _provenance_lines(doc.get("config_hash", ""), doc.get("seed", "")),
-        )
-        click.echo(f"wrote {out / 'predictions.csv'}")
+    if out_dir is not None:
+        click.echo(f"wrote {Path(out_dir) / 'predictions.csv'}")
 
 
 def _grid_search(points, kernels, outcomes):
@@ -380,8 +374,6 @@ def evaluate(config_path, seed, out_dir, method_tags, echo_classifier, use_grid)
     else:
         points = [(None, None)]  # the config kernel
     kernels = [cfgmod.kernel_spec(cfg, c=c, gamma=gamma) for c, gamma in points]
-    # every block is computed before --out is made, so a run that fails
-    # leaves no directory behind
     for snr in cfg["dataset"]["snr_db"]:
         scans = _simulate_scans(cfg, snr)
         chains, y = features.extract_chains(scans, cfg["methods"], fparams)
@@ -403,21 +395,23 @@ def evaluate(config_path, seed, out_dir, method_tags, echo_classifier, use_grid)
             block[method_tag] = {**evaluation.report_payload(report), **extra}
         summary["results"][_snr_tag(snr)] = block
 
-    out = _out_dir(cfg["out_dir"])
+    out = Path(cfg["out_dir"])
+    tables = {tag: evaluation.format_table(block, cfg["methods"])
+              for tag, block in summary["results"].items()}
     written = []
-    for tag, block in summary["results"].items():
-        table = evaluation.format_table(block, cfg["methods"])
-        written += _write_report_files(out, tag, cfg, block, table)
+    with _staged_out(out) as stage:
+        for tag, block in summary["results"].items():
+            written += _write_report_files(stage, tag, cfg, block, tables[tag])
+        summary_path = stage / "summary.json"
+        summary_path.write_text(
+            json.dumps(summary, indent=1, sort_keys=True), encoding="utf-8"
+        )
+        written.append(summary_path)
+    for tag, table in tables.items():
         click.echo(f"[{tag}]")
         click.echo(table)
-
-    summary_path = out / "summary.json"
-    summary_path.write_text(
-        json.dumps(summary, indent=1, sort_keys=True), encoding="utf-8"
-    )
-    written.append(summary_path)
     for path in written:
-        click.echo(f"wrote {path}")
+        click.echo(f"wrote {out / path.name}")
 
 
 @cli.command()
@@ -444,11 +438,12 @@ def report(summary_path, out_dir):
         f"[{tag}]\n" + evaluation.format_table(block, methods)
         for tag, block in results.items()
     )
-    out = None if out_dir is None else _out_dir(out_dir)
+    if out_dir is not None:
+        with _staged_out(out_dir) as stage:
+            (stage / "report_rendered.txt").write_text(text + "\n", encoding="utf-8")
     click.echo(text)
-    if out is not None:
-        (out / "report_rendered.txt").write_text(text + "\n", encoding="utf-8")
-        click.echo(f"wrote {out / 'report_rendered.txt'}")
+    if out_dir is not None:
+        click.echo(f"wrote {Path(out_dir) / 'report_rendered.txt'}")
 
 
 def main():

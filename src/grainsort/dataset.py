@@ -38,14 +38,20 @@ def save_dataset(path: Union[str, Path], params: RadarParams, scans: np.ndarray)
         fh.write(scans.tobytes())
 
 
-def load_dataset(path: Union[str, Path]) -> Tuple[RadarParams, np.recarray]:
+def load_dataset(path: Union[str, Path], digest=None) -> Tuple[RadarParams, np.recarray]:
     """Read a binary container back as a read-only scan array; corruption
-    errors name the byte offset."""
+    errors name the byte offset.
+
+    digest, when given, is a hashlib object updated with the bytes read, the
+    same bytes the scan array is parsed from.
+    """
     path = Path(path)
     try:
         blob = path.read_bytes()
     except OSError as exc:
         raise DataError(f"cannot read dataset {path}: {exc.strerror}") from None
+    if digest is not None:
+        digest.update(blob)
     if len(blob) < _HEADER.size:
         raise CorruptDatasetError(
             f"{path}: truncated header, file ends at byte offset {len(blob)}"

@@ -69,10 +69,13 @@ def fos(x) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         mean = x.mean(axis=1)
         centred = x - mean[:, None]
-        m2 = (centred**2).mean(axis=1)
-        # numpy scalar powers: the array power loop rounds some elements differently
-        skew = (centred**3).mean(axis=1) / np.array([v**1.5 for v in m2])
-        kurt = (centred**4).mean(axis=1) / np.array([v**2 for v in m2]) - 3.0
+        sq = centred**2
+        m2 = sq.mean(axis=1)
+        # higher powers as products of the square: numpy's array power loop
+        # leaves its vector path on mixed-sign input; the moment divisors are
+        # numpy scalar powers, which the array power loop rounds differently
+        skew = (sq * centred).mean(axis=1) / np.array([v**1.5 for v in m2])
+        kurt = (sq * sq).mean(axis=1) / np.array([v**2 for v in m2]) - 3.0
         energy = (x**2).sum(axis=1)
     flat = m2 < _DEGENERATE_VAR
     skew[flat] = kurt[flat] = 0.0

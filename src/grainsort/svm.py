@@ -151,20 +151,33 @@ class BinarySVM:
     sv_indices: Optional[np.ndarray] = None  # rows of the training matrix kept
 
 
-def inverse_curvature(K: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """r[i, t] = 1 / sqrt(max(K_ii + K_tt - 2 K_it, 1e-12)) of a Gram matrix K.
+class CurvatureRows(dict):
+    """Rows of the inverse curvature r of a Gram matrix K, each built when it
+    is first read and kept for later reads: row index -> row, in the order
+    the rows were built.
 
-    K_ii + K_tt - 2 K_it is the curvature of the dual along the pair (i, t);
-    it is summed as ((-2 K_it) + K_tt) + K_ii.  With out given, r is written
-    into it (shape of K, float64) and out is returned.
+    r[i, t] = 1 / sqrt(max(K_ii + K_tt - 2 K_it, 1e-12)), where K_ii + K_tt -
+    2 K_it is the curvature of the dual along the pair (i, t); row i is
+    summed as ((-2 K_i) + diag(K)) + K_ii.  Rows are stored in the order they
+    are built, from the start of out (shape of K, float64, fresh when not
+    given), so only the rows built take up memory.
     """
-    d = K.diagonal()
-    r = np.multiply(K, -2.0, out=out)
-    r += d
-    r += d[:, None]
-    np.maximum(r, _BOUND_EPS, out=r)
-    np.sqrt(r, out=r)
-    return np.reciprocal(r, out=r)
+
+    def __init__(self, K: np.ndarray, out: Optional[np.ndarray] = None):
+        super().__init__()
+        self.gram = K
+        self.shape = K.shape
+        self._diag = K.diagonal()
+        self._rows = np.empty(K.shape) if out is None else out
+
+    def __missing__(self, i: int) -> np.ndarray:
+        row = np.multiply(self.gram[i], -2.0, out=self._rows[len(self)])
+        row += self._diag
+        row += self._diag[i]
+        np.maximum(row, _BOUND_EPS, out=row)
+        np.sqrt(row, out=row)
+        self[i] = np.reciprocal(row, out=row)
+        return row
 
 
 def _dual_objective(alpha: np.ndarray, y: np.ndarray, K: np.ndarray) -> float:
@@ -180,7 +193,7 @@ def train_binary(
     max_passes: int = 10,
     debug: bool = False,
     gram: Optional[np.ndarray] = None,
-    curvature: Optional[np.ndarray] = None,
+    curvature: Optional[CurvatureRows] = None,
 ) -> BinarySVM:
     """Fit one soft-margin machine on labels in {-1, +1}.
 
@@ -189,8 +202,9 @@ def train_binary(
     dual objective is recomputed after every accepted update and asserted
     non-decreasing (slow; for small problems and tests).  gram, when given,
     is the (n, n) ``kernel_matrix(kernel, X)`` already built by the caller,
-    and curvature its (n, n) ``inverse_curvature``; each is used in place of
-    a fresh one, and nothing in the returned machine refers to either.
+    and curvature the CurvatureRows of that Gram; each is used in place of a
+    fresh one (the rows curvature has built are kept for the next call), and
+    nothing in the returned machine refers to either.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float).ravel()
@@ -213,7 +227,7 @@ def train_binary(
             raise DimensionMismatchError(
                 f"{name} matrix of shape {given.shape} for {n} rows")
     K = kernel_matrix(kernel, X) if gram is None else gram
-    r = inverse_curvature(K) if curvature is None else curvature
+    r = CurvatureRows(K) if curvature is None else curvature
     alpha = np.zeros(n)  # refreshed from alpha_list before it is read
     f_cache = np.zeros(n)  # f_i = sum_j alpha_j y_j K_ij
     budget = max_passes * n
@@ -252,10 +266,11 @@ def train_binary(
     # j maximises gap_t * r[i, t] over the low set, with gap_t = (f_t - y_t) -
     # up_min: for gap_t > 0 that ranks rows as gap_t**2 / curvature does, and
     # rows with gap_t <= 0 (non-violating, or outside the set at -inf) score
-    # <= 0, below any violating row.  The maximal violation max_t gap_t is
-    # read only by the stopping test.  It bounds j's gap from above, so it is
-    # computed only once j's gap is <= tol or the budget is spent: the test
-    # stops exactly where a check at every update would.
+    # <= 0, below any violating row; r's row i is built the first time i is
+    # picked.  The maximal violation max_t gap_t is read only by the stopping
+    # test.  It bounds j's gap from above, so it is computed only once j's gap
+    # is <= tol or the budget is spent: the test stops exactly where a check
+    # at every update would.
     # The scalar work runs on Python floats (alpha, y and the diagonal of K
     # are held as lists); each min and max is spelled as the comparison that
     # picks the operand min/max would, ties and NaN included.  alpha is copied
@@ -361,10 +376,11 @@ def train_multiclass(
     A kernel whose machine runs out of updates on some pair gets that pair's
     ConvergenceError in place of a model and trains no later pair.  In each
     pairwise machine the lower class id takes label +1.  For each pair the
-    Gram matrix and its inverse curvature are built once per distinct Gram
-    input (the kind, and gamma for rbf), each into one buffer sized for the
-    largest pair, and every kernel that shares them trains on them: the
-    kernels differ only in C.
+    Gram matrix is built once per distinct Gram input (the kind, and gamma
+    for rbf), and so is a CurvatureRows cache of it; each lives in one
+    buffer sized for the largest pair, and every kernel that shares them
+    trains on them: the kernels differ only in C.  A curvature row is built
+    when some C's solver first reads it, and at most once.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     labels = np.asarray(labels, dtype=int).ravel()
@@ -394,7 +410,7 @@ def train_multiclass(
             if not live:
                 continue
             K = kernel_matrix(kernels[live[0]], Xp, out=gram_buffer[: n * n].reshape(n, n))
-            r = inverse_curvature(K, out=curvature_buffer[: n * n].reshape(n, n))
+            r = CurvatureRows(K, out=curvature_buffer[: n * n].reshape(n, n))
             for i in live:
                 try:
                     pairwise[i][(a, b)] = train_binary(

@@ -457,8 +457,9 @@ def seed_smo(K, y, c, tol, max_passes):
     all of alpha to the box and reads the columns ``K[:, i]``.  Returns a
     dict of the final ``alpha``, ``bias``, ``n_updates``, ``final_violation``
     and ``converged`` (False once ``max_passes * n`` updates ran out), plus
-    ``flat_steps``, the number of updates taken with ``eta <= 1e-12``, and
-    ``clipped_steps``, the number whose moved alpha rounded outside [0, C].
+    ``flat_steps``, the number of updates taken with ``eta <= 1e-12``,
+    ``clipped_steps``, the number whose moved alpha rounded outside [0, C],
+    and ``chosen_i``, the i picked at each pass, the stopping pass included.
     """
     def maximal_violator(K, errors, i, low_idx):
         return low_idx[np.argmax(errors[low_idx])]
@@ -492,6 +493,7 @@ def _whole_vector_smo(K, y, c, tol, max_passes, select_j):
     f_cache = np.zeros(n)
     budget = max_passes * n
     n_updates = flat_steps = clipped_steps = 0
+    chosen_i = []
 
     def _sets():
         up = ((y > 0) & (alpha < c - eps)) | ((y < 0) & (alpha > eps))
@@ -507,7 +509,8 @@ def _whole_vector_smo(K, y, c, tol, max_passes, select_j):
             bias = float(np.mean(y - f_cache))
         return {"alpha": alpha, "bias": bias, "n_updates": n_updates,
                 "final_violation": violation, "converged": converged,
-                "flat_steps": flat_steps, "clipped_steps": clipped_steps}
+                "flat_steps": flat_steps, "clipped_steps": clipped_steps,
+                "chosen_i": chosen_i}
 
     while True:
         up, low = _sets()
@@ -517,6 +520,7 @@ def _whole_vector_smo(K, y, c, tol, max_passes, select_j):
         up_idx = np.flatnonzero(up)
         low_idx = np.flatnonzero(low)
         i = up_idx[np.argmin(errors[up_idx])]
+        chosen_i.append(int(i))
         violation = float(errors[low_idx].max() - errors[i])
         if violation <= tol:
             return _finalize(violation, True)
@@ -560,12 +564,13 @@ def seed_fos(x) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         mean = float(np.mean(x))
         centred = x - mean
-        m2 = np.mean(centred**2)
+        sq = centred**2
+        m2 = np.mean(sq)
         if m2 < _DEGENERATE_VAR:
             skew = kurt = 0.0
         else:
-            skew = float(np.mean(centred**3) / m2**1.5)
-            kurt = float(np.mean(centred**4) / m2**2 - 3.0)
+            skew = float(np.mean(sq * centred) / m2**1.5)
+            kurt = float(np.mean(sq * sq) / m2**2 - 3.0)
         energy = float(np.sum(x**2))
     if hi - lo < max(_DEGENERATE_VAR, _DEGENERATE_SPREAD * max(abs(lo), abs(hi))):
         entropy = 0.0

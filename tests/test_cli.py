@@ -283,6 +283,32 @@ class TestExtract:
         ]
         assert len(lines[1].split(",")) == 2 + 44
 
+    @pytest.mark.parametrize("change", ["replaced", "removed"])
+    def test_hashes_the_bytes_it_extracted(self, runner, simulated, monkeypatch, change):
+        """The dataset_sha256 line is the hash of the bytes extracted, even
+        when the file is replaced or removed while the features are built."""
+        config, dataset, tmp_path = simulated
+        copy = tmp_path / f"{change}.gsrd"
+        blob = Path(dataset).read_bytes()
+        copy.write_bytes(blob)
+        extract_matrix = features.extract_matrix
+
+        def then_change_the_file(*args, **kwargs):
+            result = extract_matrix(*args, **kwargs)
+            if change == "replaced":
+                copy.write_bytes(blob[:-1] + b"\x01")
+            else:
+                copy.unlink()
+            return result
+
+        monkeypatch.setattr(features, "extract_matrix", then_change_the_file)
+        out = tmp_path / f"feat_{change}"
+        result = runner.invoke(cli, ["extract", str(copy), "--method", "FOS",
+                                     "--config", str(config), "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        lines = (out / "features_FOS.csv").read_text().splitlines()
+        assert f"# dataset_sha256={hashlib.sha256(blob).hexdigest()}" in lines
+
     def test_truncated_dataset_exits_3(self, runner, simulated):
         config, dataset, tmp_path = simulated
         broken = tmp_path / "broken.gsrd"

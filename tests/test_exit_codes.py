@@ -3,6 +3,7 @@
 
 import json
 import struct
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from grainsort import config as cfgmod
 from grainsort import dataset as ds
 from grainsort.cli import cli
+from grainsort.errors import DataError
 from grainsort.features import METHOD_TAGS
 from grainsort.radar import MAX_N_FREQ, RadarParams
 from oracles import CONFIG_SCHEMA
@@ -480,6 +482,48 @@ def test_a_later_snr_that_fails_leaves_no_output_and_no_stage(runner, files):
     result = runner.invoke(cli, ["simulate", "--config", str(config), "--out", str(out)])
     _assert_one_error(result, 2, "snr_db=-3070")
     assert list(out.iterdir()) == []
+
+
+WRITE_FAULT_COMMANDS = ["simulate", "extract", "train", "predict", "evaluate", "report"]
+
+
+@pytest.mark.parametrize("existing", [False, True])
+@pytest.mark.parametrize("command", WRITE_FAULT_COMMANDS)
+def test_a_fault_at_the_write_step_leaves_no_output_and_no_stage(runner, files, monkeypatch,
+                                                                 command, existing):
+    # every command writes its files through Path.write_text; a fault there
+    # leaves neither a new --out nor a stage directory, and an existing --out
+    # as it was
+    config, gsrd = str(files["config"]), str(files["gsrd"])
+    argv = {
+        "simulate": ["simulate", "--config", config],
+        "extract": ["extract", gsrd, "--method", "FOS", "--config", config],
+        "train": ["train", gsrd, "--method", "FOS", "--config", config],
+        "predict": ["predict", str(files["run"] / "model.json"), gsrd],
+        "evaluate": ["evaluate", "--method", "FOS", "--echo-classifier", "--config", config],
+        "report": ["report", str(files["run"] / "summary.json")],
+    }[command]
+    home = files["root"] / f"write_fault_{command}_{existing}"
+    out = home / "out"
+    if existing:
+        out.mkdir(parents=True)
+        (out / "kept.txt").write_text("kept")
+    before = set(files["root"].iterdir())
+
+    def fault(self, *args, **kwargs):
+        raise DataError(f"injected fault writing {self.name}")
+
+    monkeypatch.setattr(Path, "write_text", fault)
+    result = runner.invoke(cli, argv + ["--out", str(out)])
+    monkeypatch.undo()
+    _assert_one_error(result, 3, "injected fault writing")
+    assert "wrote" not in result.output
+    assert set(files["root"].iterdir()) == before
+    if existing:
+        assert [p.name for p in out.iterdir()] == ["kept.txt"]
+        assert (out / "kept.txt").read_text() == "kept"
+    else:
+        assert not home.exists()
 
 
 def test_n_freq_above_the_record_bound_exits_2(runner, files):

@@ -1,3 +1,5 @@
+from decimal import Decimal, localcontext
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -55,6 +57,45 @@ class TestFOS:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             ft.fos([])
+
+    def test_higher_moments_against_exact_arithmetic(self):
+        """Skewness and kurtosis, taken from products of the square, are as
+        close to the exact moments of each row as numpy's power form, within
+        a few ulps of the moment's size, on mixed-sign, offset and wide-range
+        rows."""
+        rng = np.random.default_rng(30)
+        shape = (4, 301)
+        rows = np.vstack([
+            rng.standard_normal(shape),
+            1e3 + rng.standard_normal(shape),
+            rng.choice([-1.0, 1.0], shape) * np.exp(rng.uniform(-20.0, 20.0, shape)),
+            rng.exponential(1.0, shape) - 0.3,
+        ])
+        out = ft.fos(rows)
+        centred = rows - rows.mean(axis=1)[:, None]
+        m2 = (centred**2).mean(axis=1)
+        power_skew = (centred**3).mean(axis=1) / np.array([v**1.5 for v in m2])
+        power_kurt = (centred**4).mean(axis=1) / np.array([v**2 for v in m2]) - 3.0
+
+        def decimal(f):
+            return Decimal(f.numerator) / Decimal(f.denominator)
+
+        for k, row in enumerate(rows):
+            values = [Fraction(v) for v in row.tolist()]
+            n = len(values)
+            mean = sum(values) / n
+            c2, c3, c4 = ([(v - mean) ** p for v in values] for p in (2, 3, 4))
+            e2, e3, e4 = (sum(c) / n for c in (c2, c3, c4))
+            with localcontext() as ctx:
+                ctx.prec = 60
+                cubed_sd = decimal(e2).sqrt() ** 3
+                skew = float(decimal(e3) / cubed_sd)
+                # an ulp of the skewness's size, not of its value, which cancels
+                skew_ulp = np.spacing(float(decimal(sum(map(abs, c3)) / n) / cubed_sd))
+            kurt = float(e4 / (e2 * e2) - 3)
+            kurt_ulp = np.spacing(kurt + 3.0)
+            assert abs(out[k, 2] - skew) <= abs(power_skew[k] - skew) + 4 * skew_ulp
+            assert abs(out[k, 3] - kurt) <= abs(power_kurt[k] - kurt) + 4 * kurt_ulp
 
 
 class TestQuantize:

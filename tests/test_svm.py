@@ -139,8 +139,9 @@ class TestBinaryTraining:
         X = np.array([[0.0], [1.0], [2.0]])
         y = np.array([1.0, -1.0, 1.0])
         kernel = svm.KernelSpec(kind="rbf", c=1.0, gamma=0.5)
+        wrong = np.ones((2, 2)) if given == "gram" else svm.CurvatureRows(np.ones((2, 2)))
         with pytest.raises(DimensionMismatchError, match=f"(?i){given} matrix of shape"):
-            svm.train_binary(X, y, kernel, **{given: np.ones((2, 2))})
+            svm.train_binary(X, y, kernel, **{given: wrong})
 
     def test_second_order_selection_takes_fewer_updates_than_first_order(self):
         """On a fixed 540-row RBF problem the trainer makes fewer updates
@@ -302,6 +303,102 @@ class TestSeedLoopBitIdentity:
         assert ref["converged"] and ref["clipped_steps"] > 0
 
 
+def _recording_curvature_rows(monkeypatch):
+    """Every CurvatureRows that svm makes from now on, in order; each holds
+    ``builds``, the row indices it built, one entry per build, and
+    ``copies``, a copy of each row as built (a later pair's cache reuses the
+    buffer)."""
+    caches = []
+
+    class Recording(svm.CurvatureRows):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.builds, self.copies = [], []
+            caches.append(self)
+
+        def __missing__(self, i):
+            row = super().__missing__(i)
+            self.builds.append(i)
+            self.copies.append(row.copy())
+            return row
+
+    monkeypatch.setattr(svm, "CurvatureRows", Recording)
+    return caches
+
+
+def _full_inverse_curvature(K):
+    """r[i, t] = 1 / sqrt(max(((-2 K_it) + K_tt) + K_ii, 1e-12)) over all of K."""
+    d = K.diagonal()
+    return 1.0 / np.sqrt(np.maximum(((-2.0 * K) + d) + d[:, None], 1e-12))
+
+
+class TestCurvatureRows:
+    """WSS2's inverse curvature, built row by row as the solver reads it."""
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(data=st.data())
+    def test_rows_built_at_the_chosen_i_in_first_use_order(self, data):
+        """The cache builds row i exactly when the solver first picks i, each
+        row once, into the next free row of its buffer, and every row equals
+        row i of the full formula bit for bit."""
+        X, y = _seed_loop_problem(data)
+        kernel = svm.resolve_gamma(svm.KernelSpec(
+            kind=data.draw(st.sampled_from(["linear", "rbf"]), label="kind"),
+            c=data.draw(st.sampled_from([1e-3, 0.3, 10.0, 100.0]), label="C"),
+        ), X)
+        max_passes = data.draw(st.sampled_from([1, 10]), label="max_passes")
+        K = svm.kernel_matrix(kernel, X)
+        buffer = np.full(K.shape, np.nan)
+        rows = svm.CurvatureRows(K, out=buffer)
+        try:
+            svm.train_binary(X, y, kernel, max_passes=max_passes, gram=K, curvature=rows)
+        except ConvergenceError:
+            pass
+        ref = wss2_smo(K, y, kernel.c, 1e-3, max_passes)
+        assert list(rows) == list(dict.fromkeys(ref["chosen_i"]))
+        full = _full_inverse_curvature(K)
+        assert np.array_equal(buffer[:len(rows)], full[list(rows)])
+        assert np.isnan(buffer[len(rows):]).all()
+        assert all(np.array_equal(row, full[i]) for i, row in rows.items())
+
+    def test_every_row_in_any_order_equals_the_full_formula(self):
+        rng = np.random.default_rng(30)
+        X = rng.standard_normal((60, 4)) * np.exp(rng.uniform(-6.0, 6.0, 4))
+        X[30:40] = X[:10]  # repeated rows: curvature 0, floored at 1e-12
+        for kernel in (svm.KernelSpec(kind="linear"), svm.KernelSpec(kind="rbf", gamma=0.7)):
+            K = svm.kernel_matrix(kernel, X)
+            full = _full_inverse_curvature(K)
+            rows = svm.CurvatureRows(K)
+            order = rng.permutation(len(K)).tolist()
+            for i in order + order:
+                assert np.array_equal(rows[i], full[i])
+            assert list(rows) == order
+            assert rows[0] is rows[0]
+
+    def test_one_cache_per_pair_shared_by_every_c(self, monkeypatch):
+        """Kernels that differ only in C read one cache per class pair: each
+        row is built once, and only at an i that some C's solver picked."""
+        rng = np.random.default_rng(31)
+        X = np.vstack([rng.normal(c, 1.2, (30, 3)) for c in ((0, 0, 0), (1, 0, 0), (0, 1, 0))])
+        labels = np.repeat([0, 1, 2], 30)
+        kernels = [svm.KernelSpec(c=c, gamma=0.4) for c in (0.1, 1.0, 10.0)]
+        caches = _recording_curvature_rows(monkeypatch)
+        models = svm.train_multiclass(X, labels, kernels, max_passes=50)
+        assert not any(isinstance(m, ConvergenceError) for m in models)
+        assert len(caches) == 3
+        Xs = svm.standardize_fit(X).transform(X)
+        for (a, b), cache in zip([(0, 1), (0, 2), (1, 2)], caches):
+            mask = (labels == a) | (labels == b)
+            y = np.where(labels[mask] == a, 1.0, -1.0)
+            K = svm.kernel_matrix(kernels[0], Xs[mask])
+            chosen = [i for kernel in kernels
+                      for i in wss2_smo(K, y, kernel.c, 1e-3, 50)["chosen_i"]]
+            assert cache.builds == list(cache) == list(dict.fromkeys(chosen))
+            assert len(cache) < len(y)
+            full = _full_inverse_curvature(K)
+            assert np.array_equal(np.array(cache.copies), full[cache.builds])
+
+
 class TestDecision:
     def test_dimension_mismatch(self):
         X = np.array([[-1.0], [1.0]])
@@ -383,26 +480,22 @@ class TestMulticlass:
         kernels = [svm.KernelSpec(c=c, gamma=g) for c in (0.1, 100.0) for g in (0.5, 5.0)]
         kernels.append(svm.KernelSpec(kind="linear", c=1.0))
         alone = [svm.train_multiclass(X, labels, [k], max_passes=3)[0] for k in kernels]
-        built, curvatures = [], []
-        kernel_matrix, inverse_curvature = svm.kernel_matrix, svm.inverse_curvature
+        built = []
+        kernel_matrix = svm.kernel_matrix
 
         def counting(spec, *args, **kwargs):
             built.append(kernel_matrix(spec, *args, **kwargs))
             return built[-1]
 
-        def counting_curvature(K, *args, **kwargs):
-            curvatures.append(K)
-            return inverse_curvature(K, *args, **kwargs)
-
         monkeypatch.setattr(svm, "kernel_matrix", counting)
-        monkeypatch.setattr(svm, "inverse_curvature", counting_curvature)
+        caches = _recording_curvature_rows(monkeypatch)
         together = svm.train_multiclass(X, labels, kernels, max_passes=3)
         # one Gram per pair at gamma 0.5 and at 5.0; the linear kernel runs out
         # of updates on the first pair, so its Gram is built for that pair only;
-        # each Gram's inverse curvature is built once, and only for that Gram
+        # each Gram gets one curvature row cache, on that Gram
         assert len(built) == 3 * 2 + 1
-        assert len(curvatures) == len(built)
-        assert all(K is gram for K, gram in zip(curvatures, built))
+        assert len(caches) == len(built)
+        assert all(cache.gram is gram for cache, gram in zip(caches, built))
         assert [isinstance(m, ConvergenceError) for m in together] == [False] * 2 + [True] * 3
         for a, b in zip(alone, together):
             if isinstance(a, ConvergenceError):
