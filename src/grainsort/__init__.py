@@ -6,49 +6,14 @@ one-vs-one SVMs with an SMO dual solver, and scores everything with
 stratified k-fold cross-validation.
 """
 
-from .errors import (
-    AliasingError,
-    ConfigError,
-    ConvergenceError,
-    CorruptDatasetError,
-    DataError,
-    DegenerateTrainingError,
-    DimensionMismatchError,
-    GrainsortError,
-    InvalidParameterError,
-)
-from .radar import (
-    RadarParams,
-    ScattererCloud,
-    SiloScene,
-    SurfaceClass,
-    backscatter,
-    generate_dataset,
-    max_unambiguous_range,
-    range_resolution,
-    synth_surface,
-)
+import os
+
+# One BLAS thread per process: the commands already run one worker process
+# per CPU, and OpenBLAS would start another thread per CPU in each.  OpenBLAS
+# reads these variables, in this order, when numpy loads it, so this runs
+# before any grainsort module imports numpy, and a count the user set wins.
+if not any(name in os.environ
+           for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AliasingError",
-    "ConfigError",
-    "ConvergenceError",
-    "CorruptDatasetError",
-    "DataError",
-    "DegenerateTrainingError",
-    "DimensionMismatchError",
-    "GrainsortError",
-    "InvalidParameterError",
-    "RadarParams",
-    "ScattererCloud",
-    "SiloScene",
-    "SurfaceClass",
-    "backscatter",
-    "generate_dataset",
-    "max_unambiguous_range",
-    "range_resolution",
-    "synth_surface",
-    "__version__",
-]

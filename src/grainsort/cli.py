@@ -108,13 +108,6 @@ def _snr_tag(snr) -> str:
     return "noiseless" if snr is None else f"snr{snr:g}"
 
 
-def _simulate_scans(cfg: dict, snr) -> np.recarray:
-    d = cfg["dataset"]
-    return radar.generate_dataset(cfgmod.radar_params(cfg), cfgmod.scene(cfg),
-                                  d["per_class_counts"], snr, cfg["seed"],
-                                  d["fill_fraction_range"], d["cone_height_range"])
-
-
 @click.group()
 def cli():
     """Radar grain-surface classification experiments."""
@@ -136,30 +129,29 @@ def simulate(config_path, seed, out_dir, snr_override, also_csv):
     cfg = cfgmod.load_config(config_path, seed=seed, out_dir=out_dir)
     if snr_override is not None:
         cfg["dataset"]["snr_db"] = [snr_override]
-        cfgmod.validate_config(cfg)
-    params = cfgmod.radar_params(cfg)
+    spec = cfgmod.build(cfg, "dataset")
     manifest = {
         "config_hash": cfgmod.config_hash(cfg),
         "seed": cfg["seed"],
         "per_class_counts": cfg["dataset"]["per_class_counts"],
         "class_names": list(radar.CLASS_NAMES),
-        "n_freq": params.n_freq,
+        "n_freq": spec.params.n_freq,
         "files": [],
     }
     out = Path(cfg["out_dir"])
     wrote = []
     with _staged_out(out) as stage:
-        for snr in cfg["dataset"]["snr_db"]:
-            scans = _simulate_scans(cfg, snr)
+        for snr in spec.snr_db:
+            scans = radar.generate_dataset(spec, snr)
             name = f"dataset_{_snr_tag(snr)}.gsrd"
-            ds.save_dataset(stage / name, params, scans)
+            ds.save_dataset(stage / name, spec.params, scans)
             manifest["files"].append(
                 {"path": name, "snr_db": snr, "n_records": len(scans)}
             )
             wrote.append(f"{out / name} ({len(scans)} records)")
             if also_csv:
                 csv_name = f"dataset_{_snr_tag(snr)}.csv"
-                header = ["label"] + [f"{part}_{i}" for i in range(params.n_freq)
+                header = ["label"] + [f"{part}_{i}" for i in range(spec.params.n_freq)
                                       for part in ("re", "im")]
                 _write_csv(stage / csv_name, header,
                            ([label] + samples.view(np.float64).tolist()
@@ -212,10 +204,8 @@ def train(dataset_path, method_tag, config_path, seed, out_dir):
     params, scans = ds.load_dataset(dataset_path)
     fparams = cfgmod.feature_params(cfg)
     X, y = features.extract_matrix(scans, method_tag, fparams)
-    (model,) = svm.train_multiclass(
-        X, y, [cfgmod.kernel_spec(cfg)],
-        tol=cfg["svm"]["tol"], max_passes=cfg["svm"]["max_passes"],
-    )
+    (model,) = svm.train_multiclass(X, y, [cfgmod.kernel_spec(cfg)],
+                                    solver=cfgmod.solver_spec(cfg))
     if isinstance(model, ConvergenceError):
         raise model
     extra = {
@@ -374,12 +364,12 @@ def evaluate(config_path, seed, out_dir, method_tags, echo_classifier, use_grid)
     else:
         points = [(None, None)]  # the config kernel
     kernels = [cfgmod.kernel_spec(cfg, c=c, gamma=gamma) for c, gamma in points]
-    for snr in cfg["dataset"]["snr_db"]:
-        scans = _simulate_scans(cfg, snr)
+    spec, solver = cfgmod.dataset_spec(cfg), cfgmod.solver_spec(cfg)
+    for snr in spec.snr_db:
+        scans = radar.generate_dataset(spec, snr)
         chains, y = features.extract_chains(scans, cfg["methods"], fparams)
         outcomes = evaluation.cross_validate_chains(
-            chains, y, kernels, k=cfg["cv"]["k"], seed=cfg["seed"], tol=cfg["svm"]["tol"],
-            max_passes=cfg["svm"]["max_passes"], classifier=classifier,
+            chains, y, kernels, k=spec.k, seed=spec.seed, solver=solver, classifier=classifier,
         )
         block = {}
         for method_tag in cfg["methods"]:

@@ -21,8 +21,8 @@ from typing import Optional, Union
 
 from .errors import ConfigError, InvalidParameterError
 from .features import METHOD_TAGS, FeatureParams
-from .radar import RadarParams, SiloScene, check_fill_and_cone, max_unambiguous_range
-from .svm import KernelSpec
+from .radar import DatasetSpec, RadarParams, SiloScene
+from .svm import KernelSpec, SolverSpec
 
 # SiloScene fields whose config key carries the unit suffix "_m" (metres)
 _METRE_FIELDS = {
@@ -81,31 +81,17 @@ def _is_number(value) -> bool:
     return math.isfinite(value) if isinstance(value, float) else abs(value) <= sys.float_info.max
 
 
-def _is_snr(value) -> bool:
-    """null, or a number whose noise scale 10 ** (-snr_db / 10) is a finite float."""
-    try:
-        return value is None or _is_number(value) and math.isfinite(10.0 ** (-value / 10.0))
-    except OverflowError:
-        return False
-
-
 # the JSON type a default's Python type asks for: (test, description)
 _TYPES = {
     int: (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
     float: (_is_number, "a finite number"),
     str: (lambda v: isinstance(v, str), "a string"),
 }
-# what the defaults cannot type: the values of these keys (or items of these
-# lists), and the lengths of these lists (the others need at least one item)
+# what the defaults cannot type: the values of these keys, or items of these lists
 _RULES = {
-    ("dataset", "snr_db"): (_is_snr, "null or a finite number above -3082.5 dB"),
+    ("dataset", "snr_db"): (lambda v: v is None or _is_number(v), "null or a finite number"),
     ("methods",): (lambda v: v in METHOD_TAGS, f"one of {list(METHOD_TAGS)}"),
     ("kernel", "gamma"): (lambda v: v == "scale" or _is_number(v), "'scale' or a finite number"),
-}
-_LENGTHS = {
-    ("dataset", "per_class_counts"): 3,
-    ("dataset", "fill_fraction_range"): 2,
-    ("dataset", "cone_height_range"): 2,
 }
 
 
@@ -125,9 +111,8 @@ def _check_shape(value, default, path=()) -> None:
                 raise _invalid(path, f"unknown key {key!r}")
             _check_shape(item, default[key], path + (key,))
     elif isinstance(default, list):
-        n = _LENGTHS.get(path)
-        if not isinstance(value, list) or not (len(value) == n if n else value):
-            raise _invalid(path, f"{value!r} is not a list of {n or 'one or more'} items")
+        if not isinstance(value, list) or not value:
+            raise _invalid(path, f"{value!r} is not a list of one or more items")
         for i, item in enumerate(value):
             _check_shape(item, default[0], path + (i,))
     else:
@@ -137,11 +122,6 @@ def _check_shape(value, default, path=()) -> None:
             raise _invalid(path, f"{value!r} is not {kind}")
 
 
-def _grid_specs(cfg: dict) -> list:
-    grid = cfg["grid"]
-    return [kernel_spec(cfg, c=c, gamma=g) for c in grid["C"] for g in grid["gamma"]]
-
-
 def validate_config(doc: dict) -> None:
     """Raise ConfigError unless doc names a seed, has the keys and JSON types
     of DEFAULT_CONFIG and, merged over it, is a usable experiment."""
@@ -149,48 +129,8 @@ def validate_config(doc: dict) -> None:
     if "seed" not in doc:
         raise _invalid((), "'seed' is a required property")
     cfg = _deep_merge(DEFAULT_CONFIG, doc)
-    # the bounds no parameter object checks
-    lows = [(("seed",), cfg["seed"], 0), (("svm", "max_passes"), cfg["svm"]["max_passes"], 1),
-            (("cv", "k"), cfg["cv"]["k"], 2)]
-    lows += [(("dataset", "per_class_counts", i), n, 1)
-             for i, n in enumerate(cfg["dataset"]["per_class_counts"])]
-    for path, value, low in lows:
-        if value < low:
-            raise _invalid(path, f"{value} is less than the minimum of {low}")
-    if cfg["svm"]["tol"] <= 0:
-        raise _invalid(("svm", "tol"), f"{cfg['svm']['tol']} is not positive")
-    for key in ("fill_fraction_range", "cone_height_range"):
-        low, high = cfg["dataset"][key]
-        if low > high:
-            raise _invalid(("dataset", key), f"low end {low} is above high end {high}")
-    for section, build in (("radar", radar_params), ("scene", scene),
-                           ("features", feature_params), ("kernel", kernel_spec),
-                           ("grid", _grid_specs)):
-        try:
-            build(cfg)
-        except InvalidParameterError as exc:
-            raise _invalid((section,), str(exc)) from None
-    # a drawn fill fraction and cone height lie between their ranges' ends, and
-    # the surface's nearest range falls, and its deepest rises, as the fill
-    # falls or |cone height| grows, so every draw keeps the rule if each fill
-    # end does with no cone, then each pair of ends; the sweep's window is
-    # checked once the ranges are known to pass without it
-    silo = scene(cfg)
-    fills, heights = cfg["dataset"]["fill_fraction_range"], cfg["dataset"]["cone_height_range"]
-    ends = [("fill_fraction_range", f, 0.0) for f in fills]
-    ends += [("cone_height_range", f, h) for f in fills for h in heights]
-    for key, fill, height in ends:
-        try:
-            check_fill_and_cone(silo, fill, height)
-        except InvalidParameterError as exc:
-            raise _invalid(("dataset", key), str(exc)) from None
-    r_max = max_unambiguous_range(radar_params(cfg))
-    for fill in fills:
-        for height in heights:
-            try:
-                check_fill_and_cone(silo, fill, height, r_max)
-            except InvalidParameterError as exc:
-                raise _invalid(("radar",), str(exc)) from None
+    for section in _BUILDERS:
+        build(cfg, section)
 
 
 def load_config(path: Optional[Union[str, Path]] = None, seed: Optional[int] = None,
@@ -263,3 +203,45 @@ def kernel_spec(cfg: dict, c: Optional[float] = None, gamma=None) -> KernelSpec:
     return KernelSpec(
         kind=k["kind"], c=float(c if c is not None else k["C"]), gamma=gamma_val
     )
+
+
+def solver_spec(cfg: dict) -> SolverSpec:
+    return SolverSpec(tol=cfg["svm"]["tol"], max_passes=cfg["svm"]["max_passes"])
+
+
+def dataset_spec(cfg: dict) -> DatasetSpec:
+    d = cfg["dataset"]
+    return DatasetSpec(
+        radar_params(cfg), scene(cfg), d["per_class_counts"], d["fill_fraction_range"],
+        d["cone_height_range"], d["snr_db"], seed=cfg["seed"], k=cfg["cv"]["k"],
+    )
+
+
+def _grid_specs(cfg: dict) -> list:
+    grid = cfg["grid"]
+    return [kernel_spec(cfg, c=c, gamma=g) for c in grid["C"] for g in grid["gamma"]]
+
+
+# the builder of each section's parameter object, in the order validate_config
+# builds them; "dataset" needs a valid sweep and silo
+_BUILDERS = {
+    "radar": radar_params, "scene": scene, "dataset": dataset_spec,
+    "features": feature_params, "kernel": kernel_spec, "grid": _grid_specs,
+    "svm": solver_spec,
+}
+# the config path of a parameter object's field, where it is not the field's
+# name under the object's section
+_FIELD_PATHS = {("dataset", "seed"): ("seed",), ("dataset", "k"): ("cv", "k"),
+                ("dataset", "params"): ("radar",)}
+
+
+def build(cfg: dict, section: str):
+    """The parameter object of one config section of cfg (for "grid", the
+    KernelSpec of every grid point).  A value the object rejects raises
+    ConfigError at that value's config path, or at the section's where the
+    object names no field."""
+    try:
+        return _BUILDERS[section](cfg)
+    except InvalidParameterError as exc:
+        path = (section, *exc.field)
+        raise _invalid(_FIELD_PATHS.get(path[:2], path), str(exc)) from None

@@ -10,7 +10,12 @@ class ConfigError(GrainsortError):
 
 
 class InvalidParameterError(ConfigError):
-    """Physically or numerically inadmissible parameter values."""
+    """Physically or numerically inadmissible parameter values; field, if
+    given, is the path of the bad value in its object: a name, then indices."""
+
+    def __init__(self, message, field=()):
+        super().__init__(message)
+        self.field = tuple(field)
 
 
 class AliasingError(ConfigError):

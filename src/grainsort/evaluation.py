@@ -75,10 +75,9 @@ def class_metrics(cm) -> Tuple[np.ndarray, Tuple[str, ...]]:
 
 
 def kfold_split(labels, k: int, seed: int) -> np.ndarray:
-    """Fold id of every sample: per-class seeded shuffle, then round-robin."""
+    """Fold id of every sample: per-class seeded shuffle, then round-robin
+    into k >= 2 folds (radar.DatasetSpec checks a config's k)."""
     labels = np.asarray(labels, dtype=int).ravel()
-    if k < 2:
-        raise DataError("need at least 2 folds")
     rng = stream_rng(seed, FOLD_STREAM)
     folds = np.full(labels.size, -1, dtype=np.int64)
     for cls in np.unique(labels):
@@ -107,39 +106,20 @@ class MetricsReport:
         return len(self.confusions)
 
 
-def cross_validate(
-    X: np.ndarray,
-    y: np.ndarray,
-    method_tag: str,
-    kernel: svm.KernelSpec,
-    k: int = 10,
-    seed: int = 0,
-    n_classes: int = 3,
-    tol: float = 1e-3,
-    max_passes: int = 10,
-    classifier: str = "svm",
-) -> MetricsReport:
+def cross_validate(X: np.ndarray, y: np.ndarray, method_tag: str, kernel: svm.KernelSpec,
+                   **options) -> MetricsReport:
     """Stratified k-fold evaluation of one method chain's feature matrix at
     one kernel: :func:`cross_validate_chains` of one chain and one kernel,
-    whose ConvergenceError it raises."""
-    (outcome,) = cross_validate_chains(
-        {method_tag: X}, y, [kernel], k=k, seed=seed, n_classes=n_classes, tol=tol,
-        max_passes=max_passes, classifier=classifier,
-    )[method_tag]
+    with its keyword options, whose ConvergenceError it raises."""
+    (outcome,) = cross_validate_chains({method_tag: X}, y, [kernel], **options)[method_tag]
     if isinstance(outcome, ConvergenceError):
         raise outcome
     return outcome
 
 
 def cross_validate_chains(
-    chains: Mapping[str, np.ndarray],
-    y: np.ndarray,
-    kernels: Sequence[svm.KernelSpec],
-    k: int = 10,
-    seed: int = 0,
-    n_classes: int = 3,
-    tol: float = 1e-3,
-    max_passes: int = 10,
+    chains: Mapping[str, np.ndarray], y: np.ndarray, kernels: Sequence[svm.KernelSpec],
+    k: int = 10, seed: int = 0, n_classes: int = 3, solver: svm.SolverSpec = svm.SolverSpec(),
     classifier: str = "svm",
 ) -> Dict[str, List[Union[MetricsReport, ConvergenceError]]]:
     """Stratified k-fold evaluation of every chain's feature matrix at every kernel.
@@ -158,8 +138,7 @@ def cross_validate_chains(
     folds = kfold_split(y, k, seed)
     jobs = [(X, fold) for X in chains.values() for fold in range(k)]
     outcomes = parallel.pmap(
-        functools.partial(_fold_confusions, y, folds, kernels, n_classes, tol, max_passes,
-                          classifier),
+        functools.partial(_fold_confusions, y, folds, kernels, n_classes, solver, classifier),
         jobs,
     )
     results = {method_tag: [] for method_tag in chains}
@@ -173,8 +152,7 @@ def cross_validate_chains(
     return results
 
 
-def _fold_confusions(y, folds, kernels, n_classes, tol, max_passes, classifier,
-                     job) -> list:
+def _fold_confusions(y, folds, kernels, n_classes, solver, classifier, job) -> list:
     """One (chain, fold) job: train on the other folds at every kernel and
     score this one, giving a confusion matrix or a ConvergenceError per kernel."""
     X, fold = job
@@ -182,10 +160,8 @@ def _fold_confusions(y, folds, kernels, n_classes, tol, max_passes, classifier,
     try:
         if classifier == "echo":
             return [confusion(y[test], y[test], n_classes)] * len(kernels)
-        models = svm.train_multiclass(
-            X[~test], y[~test], kernels,
-            n_classes=n_classes, tol=tol, max_passes=max_passes,
-        )
+        models = svm.train_multiclass(X[~test], y[~test], kernels,
+                                      n_classes=n_classes, solver=solver)
         return [_in_fold(model, fold) if isinstance(model, ConvergenceError)
                 else confusion(y[test], svm.predict(model, X[test]), n_classes)
                 for model in models]

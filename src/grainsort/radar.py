@@ -79,6 +79,14 @@ class RadarParams:
                          ("samples", "<c16", (self.n_freq,))])
 
 
+def _pow10(x: float) -> float:
+    """10 ** x, or inf where that overflows a float."""
+    try:
+        return 10.0 ** x
+    except OverflowError:
+        return math.inf
+
+
 def range_resolution(params: RadarParams) -> float:
     """Range bin size dz = c / (2 B)."""
     return params.c / (2.0 * params.bandwidth)
@@ -173,11 +181,7 @@ class SiloScene:
             if not getattr(self, name) >= 0:
                 raise InvalidParameterError(f"{name} must be >= 0")
         # synth_surface draws a gain below 10 ** (gain_jitter_db / 20)
-        try:
-            max_gain = 10.0 ** (self.gain_jitter_db / 20.0)
-        except OverflowError:
-            max_gain = math.inf
-        if not math.isfinite(max_gain):
+        if not math.isfinite(_pow10(self.gain_jitter_db / 20.0)):
             raise InvalidParameterError(
                 f"gain_jitter_db={self.gain_jitter_db} gives a gain that is not a finite float"
             )
@@ -370,10 +374,7 @@ def backscatter(
             np.random.SeedSequence(entropy=int(seed), spawn_key=(_NOISE_KEY,))
         )
         signal_power = float(np.mean(np.abs(samples) ** 2))
-        try:
-            noise_power = signal_power * 10.0 ** (-float(snr_db) / 10.0)
-        except OverflowError:
-            noise_power = math.inf
+        noise_power = signal_power * _pow10(-float(snr_db) / 10.0)
         if not math.isfinite(noise_power):
             raise InvalidParameterError(
                 f"snr_db={snr_db} gives a noise power that is not a finite float"
@@ -388,49 +389,85 @@ def backscatter(
     return samples
 
 
-def generate_dataset(
-    params: RadarParams,
-    scene: SiloScene,
-    per_class_counts: Sequence[int],
-    snr_db: Optional[float],
-    seed: int,
-    fill_fraction_range: Sequence[float],
-    cone_height_range: Sequence[float],
-) -> np.recarray:
-    """Simulate a labelled scan array of params.scan_dtype, fully deterministic
-    from ``seed``.
+@dataclass(frozen=True)
+class DatasetSpec:
+    """A labelled simulation: sweep, silo, scans per class, the ranges each
+    scan's fill fraction and cone height are drawn from, the SNRs (None:
+    noiseless), the master seed and the k cross-validation folds.  A bad
+    value raises InvalidParameterError whose field names it; a range that
+    lets a surface reach past the sweep's window names params."""
+
+    params: RadarParams
+    scene: SiloScene
+    per_class_counts: Sequence[int]
+    fill_fraction_range: Sequence[float]
+    cone_height_range: Sequence[float]
+    snr_db: Sequence[Optional[float]] = (None,)
+    seed: int = 0
+    k: int = 10
+
+    def __post_init__(self):
+        for name, n in (("per_class_counts", len(SurfaceClass)), ("fill_fraction_range", 2),
+                        ("cone_height_range", 2)):
+            if len(getattr(self, name)) != n:
+                raise InvalidParameterError(
+                    f"{getattr(self, name)!r} is not a list of {n} items", (name,))
+        lows = [(("seed",), self.seed, 0), (("k",), self.k, 2)]
+        lows += [(("per_class_counts", i), n, 1) for i, n in enumerate(self.per_class_counts)]
+        for field, value, low in lows:
+            if value < low:
+                raise InvalidParameterError(f"{value} is less than the minimum of {low}", field)
+        for i, snr in enumerate(self.snr_db):
+            # the noise scale 10 ** (-snr_db / 10) must be a finite float
+            if snr is not None and not (math.isfinite(snr) and math.isfinite(_pow10(-snr / 10.0))):
+                raise InvalidParameterError(
+                    f"{snr!r} is not null or a finite number above -3082.5 dB", ("snr_db", i))
+        fills, heights = self.fill_fraction_range, self.cone_height_range
+        for name, (low, high) in (("fill_fraction_range", fills), ("cone_height_range", heights)):
+            if low > high:
+                raise InvalidParameterError(f"low end {low} is above high end {high}", (name,))
+        # a draw lies between its ranges' ends, and the surface's nearest range
+        # falls, and its deepest rises, as the fill falls or |cone height| grows,
+        # so every draw keeps the draw rule if each fill end does with no cone,
+        # then each pair of ends, then each pair within the sweep's window
+        r_max = max_unambiguous_range(self.params)
+        ends = [("fill_fraction_range", f, 0.0, math.inf) for f in fills]
+        ends += [("cone_height_range", f, h, math.inf) for f in fills for h in heights]
+        ends += [("params", f, h, r_max) for f in fills for h in heights]
+        for name, fill, height, max_range in ends:
+            try:
+                check_fill_and_cone(self.scene, fill, height, max_range)
+            except InvalidParameterError as exc:
+                raise InvalidParameterError(str(exc), (name,)) from None
+
+
+def generate_dataset(spec: DatasetSpec, snr_db: Optional[float]) -> np.recarray:
+    """Simulate a labelled scan array of spec.params.scan_dtype at snr_db
+    (None: noiseless), fully deterministic from spec.seed.
 
     Per sample, fill_fraction and cone_height are re-drawn uniformly from
-    the given ranges; the class alone gives the cone its direction.  Records
-    are emitted class-major: all levelled scans first, then peaked, then
-    inverted.  Each CHUNK_ROWS records are one job of parallel.pmap.
+    the spec's ranges; the class alone gives the cone its direction.
+    Records are emitted class-major: all levelled scans first, then peaked,
+    then inverted.  Each CHUNK_ROWS records are one job of parallel.pmap.
     """
-    counts = [int(c) for c in per_class_counts]
-    if len(counts) != len(SurfaceClass) or any(c < 1 for c in counts):
-        raise InvalidParameterError(
-            f"per_class_counts needs {len(SurfaceClass)} entries >= 1, got {counts}"
-        )
-
-    rows = [(cls, i) for cls in SurfaceClass for i in range(counts[cls])]
+    rows = [(cls, i) for cls in SurfaceClass for i in range(spec.per_class_counts[cls])]
     parts = parallel.pmap(
-        functools.partial(_simulate_rows, params, scene, snr_db, seed,
-                          fill_fraction_range, cone_height_range),
+        functools.partial(_simulate_rows, spec, snr_db),
         [rows[i : i + CHUNK_ROWS] for i in range(0, len(rows), CHUNK_ROWS)],
     )
     return np.concatenate(parts).view(np.recarray)
 
 
-def _simulate_rows(params, scene, snr_db, seed, fill_fraction_range, cone_height_range,
-                   rows) -> np.ndarray:
+def _simulate_rows(spec, snr_db, rows) -> np.ndarray:
     """The scans of generate_dataset's (class, index) rows, in order."""
-    scans = np.empty(len(rows), dtype=params.scan_dtype)
+    scans = np.empty(len(rows), dtype=spec.params.scan_dtype)
     snr = math.nan if snr_db is None else snr_db
     for row, (cls, i) in enumerate(rows):
-        rseed = record_seed(seed, RECORD_STREAM, int(cls), i)
+        rseed = record_seed(spec.seed, RECORD_STREAM, int(cls), i)
         jitter = np.random.default_rng(
             np.random.SeedSequence(entropy=rseed, spawn_key=(_JITTER_KEY,))
         )
-        cloud = synth_surface(scene, cls, jitter.uniform(*fill_fraction_range),
-                              jitter.uniform(*cone_height_range), rseed)
-        scans[row] = (cls, rseed, snr, backscatter(cloud, params, snr_db, rseed))
+        cloud = synth_surface(spec.scene, cls, jitter.uniform(*spec.fill_fraction_range),
+                              jitter.uniform(*spec.cone_height_range), rseed)
+        scans[row] = (cls, rseed, snr, backscatter(cloud, spec.params, snr_db, rseed))
     return scans

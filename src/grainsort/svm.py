@@ -60,6 +60,23 @@ class KernelSpec:
             raise InvalidParameterError("gamma must be positive")
 
 
+@dataclass(frozen=True)
+class SolverSpec:
+    """When SMO stops: at a KKT violation of at most tol, or after max_passes
+    * n pair updates on n rows, with a ConvergenceError.  A bad value raises
+    InvalidParameterError whose field names it."""
+
+    tol: float = 1e-3
+    max_passes: int = 10
+
+    def __post_init__(self):
+        if not self.tol > 0:
+            raise InvalidParameterError(f"{self.tol} is not positive", ("tol",))
+        if self.max_passes < 1:
+            raise InvalidParameterError(
+                f"{self.max_passes} is less than the minimum of 1", ("max_passes",))
+
+
 def resolve_gamma(spec: KernelSpec, X: np.ndarray) -> KernelSpec:
     """Fill in the variance-heuristic gamma against a concrete training matrix."""
     if spec.kind != "rbf" or spec.gamma is not None:
@@ -189,15 +206,14 @@ def train_binary(
     X: np.ndarray,
     y: np.ndarray,
     kernel: KernelSpec,
-    tol: float = 1e-3,
-    max_passes: int = 10,
+    solver: SolverSpec = SolverSpec(),
     debug: bool = False,
     gram: Optional[np.ndarray] = None,
     curvature: Optional[CurvatureRows] = None,
 ) -> BinarySVM:
     """Fit one soft-margin machine on labels in {-1, +1}.
 
-    max_passes * n bounds the number of pair updates; running out raises
+    solver.max_passes * n bounds the number of pair updates; running out raises
     ConvergenceError with the best iterate attached.  With debug=True the
     dual objective is recomputed after every accepted update and asserted
     non-decreasing (slow; for small problems and tests).  gram, when given,
@@ -216,8 +232,6 @@ def train_binary(
         raise InvalidParameterError("labels must be -1 or +1")
     if np.unique(y).size < 2:
         raise DegenerateTrainingError("training set holds a single class")
-    if max_passes < 1:
-        raise InvalidParameterError("max_passes must be >= 1")
 
     kernel = resolve_gamma(kernel, X)
     n = y.size
@@ -230,7 +244,7 @@ def train_binary(
     r = CurvatureRows(K) if curvature is None else curvature
     alpha = np.zeros(n)  # refreshed from alpha_list before it is read
     f_cache = np.zeros(n)  # f_i = sum_j alpha_j y_j K_ij
-    budget = max_passes * n
+    tol, budget = solver.tol, solver.max_passes * n
     diag = SMODiagnostics(objective_trace=[] if debug else None)
     prev_objective = 0.0
 
@@ -363,12 +377,8 @@ class MulticlassSVM:
 
 
 def train_multiclass(
-    X: np.ndarray,
-    labels: np.ndarray,
-    kernels: Sequence[KernelSpec],
-    n_classes: int = 3,
-    tol: float = 1e-3,
-    max_passes: int = 10,
+    X: np.ndarray, labels: np.ndarray, kernels: Sequence[KernelSpec], n_classes: int = 3,
+    solver: SolverSpec = SolverSpec(),
 ) -> List[Union[MulticlassSVM, ConvergenceError]]:
     """Standardize on the full training fold, then fit every class pair at
     every kernel: one model per kernel, in order.
@@ -414,9 +424,7 @@ def train_multiclass(
             for i in live:
                 try:
                     pairwise[i][(a, b)] = train_binary(
-                        Xp, y, kernels[i], tol=tol, max_passes=max_passes, gram=K,
-                        curvature=r,
-                    )
+                        Xp, y, kernels[i], solver=solver, gram=K, curvature=r)
                 except ConvergenceError as exc:
                     failed[i] = exc
     return [MulticlassSVM(class_ids, pairwise[i], scaler, kernel) if failed[i] is None

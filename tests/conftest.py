@@ -30,15 +30,7 @@ def tiny_config():
 @pytest.fixture(scope="session")
 def tiny_scans(tiny_config):
     cfg = tiny_config
-    return radar.generate_dataset(
-        cfgmod.radar_params(cfg),
-        cfgmod.scene(cfg),
-        cfg["dataset"]["per_class_counts"],
-        20.0,
-        cfg["seed"],
-        fill_fraction_range=cfg["dataset"]["fill_fraction_range"],
-        cone_height_range=cfg["dataset"]["cone_height_range"],
-    )
+    return radar.generate_dataset(cfgmod.dataset_spec(cfg), 20.0)
 
 
 @pytest.fixture()

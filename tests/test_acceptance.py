@@ -12,12 +12,12 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from grainsort import RadarParams, max_unambiguous_range, range_resolution
 from grainsort import evaluation as ev
 from grainsort import features as ft
 from grainsort import svm
 from grainsort import transforms as tr
 from grainsort.cli import cli
+from grainsort.radar import RadarParams, max_unambiguous_range, range_resolution
 from oracles import brute_force_glcm, brute_force_glrlm, idct, idwt_multilevel, qp_dual_oracle
 
 
@@ -132,7 +132,7 @@ def test_criterion_4_svm_solver():
         kernel = svm.KernelSpec(
             kind=kind, c=5.0, gamma=0.7 if kind == "rbf" else None
         )
-        model = svm.train_binary(X, y, kernel, tol=1e-3, max_passes=400)
+        model = svm.train_binary(X, y, kernel, solver=svm.SolverSpec(1e-3, 400))
         gram = svm.kernel_matrix(kernel, X)
         _, best = qp_dual_oracle(gram, y, 5.0, iters=20000)
         worst_gap = max(worst_gap, abs(model.diagnostics.dual_objective - best))

@@ -11,7 +11,7 @@ from click.testing import CliRunner
 
 from grainsort import cli as cli_module
 from grainsort import config as cfgmod
-from grainsort import evaluation, features, svm
+from grainsort import evaluation, features, radar, svm
 from grainsort.cli import cli
 from grainsort.errors import ConvergenceError
 from grainsort.dataset import load_dataset
@@ -543,7 +543,8 @@ class TestEvaluate:
         assert len(grams) == 3 * 3 * 2  # k x pairs x gammas
 
         cfg = cfgmod.load_config(config)
-        X, y = features.extract_matrix(cli_module._simulate_scans(cfg, -30.0), "FOS")
+        X, y = features.extract_matrix(radar.generate_dataset(cfgmod.dataset_spec(cfg), -30.0),
+                                       "FOS")
         scan = json.loads((out / "summary.json").read_text())["results"]["snr-30"]["FOS"]["grid_scan"]
         (outcomes,) = searched
         points = [(c, gamma) for c in (1.0, 10.0) for gamma in (0.001, 0.01)]
@@ -552,7 +553,7 @@ class TestEvaluate:
             try:
                 oracle = evaluation.cross_validate(
                     X, y, "FOS", cfgmod.kernel_spec(cfg, c=c, gamma=gamma), k=3, seed=777,
-                    tol=cfg["svm"]["tol"], max_passes=1,
+                    solver=cfgmod.solver_spec(cfg),
                 )
             except ConvergenceError as exc:
                 stalled.append((c, gamma))
@@ -669,6 +670,31 @@ def test_importing_the_cli_does_not_load(package):
     checks; multiprocessing is loaded by the first worker pool a command
     starts."""
     assert _loaded(package, "import sys, grainsort.cli") == "[]"
+
+
+def test_importing_the_package_does_not_load_numpy():
+    # so the package's BLAS thread default is set before numpy loads OpenBLAS
+    assert _loaded("numpy", "import sys, grainsort") == "[]"
+
+
+BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+@pytest.mark.parametrize("given, expected", [
+    ({}, {"OPENBLAS_NUM_THREADS": "1"}),
+    ({"OPENBLAS_NUM_THREADS": "2"}, {"OPENBLAS_NUM_THREADS": "2"}),
+    ({"OMP_NUM_THREADS": "3"}, {"OMP_NUM_THREADS": "3"}),
+])
+def test_package_sets_one_blas_thread_unless_the_user_set_a_count(given, expected):
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARIABLES}
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH")) if p)
+    code = ("import os, grainsort, numpy; "
+            f"print({{k: os.environ[k] for k in {BLAS_VARIABLES!r} if k in os.environ}})")
+    result = subprocess.run([sys.executable, "-c", code], env={**env, **given},
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == repr(expected)
 
 
 def test_dct_extraction_does_not_load_scipy(simulated, tmp_path):

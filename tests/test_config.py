@@ -7,8 +7,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from jsonschema.validators import validator_for
 
-from grainsort import ConfigError, InvalidParameterError
 from grainsort import config as cfgmod
+from grainsort.errors import ConfigError, InvalidParameterError
 from grainsort.radar import check_fill_and_cone, max_unambiguous_range
 from oracles import CONFIG_SCHEMA
 

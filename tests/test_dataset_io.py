@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from grainsort import CorruptDatasetError, DimensionMismatchError, RadarParams, SurfaceClass
 from grainsort.cli import cli
 from grainsort.dataset import load_dataset, save_dataset
+from grainsort.errors import CorruptDatasetError, DimensionMismatchError
+from grainsort.radar import RadarParams, SurfaceClass
 from oracles import scan_array
 
 

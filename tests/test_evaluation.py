@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grainsort import ConvergenceError, DataError, DimensionMismatchError
 from grainsort import evaluation as ev
 from grainsort import features as ft
 from grainsort import svm
+from grainsort.errors import ConvergenceError, DataError, DimensionMismatchError
 from grainsort.radar import SurfaceClass
 from oracles import scan_array
+
+SOLVER = svm.SolverSpec(max_passes=50)
 
 
 class TestConfusion:
@@ -264,8 +266,8 @@ class TestCrossValidate:
     def test_deterministic_reports(self, tiny_scans, tiny_config):
         kernel = svm.KernelSpec(kind="rbf", c=10.0)
         X, y = ft.extract_matrix(tiny_scans, "FOS")
-        a = ev.cross_validate(X, y, "FOS", kernel, k=3, seed=11, max_passes=50)
-        b = ev.cross_validate(X, y, "FOS", kernel, k=3, seed=11, max_passes=50)
+        a = ev.cross_validate(X, y, "FOS", kernel, k=3, seed=11, solver=SOLVER)
+        b = ev.cross_validate(X, y, "FOS", kernel, k=3, seed=11, solver=SOLVER)
         assert np.array_equal(a.confusions, b.confusions)
         assert ev.report_payload(a) == ev.report_payload(b)
 
@@ -276,11 +278,11 @@ class TestCrossValidate:
 
         def fold_model(features, fold):
             train = folds != fold
-            (model,) = svm.train_multiclass(features[train], y[train], [kernel], max_passes=50)
+            (model,) = svm.train_multiclass(features[train], y[train], [kernel], solver=SOLVER)
             return model
 
         # cross_validate scores each fold with the model of its training split
-        report = ev.cross_validate(X, y, "FOS", kernel, k=3, seed=2, max_passes=50)
+        report = ev.cross_validate(X, y, "FOS", kernel, k=3, seed=2, solver=SOLVER)
         for fold in range(3):
             test = folds == fold
             predictions = svm.predict(fold_model(X, fold), X[test])
@@ -307,7 +309,7 @@ class TestCrossValidate:
             ev.cross_validate(
                 X, y, "FOS",
                 svm.KernelSpec(kind="rbf", c=1000.0, gamma=0.01),
-                k=2, seed=0, max_passes=1,
+                k=2, seed=0, solver=svm.SolverSpec(max_passes=1),
             )
 
     def test_report_rows_shape(self, tiny_scans):

@@ -580,6 +580,12 @@ MALFORMED_CONFIG_VALUES = [
     (("dataset", "cone_height_range"), [5.0, 6.0]),  # the surface reaches the antenna
     (("dataset", "fill_fraction_range"), [0.5, 1.5]),
     (("dataset", "fill_fraction_range"), [0.5, 1.0]),
+    # the minima that DatasetSpec and SolverSpec hold
+    (("seed",), -1),
+    (("svm", "max_passes"), 0),
+    (("svm", "tol"), 0.0),
+    (("cv", "k"), 1),
+    (("dataset", "per_class_counts", 1), 0),
 ]
 
 

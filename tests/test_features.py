@@ -9,10 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from grainsort import InvalidParameterError, RadarParams, SurfaceClass
 from grainsort import features as ft
 from grainsort.cli import cli
 from grainsort.dataset import save_dataset
+from grainsort.errors import InvalidParameterError
+from grainsort.radar import RadarParams, SurfaceClass
 from oracles import brute_force_glcm, brute_force_glrlm, scan_array, seed_extract
 
 

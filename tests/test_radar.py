@@ -5,21 +5,21 @@ import numpy as np
 import pytest
 from scipy.stats import skew
 
-from grainsort import (
-    AliasingError,
-    DimensionMismatchError,
-    InvalidParameterError,
+from grainsort.errors import AliasingError, DimensionMismatchError, InvalidParameterError
+from grainsort.radar import (
+    MAX_N_FREQ,
+    DatasetSpec,
     RadarParams,
     ScattererCloud,
     SiloScene,
     SurfaceClass,
     backscatter,
+    check_fill_and_cone,
     generate_dataset,
     max_unambiguous_range,
     range_resolution,
     synth_surface,
 )
-from grainsort.radar import MAX_N_FREQ, check_fill_and_cone
 from oracles import (
     direct_inverse_dft, longdouble_backscatter, range_profile, seed_backscatter,
     seed_synth_surface,
@@ -334,8 +334,8 @@ TEMPLATE_RANGES = dict(fill_fraction_range=(0.5, 0.5), cone_height_range=(0.16, 
 class TestGenerateDataset:
     def test_balanced_counts(self, default_params):
         scene = SiloScene(scatterers_per_scene=20)
-        scans = generate_dataset(default_params, scene, [10] * 3, None, seed=1,
-                                 **TEMPLATE_RANGES)
+        scans = generate_dataset(
+            DatasetSpec(default_params, scene, [10] * 3, seed=1, **TEMPLATE_RANGES), None)
         assert scans.dtype == default_params.scan_dtype and len(scans) == 30
         labels = scans.label.tolist()
         for cls in SurfaceClass:
@@ -345,8 +345,8 @@ class TestGenerateDataset:
 
     def test_configured_counts(self, default_params):
         scene = SiloScene(scatterers_per_scene=20)
-        scans = generate_dataset(default_params, scene, [3, 4, 5], None, seed=1,
-                                 **TEMPLATE_RANGES)
+        scans = generate_dataset(
+            DatasetSpec(default_params, scene, [3, 4, 5], seed=1, **TEMPLATE_RANGES), None)
         labels = scans.label.tolist()
         assert labels.count(0) == 3 and labels.count(1) == 4 and labels.count(2) == 5
 
@@ -355,15 +355,48 @@ class TestGenerateDataset:
         kwargs = dict(
             fill_fraction_range=(0.4, 0.6), cone_height_range=(0.08, 0.15)
         )
-        a = generate_dataset(default_params, scene, [4] * 3, 20.0, seed=9, **kwargs)
-        b = generate_dataset(default_params, scene, [4] * 3, 20.0, seed=9, **kwargs)
+        a = generate_dataset(DatasetSpec(default_params, scene, [4] * 3, seed=9, **kwargs), 20.0)
+        b = generate_dataset(DatasetSpec(default_params, scene, [4] * 3, seed=9, **kwargs), 20.0)
         assert np.array_equal(a.samples, b.samples)
         assert np.array_equal(a.seed, b.seed)
         assert np.all(a.snr_db == 20.0)
 
     def test_rejects_bad_counts(self, default_params):
+        # the DatasetSpec that generate_dataset takes checks the counts
         scene = SiloScene(scatterers_per_scene=20)
         with pytest.raises(InvalidParameterError):
-            generate_dataset(default_params, scene, [0, 1, 1], None, seed=1, **TEMPLATE_RANGES)
+            DatasetSpec(default_params, scene, [0, 1, 1], seed=1, **TEMPLATE_RANGES)
         with pytest.raises(InvalidParameterError):
-            generate_dataset(default_params, scene, [1, 1], None, seed=1, **TEMPLATE_RANGES)
+            DatasetSpec(default_params, scene, [1, 1], seed=1, **TEMPLATE_RANGES)
+
+
+class TestDatasetSpec:
+    GOOD = dict(per_class_counts=[2, 2, 2], fill_fraction_range=(0.35, 0.65),
+                cone_height_range=(0.12, 0.20), snr_db=[20.0, None], seed=0, k=2)
+
+    def test_good_fields_are_kept(self, default_params):
+        spec = DatasetSpec(default_params, SiloScene(), **self.GOOD)
+        assert spec.per_class_counts == [2, 2, 2] and spec.snr_db == [20.0, None]
+        assert (spec.seed, spec.k) == (0, 2)
+
+    @pytest.mark.parametrize("change, field", [
+        (dict(per_class_counts=[0, 1, 1]), ("per_class_counts", 0)),
+        (dict(per_class_counts=[1, 1]), ("per_class_counts",)),
+        (dict(seed=-1), ("seed",)),
+        (dict(k=1), ("k",)),
+        (dict(snr_db=[20.0, -4000.0]), ("snr_db", 1)),
+        (dict(snr_db=[float("nan")]), ("snr_db", 0)),
+        (dict(snr_db=[float("inf")]), ("snr_db", 0)),
+        (dict(fill_fraction_range=(0.5,)), ("fill_fraction_range",)),
+        (dict(fill_fraction_range=(0.6, 0.4)), ("fill_fraction_range",)),
+        (dict(cone_height_range=(0.2, 0.1)), ("cone_height_range",)),
+        (dict(fill_fraction_range=(0.5, 1.0)), ("fill_fraction_range",)),
+        (dict(cone_height_range=(5.0, 6.0)), ("cone_height_range",)),
+        # an 18-40 GHz sweep of 64 points ends at 0.44 m, short of the surface
+        (dict(params=RadarParams(n_freq=64)), ("params",)),
+    ])
+    def test_bad_field_raises_naming_it(self, default_params, change, field):
+        fields = dict(self.GOOD, params=default_params, scene=SiloScene())
+        with pytest.raises(InvalidParameterError) as raised:
+            DatasetSpec(**dict(fields, **change))
+        assert raised.value.field == field

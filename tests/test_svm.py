@@ -5,8 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grainsort import ConvergenceError, DegenerateTrainingError, DimensionMismatchError
 from grainsort import svm
+from grainsort.errors import (
+    ConvergenceError,
+    DegenerateTrainingError,
+    DimensionMismatchError,
+    InvalidParameterError,
+)
 from oracles import (
     qp_decision_values, qp_dual_oracle, seed_kernel_matrix, seed_smo, wss2_smo,
 )
@@ -67,6 +72,22 @@ class TestStandardize:
             svm.standardize_fit(np.ones((1, 3)))
 
 
+class TestSolverSpec:
+    def test_defaults(self):
+        assert svm.SolverSpec() == svm.SolverSpec(tol=1e-3, max_passes=10)
+
+    @pytest.mark.parametrize("change, field", [
+        (dict(tol=0.0), ("tol",)),
+        (dict(tol=-1e-3), ("tol",)),
+        (dict(tol=float("nan")), ("tol",)),
+        (dict(max_passes=0), ("max_passes",)),
+    ])
+    def test_bad_field_raises_naming_it(self, change, field):
+        with pytest.raises(InvalidParameterError) as raised:
+            svm.SolverSpec(**change)
+        assert raised.value.field == field
+
+
 class TestBinaryTraining:
     def test_symmetric_pair(self):
         X = np.array([[-1.0], [1.0]])
@@ -95,7 +116,7 @@ class TestBinaryTraining:
             kind = "rbf" if trial % 2 == 0 else "linear"
             gamma = 0.7 if kind == "rbf" else None
             kernel = svm.KernelSpec(kind=kind, c=5.0, gamma=gamma)
-            model = svm.train_binary(X, y, kernel, tol=1e-4, max_passes=400, debug=True)
+            model = svm.train_binary(X, y, kernel, solver=svm.SolverSpec(1e-4, 400), debug=True)
             gram = svm.kernel_matrix(kernel, X)
             alpha_ref, best = qp_dual_oracle(gram, y, 5.0, iters=30000)
             assert abs(model.diagnostics.dual_objective - best) <= 1e-3, trial
@@ -113,7 +134,7 @@ class TestBinaryTraining:
             if np.unique(y).size < 2:
                 y[0] = -y[0]
             kernel = svm.KernelSpec(kind="rbf", c=3.0, gamma=0.5)
-            model = svm.train_binary(X, y, kernel, tol=1e-3, max_passes=400)
+            model = svm.train_binary(X, y, kernel, solver=svm.SolverSpec(1e-3, 400))
             assert model.diagnostics.final_violation <= 1e-3
             assert _kkt_violation(model, X, y, kernel) <= 1e-3 + 1e-9
             alphas = np.abs(model.dual_coef)
@@ -169,7 +190,8 @@ class TestBinaryTraining:
         y[0] = -y[1]
         with pytest.raises(ConvergenceError) as excinfo:
             svm.train_binary(
-                X, y, svm.KernelSpec(kind="rbf", c=100.0, gamma=5.0), max_passes=1
+                X, y, svm.KernelSpec(kind="rbf", c=100.0, gamma=5.0),
+                solver=svm.SolverSpec(max_passes=1),
             )
         partial = excinfo.value.model
         assert partial is not None
@@ -252,7 +274,7 @@ class TestSeedLoopBitIdentity:
         kernel = svm.resolve_gamma(kernel, X)
         ref = wss2_smo(seed_kernel_matrix(kernel, X), y, kernel.c, 1e-3, max_passes)
         try:
-            model = svm.train_binary(X, y, kernel, max_passes=max_passes)
+            model = svm.train_binary(X, y, kernel, solver=svm.SolverSpec(max_passes=max_passes))
         except ConvergenceError as exc:
             model = exc.model
             assert not ref["converged"]
@@ -351,7 +373,8 @@ class TestCurvatureRows:
         buffer = np.full(K.shape, np.nan)
         rows = svm.CurvatureRows(K, out=buffer)
         try:
-            svm.train_binary(X, y, kernel, max_passes=max_passes, gram=K, curvature=rows)
+            svm.train_binary(X, y, kernel, solver=svm.SolverSpec(max_passes=max_passes),
+                             gram=K, curvature=rows)
         except ConvergenceError:
             pass
         ref = wss2_smo(K, y, kernel.c, 1e-3, max_passes)
@@ -383,7 +406,7 @@ class TestCurvatureRows:
         labels = np.repeat([0, 1, 2], 30)
         kernels = [svm.KernelSpec(c=c, gamma=0.4) for c in (0.1, 1.0, 10.0)]
         caches = _recording_curvature_rows(monkeypatch)
-        models = svm.train_multiclass(X, labels, kernels, max_passes=50)
+        models = svm.train_multiclass(X, labels, kernels, solver=svm.SolverSpec(max_passes=50))
         assert not any(isinstance(m, ConvergenceError) for m in models)
         assert len(caches) == 3
         Xs = svm.standardize_fit(X).transform(X)
@@ -411,7 +434,7 @@ class TestDecision:
         X, y = _blobs(3, n_per=20, centres=((0, 0), (3, 3)))
         y = np.where(y == 0, -1.0, 1.0)
         kernel = svm.KernelSpec(kind="rbf", c=10.0, gamma=0.5)
-        model = svm.train_binary(X, y, kernel, max_passes=200)
+        model = svm.train_binary(X, y, kernel, solver=svm.SolverSpec(max_passes=200))
         # rbf gradient bound: sum|coef| * sqrt(2 gamma / e)
         lipschitz = np.sum(np.abs(model.dual_coef)) * np.sqrt(2 * 0.5 / np.e)
         x0 = np.array([[1.5, 1.5]])
@@ -479,7 +502,8 @@ class TestMulticlass:
         labels = np.repeat([0, 1, 2], 25)
         kernels = [svm.KernelSpec(c=c, gamma=g) for c in (0.1, 100.0) for g in (0.5, 5.0)]
         kernels.append(svm.KernelSpec(kind="linear", c=1.0))
-        alone = [svm.train_multiclass(X, labels, [k], max_passes=3)[0] for k in kernels]
+        solver = svm.SolverSpec(max_passes=3)
+        alone = [svm.train_multiclass(X, labels, [k], solver=solver)[0] for k in kernels]
         built = []
         kernel_matrix = svm.kernel_matrix
 
@@ -489,7 +513,7 @@ class TestMulticlass:
 
         monkeypatch.setattr(svm, "kernel_matrix", counting)
         caches = _recording_curvature_rows(monkeypatch)
-        together = svm.train_multiclass(X, labels, kernels, max_passes=3)
+        together = svm.train_multiclass(X, labels, kernels, solver=solver)
         # one Gram per pair at gamma 0.5 and at 5.0; the linear kernel runs out
         # of updates on the first pair, so its Gram is built for that pair only;
         # each Gram gets one curvature row cache, on that Gram
