@@ -33,9 +33,11 @@ from .errors import (
 )
 
 _BOUND_EPS = 1e-12
-# entries of a kernel_matrix tile temporary: 64 KiB, under glibc's 128 KiB
-# mmap threshold, so no tile is a fresh mapping that page-faults on first use
-_TILE_ENTRIES = 8192
+# rows of the symmetric Gram that kernel_matrix builds per step; of 32 to 192
+# rows, 96 and 128 were fastest at n = 180, 540 and 3,407 (one BLAS thread,
+# Xeon with 2 MB L2 per core): smaller blocks spend more numpy calls, larger
+# ones more work on the halves of their diagonal squares that are overwritten
+_BLOCK_ROWS = 128
 
 
 @dataclass(frozen=True)
@@ -97,8 +99,12 @@ def kernel_matrix(
     """Gram matrix K[i, j] = k(A_i, B_j); B defaults to A.
 
     With out given, K is written into it (shape (len(A), len(B)), float64) and
-    out is returned.  The RBF kernel is built in place: no temporary is as
-    large as K, whatever its size.
+    out is returned.  The RBF kernel's squared distances are one matrix
+    product of L = [-2a, |a|^2, 1] and R = [b, 1, |b|^2]; each is clamped at
+    0 before it is scaled by -gamma, so a huge gamma gives entries in [0, 1],
+    not NaN.  With B None, K is built in blocks of _BLOCK_ROWS rows on and
+    right of the diagonal, and each entry below the diagonal is a copy of its
+    mirror, so K equals K.T exactly.  No temporary is as large as K.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = A if B is None else np.atleast_2d(np.asarray(B, dtype=float))
@@ -106,19 +112,41 @@ def kernel_matrix(
         return np.matmul(A, B.T, out=out)
     if spec.gamma is None:
         raise InvalidParameterError("rbf kernel needs a resolved gamma")
-    a2, b2 = np.sum(A**2, axis=1), np.sum(B**2, axis=1)
-    K = np.matmul(A, B.T, out=out)
-    K *= 2.0
-    # squared distances (a2_i + b2_j) - 2 A_i.B_j, one tile at a time
-    cols = max(1, min(K.shape[1], _TILE_ENTRIES))
-    rows = _TILE_ENTRIES // cols
-    for r in range(0, K.shape[0], rows):
-        for c in range(0, K.shape[1], cols):
-            tile = K[r:r + rows, c:c + cols]
-            np.subtract(a2[r:r + rows, None] + b2[c:c + cols], tile, out=tile)
-    np.maximum(K, 0.0, out=K)
-    K *= -spec.gamma
-    return np.exp(K, out=K)
+    L, R = _distance_factors(A, B)
+    if B is not A:
+        return _rbf_in_place(np.matmul(L, R.T, out=out), spec.gamma)
+    n = len(A)
+    K = np.empty((n, n)) if out is None else out
+    below = np.tri(_BLOCK_ROWS, k=-1, dtype=bool)
+    for r0 in range(0, n, _BLOCK_ROWS):
+        b = min(_BLOCK_ROWS, n - r0)
+        block = K[r0:r0 + b, r0:]
+        _rbf_in_place(np.matmul(L[r0:r0 + b], R[r0:].T, out=block), spec.gamma)
+        square = block[:, :b]
+        np.copyto(square, square.T, where=below[:b, :b])
+        K[r0 + b:, r0:r0 + b] = block[:, b:].T
+    return K
+
+
+def _distance_factors(A: np.ndarray, B: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """L = [-2A, |a|^2, 1] and R = [B, 1, |b|^2], so that (L @ R.T)[i, j] is
+    |a_i - b_j|^2 = |a_i|^2 + |b_j|^2 - 2 a_i.b_j."""
+    d = A.shape[1]
+    L, R = np.empty((len(A), d + 2)), np.empty((len(B), d + 2))
+    np.multiply(A, -2.0, out=L[:, :d])
+    L[:, d] = np.einsum("ij,ij->i", A, A)
+    L[:, d + 1] = 1.0
+    R[:, :d] = B
+    R[:, d] = 1.0
+    R[:, d + 1] = L[:, d] if B is A else np.einsum("ij,ij->i", B, B)
+    return L, R
+
+
+def _rbf_in_place(sq: np.ndarray, gamma: float) -> np.ndarray:
+    """exp(-gamma * max(sq, 0)), written over the squared distances sq."""
+    np.maximum(sq, 0.0, out=sq)
+    sq *= -gamma
+    return np.exp(sq, out=sq)
 
 
 @dataclass(frozen=True)
@@ -274,7 +302,9 @@ def train_binary(
     # a member, so f_cache + offset is f_k - y_k exactly, and +inf (up) or -inf
     # (low) otherwise, which argmin/argmax pass over.  argmin/argmax return
     # the first of equal values, so ties still go to the lowest index.  K is
-    # exactly symmetric, so the contiguous row K[i] equals the column K[:, i].
+    # exactly symmetric, each entry below its diagonal a copy of its mirror
+    # (kernel_matrix's blocks for rbf, numpy's syrk for A @ A.T for linear),
+    # so the contiguous row K[i] equals the column K[:, i].
     # At alpha = 0 the up set holds the y = +1 rows and the low set the y = -1
     # rows, both empty when C leaves no room above 0.
     # j maximises gap_t * r[i, t] over the low set, with gap_t = (f_t - y_t) -
@@ -435,15 +465,22 @@ def predict(model: MulticlassSVM, rows: np.ndarray) -> np.ndarray:
     """Class id of every row by majority vote over the pairwise machines.
 
     Vote ties go to the class with the largest summed |margin| among its
-    winning votes, then to the lowest class id.
+    winning votes, then to the lowest class id.  A row with a non-finite
+    margin (a model holding huge values, say) raises DataError naming the
+    first such row.
     """
     rows = model.scaler.transform(rows)
     n = rows.shape[0]
     k = len(model.class_ids)
     votes = np.zeros((n, k), dtype=int)
     margins = np.zeros((n, k), dtype=float)
-    for (a, b), machine in model.pairwise.items():
-        scores = decision(machine, rows)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        pair_scores = [(pair, decision(machine, rows))
+                       for pair, machine in model.pairwise.items()]
+    bad = np.flatnonzero(~np.isfinite([scores for _, scores in pair_scores]).all(axis=0))
+    if bad.size:
+        raise DataError(f"row {bad[0]}: decision value is not finite")
+    for (a, b), scores in pair_scores:
         pick_a = scores >= 0.0
         votes[pick_a, a] += 1
         votes[~pick_a, b] += 1
@@ -493,24 +530,29 @@ def model_from_dict(doc: dict) -> MulticlassSVM:
         )
         mean, std = (_finite_array(doc["scaler"][k], 1, f"scaler {k}") for k in ("mean", "std"))
         class_ids = tuple(int(c) for c in doc["class_ids"])
-        pairwise = {}
+        pairs, machines = [], []
         for entry in doc["pairwise"]:
             a, b = (int(v) for v in entry["classes"])
-            pairwise[(a, b)] = BinarySVM(
+            pairs.append((a, b))
+            machines.append(BinarySVM(
                 support_vectors=_finite_array(entry["support_vectors"], 2, "support vectors"),
                 dual_coef=_finite_array(entry["dual_coef"], 1, "dual coefficients"),
                 bias=float(_finite_array(entry["bias"], 0, "bias")),
                 kernel=kernel,
-            )
+            ))
     except (KeyError, TypeError, ValueError, InvalidParameterError) as exc:
         raise DataError(f"malformed model document: {exc!r}") from None
     k = len(class_ids)
     if (k < 2 or class_ids != tuple(range(k)) or std.shape != mean.shape
             or (kernel.kind == "rbf" and kernel.gamma is None)
-            or any(not 0 <= a < b < k or m.dual_coef.size != len(m.support_vectors)
-                   for (a, b), m in pairwise.items())):
+            or any(m.dual_coef.size != len(m.support_vectors) for m in machines)):
         raise DataError("model kernel, class ids, scaler and machines do not fit together")
-    return MulticlassSVM(class_ids, pairwise, Scaler(mean, std), kernel)
+    if not np.all(std > 0):
+        raise DataError("model scaler std must be positive")
+    if sorted(pairs) != list(combinations(class_ids, 2)):
+        raise DataError(f"model machines must be one per class pair of {list(class_ids)}, "
+                        f"got pairs {pairs}")
+    return MulticlassSVM(class_ids, dict(zip(pairs, machines)), Scaler(mean, std), kernel)
 
 
 def save_model(path: Union[str, Path], model: MulticlassSVM, extra: Optional[dict] = None) -> None:

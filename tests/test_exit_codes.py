@@ -178,6 +178,33 @@ class TestDataFaultsExit3:
         doc["feature_params"] = dict(doc["feature_params"], extra=1)
         _assert_data_error(_predict(runner, files, json.dumps(doc)))
 
+    @pytest.mark.parametrize("pairs", [[], [0, 1], [0, 1, 0], [0, 1, 2, 2]],
+                             ids=["none", "missing", "repeated", "extra"])
+    def test_model_without_one_machine_per_class_pair(self, runner, files, pairs):
+        """Machines given by index into the trained model's pairs (0-1, 0-2,
+        1-2): none, one missing, one repeated in place of another, one extra."""
+        doc = _model(files)
+        doc["pairwise"] = [doc["pairwise"][i] for i in pairs]
+        result = _predict(runner, files, json.dumps(doc))
+        _assert_data_error(result)
+        assert "one per class pair" in result.output
+
+    @pytest.mark.parametrize("std", [0.0, -1.0])
+    def test_model_scaler_std_not_positive(self, runner, files, std):
+        doc = _model(files)
+        doc["scaler"]["std"][-1] = std
+        result = _predict(runner, files, json.dumps(doc))
+        _assert_data_error(result)
+        assert "std must be positive" in result.output
+
+    def test_model_whose_decision_values_are_not_finite(self, runner, files):
+        doc = _model(files)
+        doc["pairwise"][0]["support_vectors"][0] = [1e308] * len(doc["scaler"]["mean"])
+        result = _predict(runner, files, json.dumps(doc))
+        _assert_data_error(result)
+        assert "row 0: decision value is not finite" in result.output
+        assert "Warning" not in result.output
+
     def test_model_unknown_method_tag(self, runner, files):
         doc = dict(_model(files), method_tag="NOPE")
         _assert_data_error(_predict(runner, files, json.dumps(doc)))

@@ -1,4 +1,5 @@
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -206,7 +207,8 @@ class TestBinaryTraining:
 
 @pytest.mark.parametrize("kind", ["linear", "rbf"])
 @pytest.mark.parametrize("order", ["C", "F"])
-@pytest.mark.parametrize("n", [1, 2, 17, 540])
+@pytest.mark.parametrize(
+    "n", [1, 2, 17, 540] + [svm._BLOCK_ROWS + k for k in (-1, 0, 1, svm._BLOCK_ROWS + 1)])
 def test_gram_matrix_exactly_symmetric(kind, order, n):
     """train_binary reads rows K[i] in place of columns K[:, i]."""
     rng = np.random.default_rng(n)
@@ -224,15 +226,27 @@ def test_gram_matrix_exactly_symmetric(kind, order, n):
     [
         (1, None),  # n = 1
         (1, 5),
-        (100, None),  # 81 rows per tile: two tiles, the last one short
+        (100, None),  # one block, shorter than _BLOCK_ROWS
         (37, 250),
-        (540, None),  # 36 tiles
-        (3, 2 * svm._TILE_ENTRIES + 5),  # wider than a tile: column tiles too
+        (540, None),  # five blocks, the last one short
+        (3, 16389),  # wide B
     ],
 )
 def test_gram_matrix_matches_seed_expression(kind, in_buffer, n, m):
     """kernel_matrix, into a fresh array or a view of a larger NaN-filled
-    buffer, equals the original whole-array expression bit for bit."""
+    buffer, equals the original whole-array expression: the linear kernel
+    bit for bit, the RBF kernel within the rounding of the two ways of
+    summing each squared distance.
+
+    Both sum |a|^2 + |b|^2 - 2 a.b over d + 2 terms whose magnitudes add up
+    to at most 2 (|a|^2 + |b|^2) (2 |a_k b_k| <= a_k^2 + b_k^2), so each is
+    within (d + 2) eps (|a|^2 + |b|^2) of the exact value, and within
+    2 (d + 2) eps (|a|^2 + |b|^2) with the rounding of the norms; the two
+    are within 4 (d + 2) eps (|a|^2 + |b|^2) of each other.  exp(-gamma s)
+    moves by at most gamma times that (exp(-x) is 1-Lipschitz on x >= 0, as
+    is the clamp at 0), and scaling by gamma and exp itself each add at most
+    an eps or two on either side.
+    """
     rng = np.random.default_rng(n)
     A = rng.standard_normal((n, 6)) * 2.0
     B = None if m is None else rng.standard_normal((m, 6))
@@ -242,9 +256,53 @@ def test_gram_matrix_matches_seed_expression(kind, in_buffer, n, m):
     if in_buffer:
         out = np.full(expected.size + 11, np.nan)[: expected.size].reshape(expected.shape)
     K = svm.kernel_matrix(kernel, A, B, out=out)
-    assert np.array_equal(K, expected)
+    if kind == "linear":
+        assert np.array_equal(K, expected)
+    else:
+        eps = np.finfo(float).eps
+        norms = np.sum(A**2, axis=1)[:, None] + np.sum((A if B is None else B) ** 2, axis=1)
+        bound = 4 * (A.shape[1] + 2) * eps * kernel.gamma * norms + 4 * eps
+        assert np.all(np.abs(K - expected) <= bound)
     if in_buffer:
         assert K is out
+
+
+@pytest.mark.parametrize("wide_b", [False, True])
+def test_rbf_gram_at_a_huge_gamma_is_finite_in_0_1(wide_b):
+    """gamma is applied after the clamp at 0, so every entry is a limit in
+    [0, 1], never the NaN of inf - inf."""
+    rng = np.random.default_rng(5)
+    A = rng.standard_normal((40, 3))
+    B = rng.standard_normal((7, 3)) if wide_b else None
+    with np.errstate(over="ignore"):
+        K = svm.kernel_matrix(svm.KernelSpec(kind="rbf", gamma=1e308), A, B)
+    assert np.all(np.isfinite(K)) and np.all((K >= 0.0) & (K <= 1.0))
+    assert K[0, 1] == 0.0
+
+
+@pytest.mark.parametrize("wide_b", [False, True])
+def test_rbf_gram_into_a_buffer_makes_no_large_temporary(wide_b):
+    """At n = 540 no allocation during kernel_matrix(..., out=buf) reaches
+    n^2 / 4 floats: tracemalloc's peak over the call stays below that."""
+    n = 540
+    rng = np.random.default_rng(6)
+    A = rng.standard_normal((n, 6))
+    B = rng.standard_normal((n, 6)) if wide_b else None
+    kernel = svm.KernelSpec(kind="rbf", gamma=0.3)
+    buf = np.empty((n, n))
+    limit = n * n // 4 * buf.itemsize
+
+    def peak(call):
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(lambda: svm.kernel_matrix(kernel, A, B, out=buf)) < limit
+    # without out, the traced peak does hold K: numpy's arrays are traced
+    assert peak(lambda: svm.kernel_matrix(kernel, A, B)) >= buf.nbytes
 
 
 def _seed_loop_problem(data):
@@ -272,7 +330,7 @@ class TestSeedLoopBitIdentity:
     @staticmethod
     def _compare(X, y, kernel, max_passes):
         kernel = svm.resolve_gamma(kernel, X)
-        ref = wss2_smo(seed_kernel_matrix(kernel, X), y, kernel.c, 1e-3, max_passes)
+        ref = wss2_smo(svm.kernel_matrix(kernel, X), y, kernel.c, 1e-3, max_passes)
         try:
             model = svm.train_binary(X, y, kernel, solver=svm.SolverSpec(max_passes=max_passes))
         except ConvergenceError as exc:
