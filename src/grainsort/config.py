@@ -1,11 +1,11 @@
 """Experiment configuration: defaults, validation and hashing.
 
 A config file only needs to name a ``seed``; everything else deep-merges
-over the defaults below.  A key must be one of the defaults' and take the
-JSON type of its default; each value's bounds are checked by building the
-parameter object it becomes.  The sha256 of the canonical merged document
-is embedded in every output artifact, so equal hashes imply byte-identical
-reports.
+over the defaults below, which read each parameter object's own defaults.
+A key must be one of the defaults' and take the JSON type of its default;
+each value's bounds are checked by building the parameter object it becomes.
+The sha256 of the canonical merged document is embedded in every output
+artifact, so equal hashes imply byte-identical reports.
 """
 
 from __future__ import annotations
@@ -35,10 +35,11 @@ def _scene_key(name: str) -> str:
     return name + "_m" if name in _METRE_FIELDS else name
 
 
+_RADAR, _FEATURES, _KERNEL = RadarParams(), FeatureParams(), KernelSpec()
 DEFAULT_CONFIG = {
     "seed": 20260809,
     "out_dir": "runs/default",
-    "radar": {"f_start_hz": 18e9, "f_stop_hz": 40e9, "n_freq": 301},
+    "radar": {"f_start_hz": _RADAR.f_start, "f_stop_hz": _RADAR.f_stop, "n_freq": _RADAR.n_freq},
     "scene": {_scene_key(f.name): f.default for f in dataclasses.fields(SiloScene)},
     "dataset": {
         "per_class_counts": [1894, 1894, 1893],
@@ -47,14 +48,16 @@ DEFAULT_CONFIG = {
         "cone_height_range": [0.12, 0.20],
     },
     "features": {
-        "gray_levels": 16,
-        "stft": {"window_len": 64, "hop": 32, "fft_len": 64},
-        "dwt": {"wavelet": "db4", "levels": 4},
+        "gray_levels": _FEATURES.gray_levels,
+        "stft": {"window_len": _FEATURES.stft_window_len, "hop": _FEATURES.stft_hop,
+                 "fft_len": _FEATURES.stft_fft_len},
+        "dwt": {"wavelet": _FEATURES.dwt_wavelet, "levels": _FEATURES.dwt_levels},
     },
     "methods": list(METHOD_TAGS),
-    "kernel": {"kind": "rbf", "C": 10.0, "gamma": "scale"},
+    # "scale" spells KernelSpec's gamma None, the variance heuristic
+    "kernel": {"kind": _KERNEL.kind, "C": _KERNEL.c, "gamma": "scale"},
     "grid": {"C": [0.1, 1.0, 10.0, 100.0], "gamma": [0.001, 0.01, 0.1, 1.0]},
-    "svm": {"tol": 1e-3, "max_passes": 30},
+    "svm": dataclasses.asdict(SolverSpec()),
     "cv": {"k": 10},
 }
 
@@ -67,10 +70,6 @@ def _deep_merge(base: dict, override: dict) -> dict:
         else:
             merged[key] = copy.deepcopy(value)
     return merged
-
-
-def default_config() -> dict:
-    return copy.deepcopy(DEFAULT_CONFIG)
 
 
 def _is_number(value) -> bool:
@@ -206,7 +205,7 @@ def kernel_spec(cfg: dict, c: Optional[float] = None, gamma=None) -> KernelSpec:
 
 
 def solver_spec(cfg: dict) -> SolverSpec:
-    return SolverSpec(tol=cfg["svm"]["tol"], max_passes=cfg["svm"]["max_passes"])
+    return SolverSpec(**cfg["svm"])
 
 
 def dataset_spec(cfg: dict) -> DatasetSpec:

@@ -119,7 +119,7 @@ def cross_validate(X: np.ndarray, y: np.ndarray, method_tag: str, kernel: svm.Ke
 
 def cross_validate_chains(
     chains: Mapping[str, np.ndarray], y: np.ndarray, kernels: Sequence[svm.KernelSpec],
-    k: int = 10, seed: int = 0, n_classes: int = 3, solver: svm.SolverSpec = svm.SolverSpec(),
+    k: int, seed: int, n_classes: int = 3, solver: svm.SolverSpec = svm.SolverSpec(),
     classifier: str = "svm",
 ) -> Dict[str, List[Union[MetricsReport, ConvergenceError]]]:
     """Stratified k-fold evaluation of every chain's feature matrix at every kernel.

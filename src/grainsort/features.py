@@ -103,7 +103,7 @@ def _histogram(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return counts.reshape(len(x), ENTROPY_BINS)
 
 
-def quantize(m, gray_levels: int = 16) -> np.ndarray:
+def quantize(m, gray_levels: int) -> np.ndarray:
     """dB-scale each non-negative matrix, then map its [min, max] to integer
     pixels 0..G-1; the last two axes hold one matrix.
 
@@ -405,10 +405,11 @@ def extract_matrix(
     samples = ascans.samples
     params.check_sweep(method_tag, samples.shape[1])
     chunk = min(CHUNK_SCANS, TEXTURE_CELLS // params.gray_levels**2)
-    X = np.vstack([
-        _chain(samples[i : i + chunk], method_tag, params)
-        for i in range(0, len(samples), chunk)
-    ])
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite rows are reported below
+        X = np.vstack([
+            _chain(samples[i : i + chunk], method_tag, params)
+            for i in range(0, len(samples), chunk)
+        ])
     bad = np.flatnonzero(~np.all(np.isfinite(X), axis=1))
     if bad.size:
         raise DataError(f"{method_tag} features of scan {first_scan + bad[0]} are not finite")

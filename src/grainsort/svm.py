@@ -69,7 +69,7 @@ class SolverSpec:
     InvalidParameterError whose field names it."""
 
     tol: float = 1e-3
-    max_passes: int = 10
+    max_passes: int = 30
 
     def __post_init__(self):
         if not self.tol > 0:
@@ -143,9 +143,10 @@ def _distance_factors(A: np.ndarray, B: np.ndarray) -> Tuple[np.ndarray, np.ndar
 
 
 def _rbf_in_place(sq: np.ndarray, gamma: float) -> np.ndarray:
-    """exp(-gamma * max(sq, 0)), written over the squared distances sq."""
+    """exp(-gamma * max(sq, 0)), written over sq; a product overflowing to -inf gives 0."""
     np.maximum(sq, 0.0, out=sq)
-    sq *= -gamma
+    with np.errstate(over="ignore"):
+        sq *= -gamma
     return np.exp(sq, out=sq)
 
 
@@ -234,21 +235,20 @@ def train_binary(
     X: np.ndarray,
     y: np.ndarray,
     kernel: KernelSpec,
+    curvature: CurvatureRows,
     solver: SolverSpec = SolverSpec(),
     debug: bool = False,
-    gram: Optional[np.ndarray] = None,
-    curvature: Optional[CurvatureRows] = None,
 ) -> BinarySVM:
     """Fit one soft-margin machine on labels in {-1, +1}.
 
-    solver.max_passes * n bounds the number of pair updates; running out raises
-    ConvergenceError with the best iterate attached.  With debug=True the
-    dual objective is recomputed after every accepted update and asserted
-    non-decreasing (slow; for small problems and tests).  gram, when given,
-    is the (n, n) ``kernel_matrix(kernel, X)`` already built by the caller,
-    and curvature the CurvatureRows of that Gram; each is used in place of a
-    fresh one (the rows curvature has built are kept for the next call), and
-    nothing in the returned machine refers to either.
+    kernel's gamma is resolved (see resolve_gamma), and curvature is the
+    CurvatureRows of the caller's (n, n) Gram ``kernel_matrix(kernel, X)``,
+    which is read from curvature.gram.  The rows curvature builds are kept
+    for the caller's next call, and nothing in the returned machine refers
+    to it.  solver.max_passes * n bounds the number of pair updates; running
+    out raises ConvergenceError with the best iterate attached.  With
+    debug=True the dual objective is recomputed after every accepted update
+    and asserted non-decreasing (slow; for small problems and tests).
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float).ravel()
@@ -261,15 +261,13 @@ def train_binary(
     if np.unique(y).size < 2:
         raise DegenerateTrainingError("training set holds a single class")
 
-    kernel = resolve_gamma(kernel, X)
+    if kernel.kind == "rbf" and kernel.gamma is None:
+        raise InvalidParameterError("rbf kernel needs a resolved gamma")
     n = y.size
     c_box = float(kernel.c)
-    for name, given in (("Gram", gram), ("curvature", curvature)):
-        if given is not None and given.shape != (n, n):
-            raise DimensionMismatchError(
-                f"{name} matrix of shape {given.shape} for {n} rows")
-    K = kernel_matrix(kernel, X) if gram is None else gram
-    r = CurvatureRows(K) if curvature is None else curvature
+    if curvature.shape != (n, n):
+        raise DimensionMismatchError(f"curvature matrix of shape {curvature.shape} for {n} rows")
+    r, K = curvature, curvature.gram
     alpha = np.zeros(n)  # refreshed from alpha_list before it is read
     f_cache = np.zeros(n)  # f_i = sum_j alpha_j y_j K_ij
     tol, budget = solver.tol, solver.max_passes * n
@@ -453,8 +451,7 @@ def train_multiclass(
             r = CurvatureRows(K, out=curvature_buffer[: n * n].reshape(n, n))
             for i in live:
                 try:
-                    pairwise[i][(a, b)] = train_binary(
-                        Xp, y, kernels[i], solver=solver, gram=K, curvature=r)
+                    pairwise[i][(a, b)] = train_binary(Xp, y, kernels[i], r, solver=solver)
                 except ConvergenceError as exc:
                     failed[i] = exc
     return [MulticlassSVM(class_ids, pairwise[i], scaler, kernel) if failed[i] is None

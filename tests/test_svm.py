@@ -14,7 +14,7 @@ from grainsort.errors import (
     InvalidParameterError,
 )
 from oracles import (
-    qp_decision_values, qp_dual_oracle, seed_kernel_matrix, seed_smo, wss2_smo,
+    fit_binary, qp_decision_values, qp_dual_oracle, seed_kernel_matrix, seed_smo, wss2_smo,
 )
 
 
@@ -75,7 +75,7 @@ class TestStandardize:
 
 class TestSolverSpec:
     def test_defaults(self):
-        assert svm.SolverSpec() == svm.SolverSpec(tol=1e-3, max_passes=10)
+        assert svm.SolverSpec() == svm.SolverSpec(tol=1e-3, max_passes=30)
 
     @pytest.mark.parametrize("change, field", [
         (dict(tol=0.0), ("tol",)),
@@ -93,14 +93,14 @@ class TestBinaryTraining:
     def test_symmetric_pair(self):
         X = np.array([[-1.0], [1.0]])
         y = np.array([-1.0, 1.0])
-        model = svm.train_binary(X, y, svm.KernelSpec(kind="linear", c=1.0), debug=True)
+        model = fit_binary(X, y, svm.KernelSpec(kind="linear", c=1.0), debug=True)
         assert svm.decision(model, np.array([[0.0]]))[0] == pytest.approx(0.0, abs=1e-9)
         assert np.sign(svm.decision(model, np.array([[0.5]]))[0]) == 1.0
 
     def test_xor_with_rbf(self):
         X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
         y = np.array([-1.0, 1.0, 1.0, -1.0])
-        model = svm.train_binary(
+        model = fit_binary(
             X, y, svm.KernelSpec(kind="rbf", c=100.0, gamma=1.0), debug=True
         )
         scores = svm.decision(model, X)
@@ -117,7 +117,7 @@ class TestBinaryTraining:
             kind = "rbf" if trial % 2 == 0 else "linear"
             gamma = 0.7 if kind == "rbf" else None
             kernel = svm.KernelSpec(kind=kind, c=5.0, gamma=gamma)
-            model = svm.train_binary(X, y, kernel, solver=svm.SolverSpec(1e-4, 400), debug=True)
+            model = fit_binary(X, y, kernel, solver=svm.SolverSpec(1e-4, 400), debug=True)
             gram = svm.kernel_matrix(kernel, X)
             alpha_ref, best = qp_dual_oracle(gram, y, 5.0, iters=30000)
             assert abs(model.diagnostics.dual_objective - best) <= 1e-3, trial
@@ -135,7 +135,7 @@ class TestBinaryTraining:
             if np.unique(y).size < 2:
                 y[0] = -y[0]
             kernel = svm.KernelSpec(kind="rbf", c=3.0, gamma=0.5)
-            model = svm.train_binary(X, y, kernel, solver=svm.SolverSpec(1e-3, 400))
+            model = fit_binary(X, y, kernel, solver=svm.SolverSpec(1e-3, 400))
             assert model.diagnostics.final_violation <= 1e-3
             assert _kkt_violation(model, X, y, kernel) <= 1e-3 + 1e-9
             alphas = np.abs(model.dual_coef)
@@ -147,7 +147,7 @@ class TestBinaryTraining:
         X = rng.standard_normal((30, 3))
         y = np.where(rng.random(30) < 0.5, -1.0, 1.0)
         y[0] = -y[1]
-        model = svm.train_binary(
+        model = fit_binary(
             X, y, svm.KernelSpec(kind="rbf", c=2.0, gamma=0.3), debug=True
         )
         trace = model.diagnostics.objective_trace
@@ -156,14 +156,20 @@ class TestBinaryTraining:
         # the trace reads the current iterate: its last entry is the final objective
         assert trace[-1] == model.diagnostics.dual_objective > 0.0
 
-    @pytest.mark.parametrize("given", ["gram", "curvature"])
+    @pytest.mark.parametrize("given", ["curvature"])
     def test_prebuilt_matrix_of_wrong_shape_rejected(self, given):
         X = np.array([[0.0], [1.0], [2.0]])
         y = np.array([1.0, -1.0, 1.0])
         kernel = svm.KernelSpec(kind="rbf", c=1.0, gamma=0.5)
-        wrong = np.ones((2, 2)) if given == "gram" else svm.CurvatureRows(np.ones((2, 2)))
+        wrong = svm.CurvatureRows(np.ones((2, 2)))
         with pytest.raises(DimensionMismatchError, match=f"(?i){given} matrix of shape"):
-            svm.train_binary(X, y, kernel, **{given: wrong})
+            svm.train_binary(X, y, kernel, wrong)
+
+    def test_unresolved_rbf_gamma_rejected(self):
+        X = np.array([[0.0], [1.0]])
+        rows = svm.CurvatureRows(svm.kernel_matrix(svm.KernelSpec(kind="linear"), X))
+        with pytest.raises(InvalidParameterError, match="resolved gamma"):
+            svm.train_binary(X, np.array([1.0, -1.0]), svm.KernelSpec(kind="rbf"), rows)
 
     def test_second_order_selection_takes_fewer_updates_than_first_order(self):
         """On a fixed 540-row RBF problem the trainer makes fewer updates
@@ -175,14 +181,14 @@ class TestBinaryTraining:
                      1.0, -1.0)
         kernel = svm.resolve_gamma(svm.KernelSpec(kind="rbf", c=10.0), X)
         first_order = seed_smo(seed_kernel_matrix(kernel, X), y, kernel.c, 1e-3, 10)
-        model = svm.train_binary(X, y, kernel)
+        model = fit_binary(X, y, kernel)
         assert first_order["converged"]
         assert model.diagnostics.n_updates < first_order["n_updates"]
 
     def test_single_class_rejected(self):
         X = np.ones((4, 2))
         with pytest.raises(DegenerateTrainingError):
-            svm.train_binary(X, np.ones(4), svm.KernelSpec(kind="linear", c=1.0))
+            fit_binary(X, np.ones(4), svm.KernelSpec(kind="linear", c=1.0))
 
     def test_convergence_error_carries_best_iterate(self):
         rng = np.random.default_rng(9)
@@ -190,7 +196,7 @@ class TestBinaryTraining:
         y = np.where(rng.random(60) < 0.5, -1.0, 1.0)  # unlearnable labels
         y[0] = -y[1]
         with pytest.raises(ConvergenceError) as excinfo:
-            svm.train_binary(
+            fit_binary(
                 X, y, svm.KernelSpec(kind="rbf", c=100.0, gamma=5.0),
                 solver=svm.SolverSpec(max_passes=1),
             )
@@ -332,7 +338,7 @@ class TestSeedLoopBitIdentity:
         kernel = svm.resolve_gamma(kernel, X)
         ref = wss2_smo(svm.kernel_matrix(kernel, X), y, kernel.c, 1e-3, max_passes)
         try:
-            model = svm.train_binary(X, y, kernel, solver=svm.SolverSpec(max_passes=max_passes))
+            model = fit_binary(X, y, kernel, solver=svm.SolverSpec(max_passes=max_passes))
         except ConvergenceError as exc:
             model = exc.model
             assert not ref["converged"]
@@ -431,8 +437,7 @@ class TestCurvatureRows:
         buffer = np.full(K.shape, np.nan)
         rows = svm.CurvatureRows(K, out=buffer)
         try:
-            svm.train_binary(X, y, kernel, solver=svm.SolverSpec(max_passes=max_passes),
-                             gram=K, curvature=rows)
+            svm.train_binary(X, y, kernel, rows, solver=svm.SolverSpec(max_passes=max_passes))
         except ConvergenceError:
             pass
         ref = wss2_smo(K, y, kernel.c, 1e-3, max_passes)
@@ -484,7 +489,7 @@ class TestDecision:
     def test_dimension_mismatch(self):
         X = np.array([[-1.0], [1.0]])
         y = np.array([-1.0, 1.0])
-        model = svm.train_binary(X, y, svm.KernelSpec(kind="linear", c=1.0))
+        model = fit_binary(X, y, svm.KernelSpec(kind="linear", c=1.0))
         with pytest.raises(DimensionMismatchError):
             svm.decision(model, np.zeros((1, 3)))
 
@@ -492,7 +497,7 @@ class TestDecision:
         X, y = _blobs(3, n_per=20, centres=((0, 0), (3, 3)))
         y = np.where(y == 0, -1.0, 1.0)
         kernel = svm.KernelSpec(kind="rbf", c=10.0, gamma=0.5)
-        model = svm.train_binary(X, y, kernel, solver=svm.SolverSpec(max_passes=200))
+        model = fit_binary(X, y, kernel, solver=svm.SolverSpec(max_passes=200))
         # rbf gradient bound: sum|coef| * sqrt(2 gamma / e)
         lipschitz = np.sum(np.abs(model.dual_coef)) * np.sqrt(2 * 0.5 / np.e)
         x0 = np.array([[1.5, 1.5]])
@@ -506,7 +511,7 @@ class TestDecision:
     def test_correct_signs_on_separable_training_set(self):
         X, y = _blobs(5, n_per=25, centres=((0, 0), (4, 4)))
         y = np.where(y == 0, -1.0, 1.0)
-        model = svm.train_binary(X, y, svm.KernelSpec(kind="rbf", c=10.0, gamma=0.5))
+        model = fit_binary(X, y, svm.KernelSpec(kind="rbf", c=10.0, gamma=0.5))
         assert np.all(np.sign(svm.decision(model, X)) == y)
 
 
@@ -544,7 +549,7 @@ class TestMulticlass:
         Xs = svm.standardize_fit(X).transform(X)
         for (a, b), machine in model.pairwise.items():
             mask = (labels == a) | (labels == b)
-            alone = svm.train_binary(
+            alone = fit_binary(
                 Xs[mask], np.where(labels[mask] == a, 1.0, -1.0), model.kernel
             )
             assert np.array_equal(machine.dual_coef, alone.dual_coef)
