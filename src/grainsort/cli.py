@@ -208,35 +208,18 @@ def train(dataset_path, method_tag, config_path, seed, out_dir):
                                     solver=cfgmod.solver_spec(cfg))
     if isinstance(model, ConvergenceError):
         raise model
-    extra = {
-        "method_tag": method_tag,
-        "n_freq": params.n_freq,
-        "feature_params": dataclasses.asdict(fparams),
-        "config_hash": cfgmod.config_hash(cfg),
-        "seed": cfg["seed"],
-    }
+    extra = _model_keys(method_tag, params.n_freq, fparams, cfgmod.config_hash(cfg), cfg["seed"])
     out = Path(cfg["out_dir"])
     with _staged_out(out) as stage:
         svm.save_model(stage / "model.json", model, extra=extra)
     click.echo(f"wrote {out / 'model.json'}")
 
 
-def _model_feature_params(fp, method_tag, n_freq) -> features.FeatureParams:
-    """A model file's feature parameters, each of the type of its default and
-    usable on the dataset's sweeps."""
-    defaults = dataclasses.asdict(features.FeatureParams())
-    fp = fp or {}
-    if not isinstance(fp, dict):
-        raise DataError(f"model feature_params must be an object, got {fp!r}")
-    bad = [k for k, v in fp.items() if k not in defaults or type(v) is not type(defaults[k])]
-    if bad:
-        raise DataError(f"model feature_params has unknown or mistyped keys: {bad}")
-    try:
-        fparams = features.FeatureParams(**fp)
-        fparams.check_sweep(method_tag, n_freq)
-    except InvalidParameterError as exc:
-        raise DataError(f"model feature_params: {exc}") from None
-    return fparams
+def _model_keys(method_tag, n_freq, fparams, config_hash, seed) -> dict:
+    """The keys train writes beside the machines; predict requires every one,
+    of the JSON type it has here."""
+    return {"method_tag": method_tag, "n_freq": n_freq, "config_hash": config_hash,
+            "seed": seed, "feature_params": dataclasses.asdict(fparams)}
 
 
 @cli.command()
@@ -249,18 +232,24 @@ def predict(model_path, dataset_path, out_dir):
     """Classify the A-scans of a dataset with a stored model."""
     model, doc = svm.load_model(model_path)
     params, scans = ds.load_dataset(dataset_path)
-    if doc.get("n_freq") is not None and params.n_freq != doc["n_freq"]:
+    template = _model_keys("", 0, features.FeatureParams(), "", 0)
+    try:
+        cfgmod.check_shape({key: doc[key] for key in template if key in doc}, template)
+    except InvalidParameterError as exc:
+        raise DataError(f"model invalid at {cfgmod.json_path(exc.field)}: {exc}") from None
+    if params.n_freq != doc["n_freq"]:
         raise DimensionMismatchError(
             f"dataset holds {params.n_freq}-point sweeps, model was trained "
             f"on {doc['n_freq']}"
         )
-    method_tag = doc.get("method_tag")
+    method_tag = doc["method_tag"]
     if method_tag not in features.METHOD_TAGS:
         raise DataError(f"model file names no known feature chain: {method_tag!r}")
-    if len(model.class_ids) > len(radar.CLASS_NAMES):
-        raise DataError(f"model has {len(model.class_ids)} classes, expected at most "
-                        f"{len(radar.CLASS_NAMES)}")
-    fparams = _model_feature_params(doc.get("feature_params"), method_tag, params.n_freq)
+    try:
+        fparams = features.FeatureParams(**doc["feature_params"])
+        fparams.check_sweep(method_tag, params.n_freq)
+    except InvalidParameterError as exc:
+        raise DataError(f"model feature_params: {exc}") from None
     X, _ = features.extract_matrix(scans, method_tag, fparams)
     labels = svm.predict(model, X).tolist()
     if out_dir is not None:
@@ -268,7 +257,7 @@ def predict(model_path, dataset_path, out_dir):
             _write_csv(
                 stage / "predictions.csv", ["index", "label_id", "label_name"],
                 ([i, value, radar.CLASS_NAMES[value]] for i, value in enumerate(labels)),
-                _provenance_lines(doc.get("config_hash", ""), doc.get("seed", "")),
+                _provenance_lines(doc["config_hash"], doc["seed"]),
             )
     for value in labels:
         click.echo(radar.CLASS_NAMES[value])

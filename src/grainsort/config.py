@@ -94,40 +94,50 @@ _RULES = {
 }
 
 
+def json_path(path) -> str:
+    """A value's path in a JSON document, as $['key'][index]."""
+    return "$" + "".join(f"[{p!r}]" if isinstance(p, str) else f"[{p}]" for p in path)
+
+
 def _invalid(path, message: str) -> ConfigError:
-    at = "$" + "".join(f"[{p!r}]" if isinstance(p, str) else f"[{p}]" for p in path)
-    return ConfigError(f"config invalid at {at}: {message}")
+    return ConfigError(f"config invalid at {json_path(path)}: {message}")
 
 
-def _check_shape(value, default, path=()) -> None:
-    """Raise ConfigError unless every key of value is one of default's at the
-    same path and holds a value of its default's JSON type."""
-    if isinstance(default, dict):
+def check_shape(value, template, path=()) -> None:
+    """Raise InvalidParameterError, whose field is the path of the fault,
+    unless value holds exactly template's keys at every depth and each leaf
+    has its template leaf's JSON type (at a path of _RULES, passes its rule).
+    A list holds one or more items, each shaped as template's first."""
+    if isinstance(template, dict):
         if not isinstance(value, dict):
-            raise _invalid(path, f"{value!r} is not an object")
-        for key, item in value.items():
-            if key not in default:
-                raise _invalid(path, f"unknown key {key!r}")
-            _check_shape(item, default[key], path + (key,))
-    elif isinstance(default, list):
+            raise InvalidParameterError(f"{value!r} is not an object", path)
+        for key in {**value, **template}:
+            if key not in template or key not in value:
+                raise InvalidParameterError(
+                    f"{'unknown' if key in value else 'missing'} key {key!r}", path)
+            check_shape(value[key], template[key], path + (key,))
+    elif isinstance(template, list):
         if not isinstance(value, list) or not value:
-            raise _invalid(path, f"{value!r} is not a list of one or more items")
+            raise InvalidParameterError(f"{value!r} is not a list of one or more items", path)
         for i, item in enumerate(value):
-            _check_shape(item, default[0], path + (i,))
+            check_shape(item, template[0], path + (i,))
     else:
         accepts, kind = _RULES.get(tuple(p for p in path if isinstance(p, str)),
-                                   _TYPES[type(default)])
+                                   _TYPES[type(template)])
         if not accepts(value):
-            raise _invalid(path, f"{value!r} is not {kind}")
+            raise InvalidParameterError(f"{value!r} is not {kind}", path)
 
 
 def validate_config(doc: dict) -> None:
-    """Raise ConfigError unless doc names a seed, has the keys and JSON types
-    of DEFAULT_CONFIG and, merged over it, is a usable experiment."""
-    _check_shape(doc, DEFAULT_CONFIG)
+    """Raise ConfigError unless doc names a seed and, merged over
+    DEFAULT_CONFIG, has its keys and JSON types and is a usable experiment."""
+    cfg = _deep_merge(DEFAULT_CONFIG, doc)
+    try:
+        check_shape(cfg, DEFAULT_CONFIG)
+    except InvalidParameterError as exc:
+        raise _invalid(exc.field, str(exc)) from None
     if "seed" not in doc:
         raise _invalid((), "'seed' is a required property")
-    cfg = _deep_merge(DEFAULT_CONFIG, doc)
     for section in _BUILDERS:
         build(cfg, section)
 

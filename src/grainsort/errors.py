@@ -54,7 +54,6 @@ class WorkerError(GrainsortError):
     """A worker process died before its job returned (CLI exit code 1)."""
 
 
-EXIT_OK = 0
 EXIT_CONFIG_ERROR = 2
 EXIT_DATA_ERROR = 3
 EXIT_CONVERGENCE_ERROR = 4

@@ -119,17 +119,16 @@ def cross_validate(X: np.ndarray, y: np.ndarray, method_tag: str, kernel: svm.Ke
 
 def cross_validate_chains(
     chains: Mapping[str, np.ndarray], y: np.ndarray, kernels: Sequence[svm.KernelSpec],
-    k: int, seed: int, n_classes: int = 3, solver: svm.SolverSpec = svm.SolverSpec(),
-    classifier: str = "svm",
+    k: int, seed: int, solver: svm.SolverSpec = svm.SolverSpec(), classifier: str = "svm",
 ) -> Dict[str, List[Union[MetricsReport, ConvergenceError]]]:
     """Stratified k-fold evaluation of every chain's feature matrix at every kernel.
 
     chains maps method tags to feature matrices, one row per scan, and y
-    holds each scan's class id.  Per fold the scaler and SVM see the
-    training split only, and the fold's test split is scored into a
-    confusion matrix.  classifier "echo" replaces predictions with the true
-    labels (reporting-path oracle).  Each (chain, fold) is one job of
-    parallel.pmap, which trains that fold at every kernel.
+    holds each scan's class id, one of svm.CLASS_IDS.  Per fold the scaler
+    and SVM see the training split only, and the fold's test split is scored
+    into a confusion matrix.  classifier "echo" replaces predictions with
+    the true labels (reporting-path oracle).  Each (chain, fold) is one job
+    of parallel.pmap, which trains that fold at every kernel.
 
     Returns, per chain, one entry per kernel: its MetricsReport, or the
     ConvergenceError of its first fold that ran out of updates.  Any other
@@ -138,7 +137,7 @@ def cross_validate_chains(
     folds = kfold_split(y, k, seed)
     jobs = [(X, fold) for X in chains.values() for fold in range(k)]
     outcomes = parallel.pmap(
-        functools.partial(_fold_confusions, y, folds, kernels, n_classes, solver, classifier),
+        functools.partial(_fold_confusions, y, folds, kernels, solver, classifier),
         jobs,
     )
     results = {method_tag: [] for method_tag in chains}
@@ -152,16 +151,15 @@ def cross_validate_chains(
     return results
 
 
-def _fold_confusions(y, folds, kernels, n_classes, solver, classifier, job) -> list:
+def _fold_confusions(y, folds, kernels, solver, classifier, job) -> list:
     """One (chain, fold) job: train on the other folds at every kernel and
     score this one, giving a confusion matrix or a ConvergenceError per kernel."""
     X, fold = job
-    test = folds == fold
+    test, n_classes = folds == fold, len(svm.CLASS_IDS)
     try:
         if classifier == "echo":
             return [confusion(y[test], y[test], n_classes)] * len(kernels)
-        models = svm.train_multiclass(X[~test], y[~test], kernels,
-                                      n_classes=n_classes, solver=solver)
+        models = svm.train_multiclass(X[~test], y[~test], kernels, solver=solver)
         return [_in_fold(model, fold) if isinstance(model, ConvergenceError)
                 else confusion(y[test], svm.predict(model, X[test]), n_classes)
                 for model in models]

@@ -13,6 +13,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -182,6 +183,23 @@ class SiloScene:
             raise InvalidParameterError(
                 f"gain_jitter_db={self.gain_jitter_db} gives a gain that is not a finite float"
             )
+        # a sample's modulus is at most the sum of the amplitudes, each the gain
+        # times a Rayleigh draw of scale s: 1 on the surface, a ring's clutter
+        # amplitude (with its corner gain) on the rings.  numpy draws it as
+        # s * sqrt(2 E), E a ziggurat exponential below 7.697 (its tail start)
+        # + 53 ln 2, so below 9.43 s.  The error names the largest s's field.
+        scales = {"gain_jitter_db": 1.0}
+        if self.wall_clutter_scatterers > 0:
+            scales["wall_clutter_amplitude"] = self.wall_clutter_amplitude
+            scales["contact_clutter_amplitude"] = (self.contact_clutter_amplitude
+                                                   * (1.0 + self.dihedral_gain))
+        field = max(scales, key=scales.get)
+        n = self.scatterers_per_scene + 2 * self.wall_clutter_scatterers
+        if not n <= sys.float_info.max / (9.43 * scales[field] * _pow10(self.gain_jitter_db / 20.0)):
+            raise InvalidParameterError(
+                f"{getattr(self, field)} times the scene's scatterer count and gain lets a "
+                "scan's sample modulus exceed the float range",
+                (field,))
 
 
 def mean_surface_range(scene: SiloScene, fill_fraction: float) -> float:

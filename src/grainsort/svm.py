@@ -10,8 +10,8 @@ equality-preserving direction with an exact line search.  The pair is chosen
 by second-order working-set selection (Fan, Chen & Lin, JMLR 6, 2005): i is
 the maximal violator of the up set, and j the low-set row that most lowers
 the objective in a step along i and j.  Selection breaks ties by lowest
-index, so training is order-deterministic.  Three pairwise binary machines
-vote to classify the three surface classes.
+index, so training is order-deterministic.  One pairwise binary machine
+per pair of CLASS_IDS, the radar.SurfaceClass ids, votes to classify a row.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from .errors import (
     DimensionMismatchError,
     InvalidParameterError,
 )
+from .radar import SurfaceClass
 
 _BOUND_EPS = 1e-12
 # rows of the symmetric Gram that kernel_matrix builds per step; of 32 to 192
@@ -38,6 +39,8 @@ _BOUND_EPS = 1e-12
 # Xeon with 2 MB L2 per core): smaller blocks spend more numpy calls, larger
 # ones more work on the halves of their diagonal squares that are overwritten
 _BLOCK_ROWS = 128
+# the class ids every multiclass machine and model file holds
+CLASS_IDS = tuple(range(len(SurfaceClass)))
 
 
 @dataclass(frozen=True)
@@ -103,8 +106,9 @@ def kernel_matrix(
     product of L = [-2a, |a|^2, 1] and R = [b, 1, |b|^2]; each is clamped at
     0 before it is scaled by -gamma, so a huge gamma gives entries in [0, 1],
     not NaN.  With B None, K is built in blocks of _BLOCK_ROWS rows on and
-    right of the diagonal, and each entry below the diagonal is a copy of its
-    mirror, so K equals K.T exactly.  No temporary is as large as K.
+    right of the diagonal, each diagonal entry is exactly 1 and each entry
+    below the diagonal is a copy of its mirror, so K equals K.T exactly.  No
+    temporary is as large as K.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = A if B is None else np.atleast_2d(np.asarray(B, dtype=float))
@@ -121,7 +125,9 @@ def kernel_matrix(
     for r0 in range(0, n, _BLOCK_ROWS):
         b = min(_BLOCK_ROWS, n - r0)
         block = K[r0:r0 + b, r0:]
-        _rbf_in_place(np.matmul(L[r0:r0 + b], R[r0:].T, out=block), spec.gamma)
+        np.matmul(L[r0:r0 + b], R[r0:].T, out=block)
+        np.fill_diagonal(block, 0.0)  # a row's distance to itself, not its rounding residue
+        _rbf_in_place(block, spec.gamma)
         square = block[:, :b]
         np.copyto(square, square.T, where=below[:b, :b])
         K[r0 + b:, r0:r0 + b] = block[:, b:].T
@@ -398,14 +404,13 @@ def decision(model: BinarySVM, rows: np.ndarray) -> np.ndarray:
 class MulticlassSVM:
     """One-vs-one ensemble with the standardization folded in."""
 
-    class_ids: Tuple[int, ...]
     pairwise: Dict[Tuple[int, int], BinarySVM]
     scaler: Scaler
     kernel: KernelSpec
 
 
 def train_multiclass(
-    X: np.ndarray, labels: np.ndarray, kernels: Sequence[KernelSpec], n_classes: int = 3,
+    X: np.ndarray, labels: np.ndarray, kernels: Sequence[KernelSpec],
     solver: SolverSpec = SolverSpec(),
 ) -> List[Union[MulticlassSVM, ConvergenceError]]:
     """Standardize on the full training fold, then fit every class pair at
@@ -422,9 +427,8 @@ def train_multiclass(
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     labels = np.asarray(labels, dtype=int).ravel()
-    class_ids = tuple(range(n_classes))
     present = set(np.unique(labels))
-    missing = [c for c in class_ids if c not in present]
+    missing = [c for c in CLASS_IDS if c not in present]
     if missing:
         raise DegenerateTrainingError(f"training fold is missing class(es) {missing}")
     scaler = standardize_fit(X)
@@ -434,7 +438,7 @@ def train_multiclass(
     for i, kernel in enumerate(kernels):
         shared.setdefault((kernel.kind, kernel.gamma if kernel.kind == "rbf" else None),
                           []).append(i)
-    masks = {(a, b): (labels == a) | (labels == b) for a, b in combinations(class_ids, 2)}
+    masks = {(a, b): (labels == a) | (labels == b) for a, b in combinations(CLASS_IDS, 2)}
     n_max = max((int(mask.sum()) for mask in masks.values()), default=0)
     gram_buffer, curvature_buffer = np.empty(n_max * n_max), np.empty(n_max * n_max)
     pairwise = [{} for _ in kernels]
@@ -454,7 +458,7 @@ def train_multiclass(
                     pairwise[i][(a, b)] = train_binary(Xp, y, kernels[i], r, solver=solver)
                 except ConvergenceError as exc:
                     failed[i] = exc
-    return [MulticlassSVM(class_ids, pairwise[i], scaler, kernel) if failed[i] is None
+    return [MulticlassSVM(pairwise[i], scaler, kernel) if failed[i] is None
             else failed[i] for i, kernel in enumerate(kernels)]
 
 
@@ -467,10 +471,8 @@ def predict(model: MulticlassSVM, rows: np.ndarray) -> np.ndarray:
     first such row.
     """
     rows = model.scaler.transform(rows)
-    n = rows.shape[0]
-    k = len(model.class_ids)
-    votes = np.zeros((n, k), dtype=int)
-    margins = np.zeros((n, k), dtype=float)
+    shape = (rows.shape[0], len(CLASS_IDS))
+    votes, margins = np.zeros(shape, dtype=int), np.zeros(shape)
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
         pair_scores = [(pair, decision(machine, rows))
                        for pair, machine in model.pairwise.items()]
@@ -490,7 +492,7 @@ def predict(model: MulticlassSVM, rows: np.ndarray) -> np.ndarray:
 
 def model_to_dict(model: MulticlassSVM) -> dict:
     return {
-        "class_ids": list(model.class_ids),
+        "class_ids": list(CLASS_IDS),
         "kernel": {
             "kind": model.kernel.kind,
             "C": model.kernel.c,
@@ -526,7 +528,7 @@ def model_from_dict(doc: dict) -> MulticlassSVM:
             kind=doc["kernel"]["kind"], c=doc["kernel"]["C"], gamma=doc["kernel"]["gamma"]
         )
         mean, std = (_finite_array(doc["scaler"][k], 1, f"scaler {k}") for k in ("mean", "std"))
-        class_ids = tuple(int(c) for c in doc["class_ids"])
+        class_ids = tuple(doc["class_ids"])
         pairs, machines = [], []
         for entry in doc["pairwise"]:
             a, b = (int(v) for v in entry["classes"])
@@ -539,17 +541,18 @@ def model_from_dict(doc: dict) -> MulticlassSVM:
             ))
     except (KeyError, TypeError, ValueError, InvalidParameterError) as exc:
         raise DataError(f"malformed model document: {exc!r}") from None
-    k = len(class_ids)
-    if (k < 2 or class_ids != tuple(range(k)) or std.shape != mean.shape
+    if class_ids != CLASS_IDS:
+        raise DataError(f"model class ids must be {list(CLASS_IDS)}, got {list(class_ids)}")
+    if (std.shape != mean.shape
             or (kernel.kind == "rbf" and kernel.gamma is None)
             or any(m.dual_coef.size != len(m.support_vectors) for m in machines)):
-        raise DataError("model kernel, class ids, scaler and machines do not fit together")
+        raise DataError("model kernel, scaler and machines do not fit together")
     if not np.all(std > 0):
         raise DataError("model scaler std must be positive")
-    if sorted(pairs) != list(combinations(class_ids, 2)):
-        raise DataError(f"model machines must be one per class pair of {list(class_ids)}, "
+    if sorted(pairs) != list(combinations(CLASS_IDS, 2)):
+        raise DataError(f"model machines must be one per class pair of {list(CLASS_IDS)}, "
                         f"got pairs {pairs}")
-    return MulticlassSVM(class_ids, dict(zip(pairs, machines)), Scaler(mean, std), kernel)
+    return MulticlassSVM(dict(zip(pairs, machines)), Scaler(mean, std), kernel)
 
 
 def save_model(path: Union[str, Path], model: MulticlassSVM, extra: Optional[dict] = None) -> None:

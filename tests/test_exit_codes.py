@@ -213,6 +213,31 @@ class TestDataFaultsExit3:
         doc = dict(_model(files), method_tag="NOPE")
         _assert_data_error(_predict(runner, files, json.dumps(doc)))
 
+    def test_model_of_two_classes(self, runner, files):
+        doc = _model(files)
+        doc["class_ids"], doc["pairwise"] = [0, 1], doc["pairwise"][:1]
+        _assert_one_error(_predict(runner, files, json.dumps(doc)), 3,
+                          "model class ids must be [0, 1, 2], got [0, 1]")
+
+    @pytest.mark.parametrize("key", ["method_tag", "n_freq", "feature_params", "config_hash",
+                                     "seed"])
+    def test_model_without_a_key_train_writes(self, runner, files, key):
+        doc = _model(files)
+        del doc[key]
+        _assert_one_error(_predict(runner, files, json.dumps(doc)), 3,
+                          f"model invalid at $: missing key {key!r}")
+
+    def test_model_feature_params_missing_a_field(self, runner, files):
+        doc = _model(files)
+        del doc["feature_params"]["dwt_levels"]
+        _assert_one_error(_predict(runner, files, json.dumps(doc)), 3,
+                          "model invalid at $['feature_params']: missing key 'dwt_levels'")
+
+    def test_model_seed_a_string(self, runner, files):
+        doc = dict(_model(files), seed="1234")
+        _assert_one_error(_predict(runner, files, json.dumps(doc)), 3,
+                          "model invalid at $['seed']: '1234' is not an integer")
+
     def test_summary_std_missing_a_metric(self, runner, files):
         summary = json.loads((files["run"] / "summary.json").read_text())
         del summary["results"]["snr20"]["FOS"]["std"]["MCC"]
@@ -536,6 +561,27 @@ def test_overflowing_scene_amplitudes_exit_2_naming_them(files):
     assert proc.stderr.splitlines() == [
         "error: the scan's signal power is not a finite float: the scene's scatterer "
         "amplitudes are too large"
+    ]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("snr", [20.0, None])
+@pytest.mark.parametrize("key", ["contact_clutter_amplitude", "wall_clutter_amplitude"])
+def test_scene_amplitudes_beyond_the_float_range_exit_2_at_load(files, key, snr):
+    # 1.7e308 overflowed a product in synth_surface; 1e307 gave samples that
+    # are not finite, which the noiseless run reaches
+    value = 1.7e308 if snr else 1e307
+    config = files["root"] / f"config_{key}_{value}.json"
+    doc = json.loads(files["config"].read_text())
+    doc["scene"] = dict(doc["scene"], **{key: value})
+    doc["dataset"] = dict(doc["dataset"], snr_db=[snr])
+    config.write_text(json.dumps(doc))
+    out = files["root"] / f"{key}_{value}"
+    proc = _run_cli("simulate", "--config", config, "--out", out)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.splitlines() == [
+        f"error: config invalid at $['scene'][{key!r}]: {value} times the scene's "
+        "scatterer count and gain lets a scan's sample modulus exceed the float range"
     ]
     assert not out.exists()
 

@@ -286,6 +286,15 @@ def test_rbf_gram_at_a_huge_gamma_is_finite_in_0_1(wide_b):
     assert K[0, 1] == 0.0
 
 
+@pytest.mark.parametrize("gamma", [None, 1e308])
+def test_rbf_training_gram_diagonal_is_exactly_1(gamma):
+    """A row's distance to itself is 0, not the rounding residue of
+    |a|^2 + |a|^2 - 2 a.a, at the variance heuristic's gamma and at a huge one."""
+    X = np.random.default_rng(11).standard_normal((300, 7)) * 40.0
+    kernel = svm.resolve_gamma(svm.KernelSpec(kind="rbf", gamma=gamma), X)
+    assert np.all(svm.kernel_matrix(kernel, X).diagonal() == 1.0)
+
+
 @pytest.mark.parametrize("wide_b", [False, True])
 def test_rbf_gram_into_a_buffer_makes_no_large_temporary(wide_b):
     """At n = 540 no allocation during kernel_matrix(..., out=buf) reaches
@@ -631,7 +640,6 @@ class TestMulticlass:
             return svm.BinarySVM(np.eye(3)[[axis]], np.array([sign]), 0.0, linear)
 
         model = svm.MulticlassSVM(
-            (0, 1, 2),
             {(0, 1): machine(0, 1.0), (0, 2): machine(1, -1.0), (1, 2): machine(2, 1.0)},
             svm.Scaler(np.zeros(3), np.ones(3)),
             linear,
