@@ -330,6 +330,12 @@ class FeatureParams:
                 f"stft window_len {self.stft_window_len} exceeds the "
                 f"{n_freq}-point sweep"
             )
+        # GLCM's offsets at 0, 45 and 135 degrees pair each frame with the next
+        if method_tag == "STFT+GLCM" and n_freq - self.stft_window_len < self.stft_hop:
+            raise InvalidParameterError(
+                f"stft window_len {self.stft_window_len} and hop {self.stft_hop} give "
+                f"one frame of the {n_freq}-point sweep; STFT+GLCM needs two"
+            )
         if method_tag == "DWT+FOS":
             # the input length of each analysis level
             lens = transforms.subband_lengths(n_freq, self.dwt_levels - 1, self.dwt_wavelet)

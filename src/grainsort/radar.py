@@ -28,6 +28,11 @@ SPEED_OF_LIGHT = 2.99792458e8
 MAX_N_FREQ = 134_217_726
 # scans simulated per job of generate_dataset
 CHUNK_ROWS = 64
+# the most scatterers of each kind, surface and clutter ring, a scene may
+# hold: backscatter's two phasor tables take 16 bytes per scatterer per row,
+# 35 rows at the default 301-point sweep, and a scene at both caps holds
+# 3 * MAX_SCATTERERS scatterers, whose tables then take 1 GiB per scan
+MAX_SCATTERERS = 2**30 // (3 * 35 * 16)
 
 # spawn_key discriminators under one record seed
 _SURFACE_KEY = 0
@@ -161,8 +166,10 @@ class SiloScene:
     def __post_init__(self):
         if self.diameter <= 0:
             raise InvalidParameterError("diameter must be positive")
-        if self.scatterers_per_scene < 10:
-            raise InvalidParameterError("need at least 10 scatterers per scene")
+        for name, low in (("scatterers_per_scene", 10), ("wall_clutter_scatterers", 0)):
+            if not low <= getattr(self, name) <= MAX_SCATTERERS:
+                raise InvalidParameterError(f"{name} must lie in [{low}, {MAX_SCATTERERS}]",
+                                            (name,))
         if not (0.0 < self.rim_range < self.antenna_height):
             raise InvalidParameterError("need 0 < rim_range < antenna_height")
         if self.surface_roughness_sigma < 0:
@@ -174,7 +181,7 @@ class SiloScene:
         for name in ("apex_offset_fraction", "ripple_crater_factor", "dihedral_gain"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise InvalidParameterError(f"{name} must lie in [0, 1]")
-        for name in ("pour_roughness_factor", "drain_roughness_factor", "wall_clutter_scatterers",
+        for name in ("pour_roughness_factor", "drain_roughness_factor",
                      "wall_clutter_amplitude", "contact_clutter_amplitude", "gain_jitter_db"):
             if not getattr(self, name) >= 0:
                 raise InvalidParameterError(f"{name} must be >= 0")

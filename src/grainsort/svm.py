@@ -185,10 +185,9 @@ def standardize_fit(X: np.ndarray) -> Scaler:
 
 @dataclass
 class SMODiagnostics:
-    n_updates: int = 0
-    final_violation: float = float("inf")
-    dual_objective: float = 0.0
-    objective_trace: Optional[List[float]] = None
+    n_updates: int
+    final_violation: float
+    objective_trace: Optional[List[float]]
 
 
 @dataclass(frozen=True)
@@ -212,20 +211,21 @@ class CurvatureRows(dict):
     2 K_it is the curvature of the dual along the pair (i, t); row i is
     summed as ((-2 K_i) + diag(K)) + K_ii.  Rows are stored in the order they
     are built, from the start of out (shape of K, float64, fresh when not
-    given), so only the rows built take up memory.
+    given), so only the rows built take up memory.  diagonal is diag(K),
+    copied so that it is read contiguously, not a row of K apart per entry.
     """
 
     def __init__(self, K: np.ndarray, out: Optional[np.ndarray] = None):
         super().__init__()
         self.gram = K
         self.shape = K.shape
-        self._diag = K.diagonal()
+        self.diagonal = K.diagonal().copy()
         self._rows = np.empty(K.shape) if out is None else out
 
     def __missing__(self, i: int) -> np.ndarray:
         row = np.multiply(self.gram[i], -2.0, out=self._rows[len(self)])
-        row += self._diag
-        row += self._diag[i]
+        row += self.diagonal
+        row += self.diagonal[i]
         np.maximum(row, _BOUND_EPS, out=row)
         np.sqrt(row, out=row)
         self[i] = np.reciprocal(row, out=row)
@@ -253,8 +253,9 @@ def train_binary(
     for the caller's next call, and nothing in the returned machine refers
     to it.  solver.max_passes * n bounds the number of pair updates; running
     out raises ConvergenceError with the best iterate attached.  With
-    debug=True the dual objective is recomputed after every accepted update
-    and asserted non-decreasing (slow; for small problems and tests).
+    debug=True the dual objective is recomputed after every accepted update,
+    asserted non-decreasing and kept in diagnostics.objective_trace (slow;
+    for small problems and tests).
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float).ravel()
@@ -277,27 +278,24 @@ def train_binary(
     alpha = np.zeros(n)  # refreshed from alpha_list before it is read
     f_cache = np.zeros(n)  # f_i = sum_j alpha_j y_j K_ij
     tol, budget = solver.tol, solver.max_passes * n
-    diag = SMODiagnostics(objective_trace=[] if debug else None)
+    trace = [] if debug else None
     prev_objective = 0.0
 
     def _finalize(violation: float, up_min: float, low_max: float) -> BinarySVM:
         # up_min and low_max are the extreme f_k - y_k over the up and low sets,
         # infinite when the set is empty
         alpha[:] = alpha_list
-        diag.n_updates = updates
         if np.isfinite(up_min) and np.isfinite(low_max):
             bias = -0.5 * (up_min + low_max)
         else:
             bias = float(np.mean(y - f_cache))
         keep = alpha > _BOUND_EPS
-        diag.final_violation = violation
-        diag.dual_objective = _dual_objective(alpha, y, K)
         return BinarySVM(
             support_vectors=X[keep].copy(),
             dual_coef=(alpha * y)[keep].copy(),
             bias=bias,
             kernel=kernel,
-            diagnostics=diag,
+            diagnostics=SMODiagnostics(updates, violation, trace),
             sv_indices=np.flatnonzero(keep),
         )
 
@@ -327,7 +325,7 @@ def train_binary(
     up_off = np.where((y > 0) & (0.0 < hi), -y, np.inf)
     low_off = np.where((y < 0) & (0.0 < hi), -y, -np.inf)
     e_up, gaps, score, delta = np.empty(n), np.empty(n), np.empty(n), np.empty(n)
-    alpha_list, y_list, k_diag = alpha.tolist(), y.tolist(), K.diagonal().tolist()
+    alpha_list, y_list, k_diag = alpha.tolist(), y.tolist(), r.diagonal.tolist()
     updates = 0
     while True:
         i = int(np.add(f_cache, up_off, out=e_up).argmin())
@@ -385,7 +383,7 @@ def train_binary(
                     f"dual objective decreased: {prev_objective} -> {objective}"
                 )
             prev_objective = objective
-            diag.objective_trace.append(objective)
+            trace.append(objective)
 
 
 def decision(model: BinarySVM, rows: np.ndarray) -> np.ndarray:

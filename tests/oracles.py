@@ -9,9 +9,10 @@ surface synthesis, the original whole-vector SMO loop and Gram expression,
 the original one-signal wavelet filterbank, the original one-scan-at-a-time
 feature chains, the original config schema and the
 inverse-DFT range profile of a sweep (which the radar tests check the
-simulated scatterer ranges with).  One helper here is not an oracle:
+simulated scatterer ranges with).  Two helpers here are not oracles:
 fit_binary trains one machine on the package's own Gram, the way
-train_multiclass prepares it.  None of it shares code with the package
+train_multiclass prepares it, and model_dual reads a trained machine's
+dual vector and objective.  None of it shares code with the package
 paths it checks, except the wavelet banks, the inverse transforms and the
 per-scan chains: both wavelet banks read the package's filter taps (the
 synthesis bank its subband lengths too), the DCT inverse delegates to
@@ -436,6 +437,19 @@ def qp_decision_values(alpha, K, y, box_c):
     else:
         bias = float(np.mean(y - f_vals))
     return f_vals + bias
+
+
+def model_dual(model, K, y):
+    """The dual vector a train_binary model holds, rebuilt from its sv_indices
+    and dual_coef (a_i = |a_i y_i|, 0 off the support vectors), and the dual
+    objective sum(a) - 0.5 (a*y)' K (a*y) there, on the caller's Gram K of
+    the training rows and labels y: (alpha, objective).  The objective is
+    summed as the debug trace of train_binary sums it, so that the two agree
+    bit for bit."""
+    alpha = np.zeros(y.size)
+    alpha[model.sv_indices] = np.abs(model.dual_coef)
+    ay = alpha * y
+    return alpha, float(np.sum(alpha) - 0.5 * ay @ K @ ay)
 
 
 def fit_binary(X, y, kernel, **options):

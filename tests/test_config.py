@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import sys
 
 import pytest
@@ -9,7 +10,7 @@ from jsonschema.validators import validator_for
 
 from grainsort import config as cfgmod
 from grainsort.errors import ConfigError, InvalidParameterError
-from grainsort.radar import check_fill_and_cone, max_unambiguous_range
+from grainsort.radar import MAX_SCATTERERS, check_fill_and_cone, max_unambiguous_range
 from oracles import CONFIG_SCHEMA
 
 
@@ -44,6 +45,17 @@ def test_error_names_the_json_path(tmp_path):
     path = tmp_path / "c.json"
     path.write_text(json.dumps({"seed": 1, "scene": {"ripple_crater_factor": 1.5}}))
     with pytest.raises(ConfigError, match=r"scene.*ripple_crater_factor"):
+        cfgmod.load_config(path)
+
+
+@pytest.mark.parametrize("key", ["scatterers_per_scene", "wall_clutter_scatterers"])
+def test_scatterer_counts_are_capped_at_load(tmp_path, key):
+    # load only: a scan at the cap would build 1 GiB of phasor tables
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"seed": 1, "scene": {key: MAX_SCATTERERS}}))
+    assert getattr(cfgmod.scene(cfgmod.load_config(path)), key) == MAX_SCATTERERS
+    path.write_text(json.dumps({"seed": 1, "scene": {key: MAX_SCATTERERS + 1}}))
+    with pytest.raises(ConfigError, match=re.escape(f"$['scene'][{key!r}]: {key} must lie")):
         cfgmod.load_config(path)
 
 

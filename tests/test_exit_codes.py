@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from grainsort import config as cfgmod
 from grainsort import dataset as ds
+from grainsort import radar
 from grainsort.cli import cli
 from grainsort.errors import DataError
 from grainsort.features import METHOD_TAGS
@@ -279,6 +280,11 @@ UNUSABLE_FEATURE_PARAMS = {
         "STFT+GLCM", {"stft": {"window_len": 64, "fft_len": 32}},
         {"stft_window_len": 64, "stft_fft_len": 32}, "fft_len 32",
     ),
+    # 301 - 280 is below the default hop 32: one frame, an image one column wide
+    "one_stft_frame": (
+        "STFT+GLCM", {"stft": {"window_len": 280, "fft_len": 280}},
+        {"stft_window_len": 280, "stft_fft_len": 280}, "give one frame",
+    ),
     # values above the 256 cap that allocate nothing large when rejected
     "gray_levels_257": ("STFT+GLCM", {"gray_levels": 257}, {"gray_levels": 257}, "gray_levels"),
     "gray_levels_2_40": (
@@ -387,6 +393,29 @@ def test_sweep_too_short_for_a_chain_exits_2_before_simulating(runner, files):
     # a chain that fits the sweep runs on the same config
     result = runner.invoke(cli, ["evaluate", "--config", str(config), "--out", str(out),
                                  "--method", "DWT+FOS"])
+    assert result.exit_code == 0, result.output
+
+
+def test_stft_glcm_on_one_frame_exits_2_before_simulating(runner, files, monkeypatch):
+    def simulate(*args):
+        raise AssertionError("simulated a dataset")
+
+    config = files["root"] / "config_stft_frames.json"
+    doc = json.loads(files["config"].read_text())
+    out = files["root"] / "stft_frames"
+    config.write_text(json.dumps(dict(doc, features={"stft": {"window_len": 280,
+                                                               "fft_len": 280}})))
+    with monkeypatch.context() as patch:
+        patch.setattr(radar, "generate_dataset", simulate)
+        result = runner.invoke(cli, ["evaluate", "--config", str(config), "--out", str(out),
+                                     "--method", "STFT+GLCM"])
+    _assert_one_error(result, 2, "stft window_len 280 and hop 32 give one frame")
+    assert not out.exists()
+    # 301 - 269 is one hop: two frames
+    config.write_text(json.dumps(dict(doc, features={"stft": {"window_len": 269,
+                                                               "fft_len": 280}})))
+    result = runner.invoke(cli, ["evaluate", "--config", str(config), "--out", str(out),
+                                 "--method", "STFT+GLCM"])
     assert result.exit_code == 0, result.output
 
 
@@ -704,6 +733,7 @@ MALFORMED_CONFIG_VALUES = [
     (("scene", "gain_jitter_db"), float("nan")),
     (("scene", "gain_jitter_db"), 1e308),  # 10 ** (1e308 / 20) is no float
     (("kernel", "C"), 10**400),  # an integer no float holds
+    (("scene", "scatterers_per_scene"), 10**400),
     (("dataset", "fill_fraction_range"), [0.7, 0.2]),
     (("dataset", "cone_height_range"), [0.3, 0.1]),
     (("dataset", "cone_height_range"), [5.0, 6.0]),  # the surface reaches the antenna

@@ -114,7 +114,7 @@ def _stalling_folds(monkeypatch, files, folds, stalls=lambda kernel: True):
 
 def _stall(X, kernel, fold):
     model = svm.BinarySVM(np.zeros((0, X.shape[1])), np.zeros(0), 0.0, kernel,
-                          diagnostics=svm.SMODiagnostics(final_violation=fold / 100))
+                          diagnostics=svm.SMODiagnostics(0, fold / 100, None))
     return ConvergenceError(f"stalled in process {os.getpid()}", model=model)
 
 
