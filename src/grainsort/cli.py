@@ -104,10 +104,6 @@ def _write_csv(path: Path, header, rows, provenance=()) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _snr_tag(snr) -> str:
-    return "noiseless" if snr is None else f"snr{snr:g}"
-
-
 @click.group()
 def cli():
     """Radar grain-surface classification experiments."""
@@ -143,14 +139,14 @@ def simulate(config_path, seed, out_dir, snr_override, also_csv):
     with _staged_out(out) as stage:
         for snr in spec.snr_db:
             scans = radar.generate_dataset(spec, snr)
-            name = f"dataset_{_snr_tag(snr)}.gsrd"
+            name = f"dataset_{radar.snr_tag(snr)}.gsrd"
             ds.save_dataset(stage / name, spec.params, scans)
             manifest["files"].append(
                 {"path": name, "snr_db": snr, "n_records": len(scans)}
             )
             wrote.append(f"{out / name} ({len(scans)} records)")
             if also_csv:
-                csv_name = f"dataset_{_snr_tag(snr)}.csv"
+                csv_name = f"dataset_{radar.snr_tag(snr)}.csv"
                 header = ["label"] + [f"{part}_{i}" for i in range(spec.params.n_freq)
                                       for part in ("re", "im")]
                 _write_csv(stage / csv_name, header,
@@ -322,44 +318,35 @@ def _write_report_files(out: Path, tag: str, cfg: dict, block: dict, table: str)
 @click.option("--method", "method_tags", multiple=True,
               type=click.Choice(features.METHOD_TAGS),
               help="Restrict to these chains (default: config methods).")
-@click.option("--echo-classifier", is_flag=True,
-              help="Replace the SVM with a label-echo oracle (reporting debug).")
 @click.option("--grid", "use_grid", is_flag=True,
               help="Flat grid search over the config kernel grid per method.")
 @_handle_errors
-def evaluate(config_path, seed, out_dir, method_tags, echo_classifier, use_grid):
+def evaluate(config_path, seed, out_dir, method_tags, use_grid):
     """Cross-validate every configured method chain and write reports."""
-    cfg = cfgmod.load_config(config_path, seed=seed, out_dir=out_dir)
-    if method_tags:
-        cfg["methods"] = list(method_tags)
+    cfg = cfgmod.load_config(config_path, seed=seed, out_dir=out_dir, methods=method_tags)
     k, counts = cfg["cv"]["k"], cfg["dataset"]["per_class_counts"]
     if k > min(counts):
         raise ConfigError(f"cv.k={k} exceeds the smallest per-class count {min(counts)}")
     fparams = cfgmod.feature_params(cfg)
     for method_tag in cfg["methods"]:
         fparams.check_sweep(method_tag, cfg["radar"]["n_freq"])
-    classifier = "echo" if echo_classifier else "svm"
     summary = {
         "config_hash": cfgmod.config_hash(cfg),
         "seed": cfg["seed"],
         "k": cfg["cv"]["k"],
         "kernel": cfg["kernel"],
-        "classifier": classifier,
+        "classifier": "svm",
         "methods": list(cfg["methods"]),
         "results": {},
     }
-    if use_grid:
-        points = [(c, gamma) for c in cfg["grid"]["C"] for gamma in cfg["grid"]["gamma"]]
-    else:
-        points = [(None, None)]  # the config kernel
-    kernels = [cfgmod.kernel_spec(cfg, c=c, gamma=gamma) for c, gamma in points]
+    kernels = cfgmod.build(cfg, "grid") if use_grid else [cfgmod.kernel_spec(cfg)]
+    points = [(c, gamma) for c in cfg["grid"]["C"] for gamma in cfg["grid"]["gamma"]]
     spec, solver = cfgmod.dataset_spec(cfg), cfgmod.solver_spec(cfg)
     for snr in spec.snr_db:
         scans = radar.generate_dataset(spec, snr)
         chains, y = features.extract_chains(scans, cfg["methods"], fparams)
         outcomes = evaluation.cross_validate_chains(
-            chains, y, kernels, k=spec.k, seed=spec.seed, solver=solver, classifier=classifier,
-        )
+            chains, y, kernels, k=spec.k, seed=spec.seed, solver=solver)
         block = {}
         for method_tag in cfg["methods"]:
             extra = {}
@@ -372,7 +359,7 @@ def evaluate(config_path, seed, out_dir, method_tags, echo_classifier, use_grid)
                 if isinstance(report, ConvergenceError):
                     raise report
             block[method_tag] = {**evaluation.report_payload(report), **extra}
-        summary["results"][_snr_tag(snr)] = block
+        summary["results"][radar.snr_tag(snr)] = block
 
     out = Path(cfg["out_dir"])
     tables = {tag: evaluation.format_table(block, cfg["methods"])

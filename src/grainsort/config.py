@@ -17,7 +17,7 @@ import json
 import math
 import sys
 from pathlib import Path
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 from .errors import ConfigError, InvalidParameterError
 from .features import METHOD_TAGS, FeatureParams
@@ -92,6 +92,8 @@ _RULES = {
     ("methods",): (lambda v: v in METHOD_TAGS, f"one of {list(METHOD_TAGS)}"),
     ("kernel", "gamma"): (lambda v: v == "scale" or _is_number(v), "'scale' or a finite number"),
 }
+# lists that name each item once, lest evaluate score a chain or grid point twice
+_DISTINCT = {("methods",), ("grid", "C"), ("grid", "gamma")}
 
 
 def json_path(path) -> str:
@@ -107,7 +109,8 @@ def check_shape(value, template, path=()) -> None:
     """Raise InvalidParameterError, whose field is the path of the fault,
     unless value holds exactly template's keys at every depth and each leaf
     has its template leaf's JSON type (at a path of _RULES, passes its rule).
-    A list holds one or more items, each shaped as template's first."""
+    A list holds one or more items, each shaped as template's first, and at
+    a path of _DISTINCT no two equal."""
     if isinstance(template, dict):
         if not isinstance(value, dict):
             raise InvalidParameterError(f"{value!r} is not an object", path)
@@ -121,6 +124,9 @@ def check_shape(value, template, path=()) -> None:
             raise InvalidParameterError(f"{value!r} is not a list of one or more items", path)
         for i, item in enumerate(value):
             check_shape(item, template[0], path + (i,))
+            if path in _DISTINCT and item in value[:i]:
+                raise InvalidParameterError(
+                    f"{item!r} repeats item {value.index(item)}", path + (i,))
     else:
         accepts, kind = _RULES.get(tuple(p for p in path if isinstance(p, str)),
                                    _TYPES[type(template)])
@@ -143,11 +149,11 @@ def validate_config(doc: dict) -> None:
 
 
 def load_config(path: Optional[Union[str, Path]] = None, seed: Optional[int] = None,
-                out_dir: Optional[str] = None) -> dict:
+                out_dir: Optional[str] = None, methods: Sequence[str] = ()) -> dict:
     """Read, validate and merge a config file over the defaults.
 
-    path None yields the default experiment.  seed/out_dir override the file
-    (the CLI --seed / --out flags).
+    path None yields the default experiment.  seed/out_dir and methods, if
+    any, override the file (the CLI --seed / --out / --method flags).
     """
     if path is None:
         doc = {}
@@ -169,6 +175,8 @@ def load_config(path: Optional[Union[str, Path]] = None, seed: Optional[int] = N
         cfg["seed"] = int(seed)
     if out_dir is not None:
         cfg["out_dir"] = str(out_dir)
+    if methods:
+        cfg["methods"] = list(methods)
     validate_config(cfg)
     return cfg
 

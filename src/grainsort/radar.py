@@ -418,13 +418,18 @@ def backscatter(
     return samples
 
 
+def snr_tag(snr_db: Optional[float]) -> str:
+    """The name of an SNR's dataset file, summary block and report pair."""
+    return "noiseless" if snr_db is None else f"snr{snr_db:g}"
+
+
 @dataclass(frozen=True)
 class DatasetSpec:
     """A labelled simulation: sweep, silo, scans per class, the ranges each
     scan's fill fraction and cone height are drawn from, the SNRs (None:
-    noiseless), the master seed and the k cross-validation folds.  A bad
-    value raises InvalidParameterError whose field names it; a range that
-    lets a surface reach past the sweep's window names params."""
+    noiseless; each with a snr_tag of its own), the master seed and the k
+    folds.  A bad value raises InvalidParameterError whose field names it; a
+    range that lets a surface reach past the sweep's window names params."""
 
     params: RadarParams
     scene: SiloScene
@@ -451,6 +456,9 @@ class DatasetSpec:
             if snr is not None and not (math.isfinite(snr) and math.isfinite(_pow10(-snr / 10.0))):
                 raise InvalidParameterError(
                     f"{snr!r} is not null or a finite number above -3082.5 dB", ("snr_db", i))
+            if snr_tag(snr) in map(snr_tag, self.snr_db[:i]):
+                raise InvalidParameterError(
+                    f"{snr!r} has the tag {snr_tag(snr)!r} of an earlier SNR", ("snr_db", i))
         fills, heights = self.fill_fraction_range, self.cone_height_range
         for name, (low, high) in (("fill_fraction_range", fills), ("cone_height_range", heights)):
             if low > high:

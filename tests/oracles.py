@@ -736,8 +736,9 @@ def seed_extract(ascan, method_tag: str, params) -> np.ndarray:
 
 
 # The JSON schema config files were validated against before the parameter
-# objects took over the bounds, kept verbatim as the reference the config
-# checks are tested against: whatever it rejects must still be rejected.
+# objects took over the bounds, kept as the reference the config checks are
+# tested against: whatever it rejects must still be rejected.  The one rule
+# added since is uniqueItems: no SNR, chain or grid value is listed twice.
 _POS_NUM = {"type": "number", "exclusiveMinimum": 0}
 _RANGE2 = {
     "type": "array",
@@ -801,6 +802,7 @@ CONFIG_SCHEMA = {
                     "type": "array",
                     "items": {"type": ["number", "null"]},
                     "minItems": 1,
+                    "uniqueItems": True,
                 },
                 "fill_fraction_range": _RANGE2,
                 "cone_height_range": _RANGE2,
@@ -834,6 +836,7 @@ CONFIG_SCHEMA = {
             "type": "array",
             "items": {"enum": list(METHOD_TAGS)},
             "minItems": 1,
+            "uniqueItems": True,
         },
         "kernel": {
             "type": "object",
@@ -850,8 +853,9 @@ CONFIG_SCHEMA = {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "C": {"type": "array", "items": _POS_NUM, "minItems": 1},
-                "gamma": {"type": "array", "items": _POS_NUM, "minItems": 1},
+                "C": {"type": "array", "items": _POS_NUM, "minItems": 1, "uniqueItems": True},
+                "gamma": {"type": "array", "items": _POS_NUM, "minItems": 1,
+                          "uniqueItems": True},
             },
         },
         "svm": {

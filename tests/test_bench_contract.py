@@ -1,6 +1,8 @@
 """The benchmark's tracer wraps grainsort functions by name from outside the
 package, so a rename under src/ breaks `bench/run.py --trace 1` silently;
-these tests fail on such a rename instead."""
+these tests fail on such a rename instead.  The benchmark also checks every
+output of its rounds; a quick round of each workload runs here through those
+checks, so an output the benchmark would refuse fails these tests first."""
 
 import importlib
 import sys
@@ -8,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 from grainsort import cli, config, dataset, evaluation, features, svm
 from oracles import fit_binary
@@ -16,12 +19,30 @@ BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 @pytest.fixture(scope="module")
-def tracer():
+def bench_path():
     sys.path.insert(0, str(BENCH))
     try:
-        yield importlib.import_module("tracer")
+        yield
     finally:
         sys.path.remove(str(BENCH))
+
+
+@pytest.fixture(scope="module")
+def tracer(bench_path):
+    return importlib.import_module("tracer")
+
+
+@pytest.fixture(scope="module")
+def workloads(bench_path):
+    return importlib.import_module("workloads")
+
+
+def test_quick_rounds_pass_the_benchmark_checks(workloads, tmp_path):
+    for workload in workloads.WORKLOADS:
+        for command in workloads.plan(workload, 0, tmp_path / workload, quick=True):
+            result = CliRunner().invoke(cli.cli, command.args)
+            assert result.exit_code == 0, (command.name, result.output)
+            command.check()
 
 
 def test_every_traced_target_exists(tracer):
@@ -64,7 +85,7 @@ def test_extract_matrix_description(tracer, tiny_scans, loaded_scans):
 def test_cross_validate_description(tracer, tiny_scans):
     describe = tracer.TARGETS["evaluation"]["cross_validate"]
     args = (*features.extract_matrix(tiny_scans, "FOS"), "FOS", svm.KernelSpec())
-    kwargs = {"k": 3, "seed": 0, "classifier": "echo"}
+    kwargs = {"k": 3, "seed": 0}
     report = evaluation.cross_validate(*args, **kwargs)
     assert describe(args, kwargs, report) == {"folds": 3}
 
@@ -74,8 +95,7 @@ def test_grid_search_description(tracer, tiny_scans):
     points = [(c, gamma) for c in (1.0, 10.0) for gamma in (0.05, 0.5)]
     kernels = [svm.KernelSpec(c=c, gamma=gamma) for c, gamma in points]
     X, y = features.extract_matrix(tiny_scans, "FOS")
-    outcomes = evaluation.cross_validate_chains({"FOS": X}, y, kernels, k=3, seed=0,
-                                                classifier="echo")["FOS"]
+    outcomes = evaluation.cross_validate_chains({"FOS": X}, y, kernels, k=3, seed=0)["FOS"]
     result = cli._grid_search(points, kernels, outcomes)
     assert describe((points, kernels, outcomes), {}, result) == {"points": 4}
 

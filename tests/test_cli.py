@@ -386,23 +386,6 @@ class TestTrainPredict:
 
 
 class TestEvaluate:
-    def test_echo_classifier_all_ones(self, runner, simulated):
-        config, dataset, tmp_path = simulated
-        out = tmp_path / "eval_echo"
-        result = runner.invoke(
-            cli,
-            ["evaluate", "--config", str(config), "--out", str(out),
-             "--method", "FOS", "--method", "DCT+FOS", "--echo-classifier"],
-        )
-        assert result.exit_code == 0, result.output
-        summary = json.loads((out / "summary.json").read_text())
-        block = summary["results"]["snr20"]
-        assert set(block) == {"FOS", "DCT+FOS"}
-        for payload in block.values():
-            assert payload["mean"]["ACC"] == 1.0
-            assert payload["std"]["ACC"] == 0.0
-        assert "100.00±0.00" in (out / "report_snr20.txt").read_text()
-
     def test_report_files_structure(self, runner, simulated):
         config, dataset, tmp_path = simulated
         out = tmp_path / "eval_svm"
@@ -607,15 +590,13 @@ class TestReport:
     def test_renders_stored_summary(self, runner, simulated):
         config, dataset, tmp_path = simulated
         out = tmp_path / "ev_rep"
-        runner.invoke(
-            cli,
-            ["evaluate", "--config", str(config), "--out", str(out),
-             "--method", "FOS", "--echo-classifier"],
-        )
+        result = runner.invoke(
+            cli, ["evaluate", "--config", str(config), "--out", str(out), "--method", "FOS"])
+        assert result.exit_code == 0, result.output
         result = runner.invoke(cli, ["report", str(out / "summary.json")])
         assert result.exit_code == 0, result.output
-        assert "FOS+SVM" in result.output
-        assert "100.00±0.00" in result.output
+        table = (out / "report_snr20.txt").read_text(encoding="utf-8").split("\n", 2)[2]
+        assert result.output == "[snr20]\n" + table
 
     def test_report_evaluate_and_txt_render_the_same_table(self, runner, simulated):
         config, dataset, tmp_path = simulated

@@ -209,6 +209,10 @@ def _objects_reject(doc) -> bool:
     if any(snr is not None and snr <= -10 * math.log10(sys.float_info.max)
            for snr in dataset["snr_db"]):
         return True
+    # two SNRs that print alike to six significant digits, as their files are named
+    tags = [snr if snr is None else f"{snr:g}" for snr in dataset["snr_db"]]
+    if len(set(tags)) < len(tags):
+        return True
     try:
         for build in (cfgmod.radar_params, cfgmod.scene, cfgmod.feature_params,
                       cfgmod.kernel_spec):
@@ -232,7 +236,8 @@ def _assert_rejects_as_the_schema_did(tmp_path, doc):
     rejects holds an integer-valued float at an integer key, a non-finite
     number, a value a parameter object or the draw rule rejects, a reversed
     dataset range, an SNR too low for a float noise power or ranges whose
-    surfaces reach beyond the sweep's unambiguous range."""
+    surfaces reach beyond the sweep's unambiguous range, or two SNRs with
+    one file tag."""
     path = tmp_path / "c.json"
     path.write_text(json.dumps(doc))
     schema_accepts = validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA).is_valid(doc)

@@ -249,20 +249,6 @@ def _noise_scans(n_per_class=8, n_freq=301, seed=0):
 
 
 class TestCrossValidate:
-    def test_echo_classifier_scores_ones(self):
-        X, y = ft.extract_matrix(_noise_scans(), "FOS")
-        report = ev.cross_validate(
-            X, y, "FOS", svm.KernelSpec(kind="rbf", c=10.0),
-            k=4, seed=0, classifier="echo",
-        )
-        assert report.confusions.shape == (4, 3, 3)
-        assert not np.any(report.confusions * (1 - np.eye(3, dtype=int)))
-        payload = ev.report_payload(report)
-        for name in ev.METRIC_NAMES:
-            assert np.allclose(payload["folds"][name], 1.0)
-            assert payload["mean"][name] == pytest.approx(1.0)
-            assert payload["std"][name] == pytest.approx(0.0)
-
     def test_deterministic_reports(self, tiny_scans, tiny_config):
         kernel = svm.KernelSpec(kind="rbf", c=10.0)
         X, y = ft.extract_matrix(tiny_scans, "FOS")
@@ -315,18 +301,28 @@ class TestCrossValidate:
     def test_report_rows_shape(self, tiny_scans):
         X, y = ft.extract_matrix(tiny_scans, "FOS")
         report = ev.cross_validate(
-            X, y, "FOS", svm.KernelSpec(kind="rbf", c=10.0),
-            k=3, seed=0, classifier="echo",
-        )
+            X, y, "FOS", svm.KernelSpec(kind="rbf", c=10.0), k=3, seed=0, solver=SOLVER)
         payload = ev.report_payload(report)
         rows = ev.report_rows(payload)
         assert len(rows) == 6
         assert all(len(row) == 4 + 3 for row in rows)
-        table = ev.format_table({"FOS": payload}, ["FOS"])
-        assert "FOS+SVM" in table and "100.00±0.00" in table
+        assert "FOS+SVM" in ev.format_table({"FOS": payload}, ["FOS"])
 
 
 class TestReportPayload:
+    def test_diagonal_stack_scores_ones(self):
+        # every test scan of every fold classified right, class counts unequal
+        confusions = np.stack([np.diag(n) for n in ([3, 4, 2], [1, 5, 3], [2, 2, 2], [4, 1, 1])])
+        payload = ev.report_payload(ev.MetricsReport("FOS", confusions))
+        assert payload["zeroed_folds"] == [[]] * 4
+        for name in ev.METRIC_NAMES:
+            assert payload["folds"][name] == [1.0] * 4
+            assert payload["mean"][name] == 1.0
+            assert payload["std"][name] == 0.0
+            assert payload["per_class_mean"][name] == [1.0] * 3
+        row = ev.format_table({"FOS": payload}, ["FOS"]).splitlines()[2]
+        assert row.split() == ["FOS+SVM"] + ["100.00±0.00"] * 6
+
     def test_hand_built_stack_with_a_fold_that_never_predicts_class_2(self):
         confusions = np.array([
             [[2, 0, 0], [0, 2, 0], [0, 0, 2]],  # perfect

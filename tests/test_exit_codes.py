@@ -63,8 +63,7 @@ def files(runner, tmp_path_factory):
         ["simulate", "--config", str(config), "--out", str(out)],
         ["train", str(out / "dataset_snr20.gsrd"), "--method", "FOS",
          "--config", str(config), "--out", str(out)],
-        ["evaluate", "--config", str(config), "--out", str(out),
-         "--method", "FOS", "--echo-classifier"],
+        ["evaluate", "--config", str(config), "--out", str(out), "--method", "FOS"],
         ["simulate", "--config", str(tiny_config), "--out", str(root / "tiny")],
     ):
         result = runner.invoke(cli, argv)
@@ -658,7 +657,7 @@ def test_a_fault_at_the_write_step_leaves_no_output_and_no_stage(runner, files, 
         "extract": ["extract", gsrd, "--method", "FOS", "--config", config],
         "train": ["train", gsrd, "--method", "FOS", "--config", config],
         "predict": ["predict", str(files["run"] / "model.json"), gsrd],
-        "evaluate": ["evaluate", "--method", "FOS", "--echo-classifier", "--config", config],
+        "evaluate": ["evaluate", "--method", "FOS", "--config", config],
         "report": ["report", str(files["run"] / "summary.json")],
     }[command]
     home = files["root"] / f"write_fault_{command}_{existing}"
@@ -772,6 +771,47 @@ def test_malformed_config_value_exits_2_at_load(runner, files, path, value):
                                  "--method", "FOS"])
     named = path[:1] if (path, value) in SECTION_NAMED else path
     _assert_one_error(result, 2, "$" + "".join(f"[{k!r}]" for k in named))
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("snr_db", [[20.0, 20.0000001], [20, 20.0], [None, None]],
+                         ids=["20.0,20.0000001", "20,20.0", "null,null"])
+@pytest.mark.parametrize("command", ["simulate", "evaluate"])
+def test_snrs_that_share_a_tag_exit_2_writing_nothing(runner, files, command, snr_db):
+    # each SNR's dataset file, summary block and report pair carry its tag
+    doc = json.loads(files["config"].read_text())
+    doc["dataset"]["snr_db"] = snr_db
+    config = files["root"] / "config_snr_tags.json"
+    config.write_text(json.dumps(doc))
+    out = files["root"] / "snr_tags"
+    argv = [command, "--config", str(config), "--out", str(out)]
+    result = runner.invoke(cli, argv + (["--method", "FOS"] if command == "evaluate" else []))
+    _assert_one_error(result, 2, "$['dataset']['snr_db'][1]")
+    assert not out.exists()
+
+
+# a repeat would score and report one chain or grid point twice: (config
+# values, evaluate options, the repeat the error names)
+REPEATS = {
+    "methods": ({"methods": ["FOS", "DWT+FOS", "FOS"]}, [], "$['methods'][2]"),
+    "grid.C": ({"grid": {"C": [1, 10.0, 1.0], "gamma": [0.1]}}, ["--grid", "--method", "FOS"],
+               "$['grid']['C'][2]"),
+    "grid.gamma": ({"grid": {"C": [1.0], "gamma": [0.1, 0.1]}}, ["--grid", "--method", "FOS"],
+                   "$['grid']['gamma'][1]"),
+    "--method": ({}, ["--method", "FOS", "--method", "DWT+FOS", "--method", "FOS"],
+                 "$['methods'][2]: 'FOS' repeats item 0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REPEATS))
+def test_a_repeated_method_or_grid_value_exits_2(runner, files, case):
+    values, options, needle = REPEATS[case]
+    config = files["root"] / "config_repeat.json"
+    config.write_text(json.dumps({**json.loads(files["config"].read_text()), **values}))
+    out = files["root"] / "repeat"
+    result = runner.invoke(cli, ["evaluate", "--config", str(config), "--out", str(out),
+                                 *options])
+    _assert_one_error(result, 2, needle)
     assert not out.exists()
 
 
@@ -934,12 +974,14 @@ def config_mutations(draw, paths):
 def test_mutated_config_exits_0_or_2(runner, files, doc):
     config = files["root"] / "mutated_config.json"
     config.write_text(json.dumps(doc))
-    result = runner.invoke(cli, ["evaluate", "--config", str(config), "--echo-classifier",
+    result = runner.invoke(cli, ["evaluate", "--config", str(config),
                                  "--out", str(files["root"] / "fuzz")])
     _assert_exits(result, {0, 2})
 
 
-# evaluate --echo-classifier only schema-checks these; train runs SMO on them
+# every example here trains on a mutated solver key, and a value that loads may
+# leave SMO out of updates (exit 4); none of the drops, retypes and
+# out-of-range values the test above draws does so on TINY_CONFIG
 SOLVER_KEYS = [path for path in _key_paths(TINY_CONFIG) if path[0] in ("kernel", "svm")]
 
 

@@ -201,9 +201,9 @@ def test_a_non_finite_row_names_its_scan_as_a_serial_run(files, monkeypatch, req
 def test_extract_train_predict_report_and_help_start_no_pool(files, monkeypatch):
     root = files["root"] / "serial"
     gsrd, config = str(files["gsrd"]), str(files["config"])
-    echo = CliRunner().invoke(cli, ["evaluate", "--config", config, "--out", str(root / "ev"),
-                                    "--method", "FOS", "--echo-classifier"])
-    assert echo.exit_code == 0, echo.output
+    evaluated = CliRunner().invoke(cli, ["evaluate", "--config", config,
+                                         "--out", str(root / "ev"), "--method", "FOS"])
+    assert evaluated.exit_code == 0, evaluated.output
 
     def refuse(*args, **kwargs):
         raise AssertionError("a worker pool was started")
